@@ -23,12 +23,10 @@ SWEEP_RUNGS = (
 )
 DEFECT_RUNG = (2, 1, 1, 1)
 CONSTRUCT_MID_RUNGS = ((2, 1, 1, 4), (3, 1, 1, 3), (2, 1, 2, 2))
-VERIFY_ODD_RUNGS = ((3, 1, 1, 3), (3, 1, 4, 1), (2, 2, 3, 1), (2, 3, 2, 1))
 
 WORKLOADS = {
     "sweep": (SWEEP_RUNGS, ("construct", "verify", "oracle", "compare")),
     "construct-mid": (CONSTRUCT_MID_RUNGS, ("construct", "oracle", "compare")),
-    "verify-odd": (VERIFY_ODD_RUNGS, ("verify",)),
 }
 KINDS = ("construct", "verify", "oracle", "compare")
 
@@ -49,14 +47,11 @@ SPREAD_BODY_SHA256 = {
     (2, 2, 1, 1): "3c8270f62fb021d95311ea0c3492d2c848a84b4de3b0982847dbcc0f79a894c4",
     (2, 2, 1, 2): "3482fab132471902ea27ea2d34babd8adeec3c72333053eea492a68a597647b8",
     (2, 2, 2, 1): "a72342675c07120c5490b3fd0a1ee807505ad2cbf9899273031e0cd1d9cccd61",
-    (2, 2, 3, 1): "a387702c399481bb93d68f6f8528c166c1985e0e035a5659ba6a0877e87dd244",
     (2, 3, 1, 1): "a5d2fb4f9cb3b3d01dffa95fabf4ca202fb6183ce0a7da0ce8452ebc4752b5c4",
-    (2, 3, 2, 1): "ec70ff868341063f0f84d40517c9d7bc9c832bb32c6eb22dee3dcb30ae8fb2d3",
     (2, 4, 1, 1): "267868cce0b46227ec7a182e4e7ccb392f3f780283da15fd7a70b089a6e1e2f5",
     (3, 1, 1, 1): "7e2d70def46098fef8e26c858bd57ccf9a3daa2b93a5aa8fd95cc3a014523700",
     (3, 1, 1, 3): "e8611b3a87e53cb536ce42d9470c99fdd8b80fbc3fe431f60524f5f6d58023ee",
     (3, 1, 2, 1): "f51ad459bbe30bc303d47d6de9db3b790f163ea7c7c7ac054837ca889b3fe433",
-    (3, 1, 4, 1): "309117771ed1f70b76fcff3830b1eccfeb0db6796c80f71c5577908a700d90a1",
     (3, 2, 1, 1): "9e411e64f00d5563c6f88a57624eb57608399da9027f19781c850eea50de037f",
     (5, 1, 1, 1): "a3e0642da8a2fca294f3906f0d3286519a0cb582af405a16477a4daaebcd4738",
     (7, 1, 1, 1): "b8f038841545a49116b582e154a5d70867fc85c41b30f1e45b021bf64e79b964",

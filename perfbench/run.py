@@ -1,13 +1,14 @@
 """spreadforge benchmark: timed CLI sessions, or a traced in-process replay.
 
-    python3 perfbench/run.py --workload sweep --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload sweep --seed 1 --seconds 50 --trace 0
 
 Run from the root of a spreadforge checkout.  With --trace 0 every command
 of the workload runs as its own `python -m spreadforge.cli` subprocess, one
 at a time (a closed loop with one client), timed from outside and checked
 against frozen expectations; rounds of the workload repeat until --seconds
-have passed.  With --trace 1 the same commands are replayed in-process
-under wrappers that record spans and counts per layer (see traced.py).
+have passed, the last one possibly partial.  With --trace 1 the same
+commands are replayed in-process under wrappers that record spans and
+counts per layer (see traced.py).
 
 Human-readable figures go first; the last line of stdout is one JSON object
 with the keys correct, attempted, failed and metrics.  Exit 0 when every
@@ -41,8 +42,10 @@ COMMAND_CAP_S = 60.0
 # an alarm at RUN_ALARM_S stops a run that still hangs (in-process work).
 RUN_DEADLINE_S = 150.0
 RUN_ALARM_S = 170
-# Set-up repeats at least SETUP_MIN times, and up to SETUP_MAX while under SETUP_BUDGET_S.
-SETUP_MIN, SETUP_MAX, SETUP_BUDGET_S = 3, 7, 2.0
+# Set-up runs SETUP_FIRST times before the first command, then again between
+# commands whenever SETUP_INTERVAL_S have passed since the last one, so that
+# its median is taken over the same stretch of machine time as the session.
+SETUP_FIRST, SETUP_INTERVAL_S = 3, 1.5
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -126,53 +129,44 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def timed_setup(root: Path, workload: str, seed: int, workbase: Path,
-                launcher: Launcher) -> tuple[list[float], Path]:
-    """Set up several times; return the times and the last work directory.
+def set_up(workbase: Path, launcher: Launcher, times: list[float]) -> Path:
+    """One set-up: a fresh work directory and a no-work CLI start.
 
-    Set-up is a no-work CLI start (which also fills the bytecode cache) and,
-    for verify-odd, building and certifying the input files.
+    Its time is appended to `times`; the new work directory is returned.
     """
-    times, workdir = [], workbase
-    for rep in range(SETUP_MAX):
-        if rep >= SETUP_MIN and sum(times) >= SETUP_BUDGET_S:
-            break
-        start = time.perf_counter()
-        workdir = workbase / f"setup{rep}"
-        workdir.mkdir(parents=True)
-        child = launcher.run(cli_args(["params", "--max-order", "1"]), COMMAND_CAP_S)
-        if child.code != 0:
-            raise RuntimeError(f"the program does not start: {child.stderr.strip()[-300:]}")
-        if workload == "verify-odd":
-            build_inputs = [sys.executable, str(Path(__file__).with_name("inputs.py")),
-                            str(root), str(workdir), str(seed)]
-            child = launcher.run(build_inputs, COMMAND_CAP_S)
-            if child.code != 0:
-                raise RuntimeError(f"building verify-odd inputs failed: {child.stderr.strip()[-300:]}")
-        times.append(time.perf_counter() - start)
-    return times, workdir
+    start = time.perf_counter()
+    workdir = workbase / f"setup{len(times)}"
+    workdir.mkdir(parents=True)
+    child = launcher.run(cli_args(["params", "--max-order", "1"]), COMMAND_CAP_S)
+    if child.code != 0:
+        raise RuntimeError(f"the program does not start: {child.stderr.strip()[-300:]}")
+    times.append(time.perf_counter() - start)
+    return workdir
 
 
 def timed_session(root: Path, args, workbase: Path, started: float) -> tuple[dict, list[str]]:
     launcher = Launcher(root, workbase)
-    setup_times, workdir = timed_setup(root, args.workload, args.seed, workbase, launcher)
+    setup_times: list[float] = []
+    for _ in range(SETUP_FIRST):
+        workdir = set_up(workbase, launcher, setup_times)
     commands = plan.commands_for(args.workload, plan.rungs_for(args.workload, args.seed), workdir)
 
-    rounds: list[list[Outcome]] = []
-    session_start = time.perf_counter()
-    while True:
-        outcomes = []
-        for cmd in commands:
-            left = RUN_DEADLINE_S - (time.perf_counter() - started)
-            outcomes.append(run_command(cmd, launcher, workdir, min(COMMAND_CAP_S, left)))
-        rounds.append(outcomes)
-        elapsed = time.perf_counter() - session_start
-        last = sum(o.wall_s for o in outcomes)
-        if elapsed >= args.seconds or time.perf_counter() - started + last > RUN_DEADLINE_S:
-            break
+    # The first round always runs whole; after it, commands continue in order
+    # until --seconds have passed, so the last round may be partial.
+    n = len(commands)
+    outcomes: list[Outcome] = []
+    session_start = last_setup = time.perf_counter()
+    while len(outcomes) < n or (time.perf_counter() - session_start < args.seconds
+                                and time.perf_counter() - started < RUN_DEADLINE_S):
+        left = RUN_DEADLINE_S - (time.perf_counter() - started)
+        outcomes.append(run_command(commands[len(outcomes) % n], launcher, workdir,
+                                    min(COMMAND_CAP_S, left)))
+        if left > 0 and time.perf_counter() - last_setup >= SETUP_INTERVAL_S:
+            set_up(workbase, launcher, setup_times)
+            last_setup = time.perf_counter()
 
-    walls = [[r[i].wall_s for r in rounds] for i in range(len(commands))]
-    medians = [statistics.median(w) for w in walls]
+    rounds = [outcomes[i:i + n] for i in range(0, len(outcomes) - n + 1, n)]
+    medians = [statistics.median(o.wall_s for o in outcomes[i::n]) for i in range(n)]
     samples = {
         "setup_s": setup_times,
         "session_s": [sum(o.wall_s for o in r) for r in rounds],
@@ -182,13 +176,15 @@ def timed_session(root: Path, args, workbase: Path, started: float) -> tuple[dic
         idx = [i for i, c in enumerate(commands) if c.kind == kind]
         values[f"{kind}_s"] = sum(medians[i] for i in idx)
         samples[f"{kind}_s"] = [sum(r[i].wall_s for i in idx) for r in rounds]
-    values["peak_rss_mb"] = max(o.maxrss_kb for r in rounds for o in r) / 1024
+    values["peak_rss_mb"] = max(o.maxrss_kb for o in outcomes) / 1024
 
-    errors = [f"round {n + 1} {c.kind} {c.rung.tag} i={c.rung.i} j={c.rung.j}: {o.error}"
-              for n, r in enumerate(rounds) for c, o in zip(commands, r) if o.error]
-    attempted = len(commands) * len(rounds)
-    extra = {"rounds": len(rounds), "commands_per_round": len(commands),
-             "attempted": attempted, "failed": len(errors), "samples": samples, "values": values}
+    errors = []
+    for k, o in enumerate(outcomes):
+        c = commands[k % n]
+        if o.error:
+            errors.append(f"round {k // n + 1} {c.kind} {c.rung.tag} i={c.rung.i} j={c.rung.j}: {o.error}")
+    extra = {"rounds": len(outcomes) / n, "commands_per_round": n,
+             "attempted": len(outcomes), "failed": len(errors), "samples": samples, "values": values}
     if args.workload == "sweep":
         extra["known_defect"] = defect_probe(launcher, workdir, started)
     return extra, errors
@@ -222,7 +218,7 @@ def print_session_report(extra: dict) -> None:
     print(f"{'failed_ops_ratio':<18} {'ratio':<6} {extra['failed'] / extra['attempted']:>10.4f}"
           f"   ({extra['failed']}/{extra['attempted']})")
     print("session_s and the *_s kinds: one round, each command at its median over rounds;"
-          " q1/q3 over round totals")
+          " q1/q3 over whole-round totals")
     if "known_defect" in extra:
         bad = sum(v != "ok" for v in extra["known_defect"].values())
         print(f"known defect (2,1,1,1), not timed: {bad} of {len(extra['known_defect'])} commands fail")

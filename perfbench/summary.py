@@ -1,7 +1,6 @@
 """Summarize benchmark runs per workload: median, quartiles and run count.
 
-    python3 perfbench/summary.py                 # the records already in perfbench/_runs
-    python3 perfbench/summary.py --runs 10       # first run seeds 1..10 of every workload
+    python3 perfbench/summary.py
 
 Run from the root of a checkout.  Records are grouped by the sha256 of
 src/spreadforge/*.py, so runs of different code are never mixed; only the
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -28,17 +26,6 @@ UNITS = {**END_TO_END_UNITS, **PER_LAYER_UNITS, "failed_ops_ratio": "ratio",
          **{f"{kind}_s": "s" for kind in plan.KINDS}}
 
 
-def run_all(runs: int, seconds: int) -> None:
-    for workload in plan.WORKLOADS:
-        for seed in range(1, runs + 1):
-            done = subprocess.run(
-                [sys.executable, str(BENCH_DIR / "run.py"), "--workload", workload,
-                 "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                capture_output=True, text=True)
-            last = done.stdout.strip().splitlines()[-1:] or ["(no output)"]
-            print(f"{workload} seed {seed}: exit {done.returncode} {last[0][:80]}", flush=True)
-
-
 def spread(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -47,13 +34,7 @@ def spread(values: list[float]) -> tuple[float, float, float]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=0, help="run seeds 1..RUNS of every workload first")
-    parser.add_argument("--seconds", type=int, default=40)
-    args = parser.parse_args(argv)
-    if args.runs:
-        run_all(args.runs, args.seconds)
-
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     digest = source_digest(Path.cwd())
     figures: dict[str, dict[str, list[float]]] = defaultdict(lambda: defaultdict(list))
     for path in sorted((BENCH_DIR / "_runs").glob("*.json")):

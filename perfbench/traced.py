@@ -323,8 +323,6 @@ def layer_metrics(tracer: Tracer) -> dict[str, float]:
 
 def traced_run(root: Path, args, workbase: Path, run_id: str, bench_dir: Path):
     sf = import_spreadforge(root)
-    import inputs
-
     rungs = plan.rungs_for(args.workload, args.seed)
     workdir = workbase / "replay"
     workdir.mkdir(parents=True)
@@ -332,10 +330,6 @@ def traced_run(root: Path, args, workbase: Path, run_id: str, bench_dir: Path):
     tracer = Tracer(args.workload, run_id)
 
     probes = startup_probes(Launcher(root, workbase))
-    with instrumented(tracer, sf):
-        if args.workload == "verify-odd":
-            tracer.phase = "setup"
-            inputs.build_inputs(workdir, rungs)
     # Untraced and traced replays alternate, so drift and first-run costs fall
     # on both sides; the layer figures come from the last traced replay.
     walls: dict[bool, float] = {False: 0.0, True: 0.0}
@@ -375,7 +369,7 @@ def traced_run(root: Path, args, workbase: Path, run_id: str, bench_dir: Path):
     print(f"replay: {len(commands)} commands, mean of {REPLAY_PAIRS}: untraced {off_s:.3f} s, "
           f"traced {on_s:.3f} s; "
           f"pool speedup measured on {pool_rung} at {workers} workers")
-    print("self time by layer (traced replay" + (" and set-up" if args.workload == "verify-odd" else "") + "):")
+    print("self time by layer (traced replay):")
     for layer, took in layers.items():
         print(f"  {layer:<14} {took:10.4f} s")
     print(f"{'metric':<38} {'unit':<6} {'value':>14}")
