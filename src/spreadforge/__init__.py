@@ -45,7 +45,6 @@ from .subspaces import (
     canonical_subspace,
     companion_matrix,
     enumerate_lines,
-    format_subspaces,
     rank,
     rref,
     subspace_distance,
@@ -91,7 +90,6 @@ __all__ = [
     "enumerate_lines",
     "exponent_class",
     "field_build",
-    "format_subspaces",
     "group_element",
     "line_partition",
     "min_distance_bruteforce",

@@ -22,7 +22,7 @@ from .construction import (
     validate_params,
 )
 from .errors import CodecError, GcdConditionViolated, NonPrimeCharacteristic, SpreadforgeError
-from .gftower import is_prime
+from .gftower import DIGIT_ALPHABET, is_prime
 from .verify import (
     Verdict,
     classify,
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _iter_valid_params(max_order: int):
     p = 2
-    while p <= max_order:
+    while p <= min(max_order, len(DIGIT_ALPHABET)):
         if is_prime(p):
             e = 1
             while p**e <= max_order:

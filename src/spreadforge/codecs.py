@@ -20,7 +20,7 @@ from .errors import (
     NonCanonicalMember,
     VersionUnsupported,
 )
-from .gftower import FieldTower, field_build
+from .gftower import DIGIT_ALPHABET, FieldTower, field_build, is_prime
 from .subspaces import Line, Matrix, Subspace, canonical_line, canonical_subspace
 from .verify import VerificationReport
 
@@ -31,8 +31,7 @@ KIND_LINES = "lines"
 KIND_SUBSPACES = "subspaces"
 COMPONENTS = ("Ci", "Ai", "Bj", "spread", "oracle", "external")
 
-_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
-_DIGIT_VALUE = {ch: i for i, ch in enumerate(_ALPHABET)}
+_DIGIT_VALUE = {ch: i for i, ch in enumerate(DIGIT_ALPHABET)}
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,12 @@ class CodeHeader:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.component not in COMPONENTS:
             raise ValueError(f"unknown component {self.component!r}")
-        if self.p > len(_ALPHABET):
+        if not is_prime(self.p):
+            raise ValueError(f"characteristic {self.p} is not prime")
+        if self.p > len(DIGIT_ALPHABET):
             raise ValueError(f"characteristic {self.p} exceeds the digit alphabet")
+        if min(self.e, self.k, self.t) < 1:
+            raise ValueError(f"degrees must be >= 1, got e={self.e}, k={self.k}, t={self.t}")
 
     @property
     def q(self) -> int:
@@ -91,7 +94,7 @@ def _row_record(row) -> str:
     digits = []
     for entry in row:
         digits.extend(entry.digits())
-    return "".join(_ALPHABET[d] for d in digits)
+    return "".join(DIGIT_ALPHABET[d] for d in digits)
 
 
 def _matrix_record(m: Matrix) -> str:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import (
+    CharacteristicTooLarge,
     ExponentOutOfRange,
     GcdConditionViolated,
     GroupTooLarge,
@@ -25,7 +26,14 @@ from .errors import (
     InternalOrderCheckFailed,
     NonPrimeCharacteristic,
 )
-from .gftower import FieldTower, distinct_prime_factors, element_order, field_build, is_prime
+from .gftower import (
+    DIGIT_ALPHABET,
+    FieldTower,
+    distinct_prime_factors,
+    element_order,
+    field_build,
+    is_prime,
+)
 from .reduction import ReductionContext
 from .subspaces import (
     Line,
@@ -67,6 +75,10 @@ def validate_params(p: int, e: int, k: int, t: int) -> CodeParams:
     """Check the gcd condition and derive every parameter the pipeline needs."""
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
+    if p > len(DIGIT_ALPHABET):
+        raise CharacteristicTooLarge(
+            f"characteristic {p} exceeds the {len(DIGIT_ALPHABET)}-symbol digit alphabet"
+        )
     if min(e, k, t) < 1:
         raise ValueError(f"degrees must be >= 1, got e={e}, k={k}, t={t}")
     q = p**e

@@ -15,6 +15,14 @@ class NonPrimeCharacteristic(SpreadforgeError, ValueError):
     pass
 
 
+class CharacteristicTooLarge(SpreadforgeError, ValueError):
+    """p exceeds the 36-symbol digit alphabet, so no code file could be written."""
+
+
+class FieldTooLarge(SpreadforgeError, ValueError):
+    """A level would have more elements than its arithmetic tables may hold."""
+
+
 class NoPrimitivePolynomialFound(InternalError):
     """The exhaustive modulus search ran dry; impossible for valid inputs."""
 

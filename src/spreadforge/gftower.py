@@ -5,9 +5,14 @@ step uses the lexicographically smallest monic primitive polynomial over
 the level below, found by exhaustive search, so two towers built from the
 same (p, e, k, t) are identical and all downstream output is reproducible.
 
-Elements are stored as fixed-length little-endian coefficient vectors over
-the previous level (plain ints mod p at the bottom), which makes equality,
-hashing and serialization structural.
+Every element is stored as its canonical index, a plain int: the residue
+mod p at level 0, and at level j >= 1 the little-endian number in base
+|level j-1| whose digits index the element's coefficients, so its base-p
+digits are the flattened coefficient vector.  Level 0 computes mod p.
+Each higher level computes with exp/log tables of its primitive generator
+alpha: products add logarithms, and sums are XOR when p = 2 and Zech
+logarithms log(1 + alpha^m) otherwise.  Polynomial arithmetic modulo a
+step's modulus runs only to search for moduli and to fill the tables.
 """
 
 from __future__ import annotations
@@ -18,15 +23,16 @@ from typing import Iterator, Sequence
 
 from .errors import (
     DivisionByZero,
+    FieldTooLarge,
     LevelMismatch,
     NonPrimeCharacteristic,
     NoPrimitivePolynomialFound,
 )
 
-# Raw representation, one variant per level:
-#   level 0          -> int in range(p)
-#   level j >= 1     -> tuple of level j-1 raws, length = step degree
-Raw = int | tuple
+# The one digit alphabet: base-p digits in text (descriptors, reprs, code files).
+DIGIT_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
+# Each level keeps tables of about 4 ints per element; refuse levels past this.
+TABLE_GUARD = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -72,17 +78,41 @@ def coprime_transfer_holds(ell: int, q: int) -> tuple[bool, bool]:
     return left, right
 
 
+def _to_digits(index: int, base: int, length: int) -> tuple[int, ...]:
+    """Little-endian base-`base` digits of `index`, exactly `length` of them."""
+    out = []
+    for _ in range(length):
+        index, d = divmod(index, base)
+        out.append(d)
+    return tuple(out)
+
+
+def _from_digits(digits: Sequence[int], base: int) -> int:
+    index = 0
+    for d in reversed(digits):
+        index = index * base + d
+    return index
+
+
 class FieldStep:
-    """One extension step: a monic primitive modulus over the level below."""
+    """One extension step: a monic primitive modulus over the level below,
+    and the arithmetic tables of the level it creates.
 
-    __slots__ = ("degree", "modulus", "cardinality", "primitive", "_xpows")
+    `tables` stays None until that level first computes (the top level of
+    a tower usually never does), then holds (exp, log, zech).  With
+    n = cardinality - 1: exp[m] is the index of alpha^m for m in [0, 2n),
+    listed twice so a sum of two logarithms needs no reduction; log
+    inverts exp on nonzero indexes; for odd p, zech[m] is log(1 + alpha^m),
+    or -1 where 1 + alpha^m = 0.
+    """
 
-    def __init__(self, degree: int, modulus: tuple, cardinality: int, xpows: tuple):
+    __slots__ = ("degree", "modulus", "cardinality", "tables")
+
+    def __init__(self, degree: int, modulus: tuple[int, ...], cardinality: int):
         self.degree = degree
-        self.modulus = modulus  # degree+1 raws over the previous level, monic
+        self.modulus = modulus  # degree+1 indexes over the previous level, monic
         self.cardinality = cardinality  # of the level this step creates
-        self.primitive = True
-        self._xpows = xpows  # x^m mod modulus for m in [degree, 2*degree-2]
+        self.tables: tuple[list[int], list[int], list[int] | None] | None = None
 
     def __repr__(self) -> str:
         return f"FieldStep(degree={self.degree}, cardinality={self.cardinality})"
@@ -92,12 +122,12 @@ class FieldElement:
     """Immutable element of one level of a FieldTower.
 
     Supports +, -, *, unary -, ** (any integer exponent) and /.  Mixing
-    levels or towers raises LevelMismatch.
+    levels or towers raises LevelMismatch.  `raw` is the canonical index.
     """
 
     __slots__ = ("tower", "level", "raw")
 
-    def __init__(self, tower: "FieldTower", level: int, raw: Raw):
+    def __init__(self, tower: "FieldTower", level: int, raw: int):
         self.tower = tower
         self.level = level
         self.raw = raw
@@ -113,46 +143,48 @@ class FieldElement:
             )
 
     def is_zero(self) -> bool:
-        return self.tower._raw_is_zero(self.level, self.raw)
+        return self.raw == 0
 
     def coefficients(self) -> tuple["FieldElement", ...]:
         """Coefficient vector over the previous level (level >= 1 only)."""
         if self.level == 0:
             raise LevelMismatch("level-0 elements have no coefficient vector")
-        return tuple(FieldElement(self.tower, self.level - 1, c) for c in self.raw)
+        tower, below = self.tower, self.level - 1
+        digits = _to_digits(self.raw, tower.cardinality(below), tower.steps[below].degree)
+        return tuple(FieldElement(tower, below, c) for c in digits)
 
     def digits(self) -> tuple[int, ...]:
         """Flat little-endian base-p digit vector (level-major)."""
-        return self.tower._raw_digits(self.level, self.raw)
+        return _to_digits(self.raw, self.tower.p, self.tower.digit_length(self.level))
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.tower, self.level, self.tower._raw_add(self.level, self.raw, other.raw))
+        return FieldElement(self.tower, self.level, self.tower._add(self.level, self.raw, other.raw))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
         t = self.tower
-        return FieldElement(t, self.level, t._raw_add(self.level, self.raw, t._raw_neg(self.level, other.raw)))
+        return FieldElement(t, self.level, t._add(self.level, self.raw, t._neg(self.level, other.raw)))
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.tower, self.level, self.tower._raw_neg(self.level, self.raw))
+        return FieldElement(self.tower, self.level, self.tower._neg(self.level, self.raw))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.tower, self.level, self.tower._raw_mul(self.level, self.raw, other.raw))
+        return FieldElement(self.tower, self.level, self.tower._mul(self.level, self.raw, other.raw))
 
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
             return self.inverse() ** (-n)
-        return FieldElement(self.tower, self.level, self.tower._raw_pow(self.level, self.raw, n))
+        return FieldElement(self.tower, self.level, self.tower._pow(self.level, self.raw, n))
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
+        if self.raw == 0:
             raise DivisionByZero(f"zero has no inverse at level {self.level}")
         card = self.tower.cardinality(self.level)
-        return FieldElement(self.tower, self.level, self.tower._raw_pow(self.level, self.raw, card - 2))
+        return FieldElement(self.tower, self.level, self.tower._pow(self.level, self.raw, card - 2))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
@@ -172,14 +204,7 @@ class FieldElement:
         return hash((self.level, self.raw))
 
     def __repr__(self) -> str:
-        return f"<F[{self.level}] {''.join(_digit_char(d) for d in self.digits())}>"
-
-
-_DIGIT_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
-def _digit_char(d: int) -> str:
-    return _DIGIT_ALPHABET[d]
+        return f"<F[{self.level}] {''.join(DIGIT_ALPHABET[d] for d in self.digits())}>"
 
 
 class FieldTower:
@@ -208,7 +233,7 @@ class FieldTower:
         self.p = p
         self.steps: list[FieldStep] = []
         self._cards = [p]
-        self._alphas: list[Raw] = []  # class of x at each new level
+        self._spans = [1]  # base-p digits per element, by level
         for d, override in zip(degrees, moduli):
             self._extend(d, override)
         self._key = (p, tuple(s.modulus for s in self.steps))
@@ -251,7 +276,8 @@ class FieldTower:
         parts = [f"p={self.p}"]
         for idx, step in enumerate(self.steps):
             coeffs = ",".join(
-                "".join(_digit_char(d) for d in self._raw_digits(idx, c)) for c in step.modulus
+                "".join(DIGIT_ALPHABET[d] for d in _to_digits(c, self.p, self._spans[idx]))
+                for c in step.modulus
             )
             parts.append(f"step={step.degree}:{coeffs}")
         return "; ".join(parts)
@@ -259,16 +285,17 @@ class FieldTower:
     # -- element constructors ---------------------------------------------
 
     def zero(self, level: int) -> FieldElement:
-        return FieldElement(self, level, self._raw_zero(level))
+        return FieldElement(self, level, 0)
 
     def one(self, level: int) -> FieldElement:
-        return FieldElement(self, level, self._raw_one(level))
+        return FieldElement(self, level, 1)
 
     def alpha(self, level: int) -> FieldElement:
         """Class of the indeterminate at `level`; generates the unit group."""
         if level < 1:
             raise LevelMismatch("level 0 has no adjoined generator")
-        return FieldElement(self, level, self._alphas[level - 1])
+        exp, _, _ = self.steps[level - 1].tables or self._tabulate(level)
+        return FieldElement(self, level, exp[1])
 
     def element(self, level: int, value) -> FieldElement:
         """Coerce an int (prime-subfield constant) or coefficient sequence."""
@@ -277,150 +304,80 @@ class FieldTower:
                 raise LevelMismatch(f"element at level {value.level}, expected {level}")
             return value
         if isinstance(value, int):
-            return FieldElement(self, level, self._raw_const(level, value % self.p))
+            return FieldElement(self, level, value % self.p)
         if level == 0:
             raise ValueError("level-0 elements are built from ints")
         degree = self.steps[level - 1].degree
         if len(value) != degree:
             raise ValueError(f"expected {degree} coefficients, got {len(value)}")
-        coeffs = tuple(self.element(level - 1, v).raw for v in value)
-        return FieldElement(self, level, coeffs)
+        coeffs = [self.element(level - 1, v).raw for v in value]
+        return FieldElement(self, level, _from_digits(coeffs, self._cards[level - 1]))
 
     def from_index(self, level: int, index: int) -> FieldElement:
         """Element number `index` in canonical (little-endian digit) order."""
         if not 0 <= index < self.cardinality(level):
             raise ValueError(f"index {index} out of range at level {level}")
-        return FieldElement(self, level, self._raw_from_index(level, index))
+        return FieldElement(self, level, index)
 
     def index_of(self, x: FieldElement) -> int:
-        return self._raw_index(x.level, x.raw)
+        return x.raw
 
     def elements(self, level: int) -> Iterator[FieldElement]:
         """All elements of a level in canonical order, zero first."""
-        for i in range(self.cardinality(level)):
-            yield self.from_index(level, i)
-
-    # -- raw arithmetic ---------------------------------------------------
-
-    def _raw_zero(self, level: int) -> Raw:
-        if level == 0:
-            return 0
-        return (self._raw_zero(level - 1),) * self.steps[level - 1].degree
-
-    def _raw_one(self, level: int) -> Raw:
-        if level == 0:
-            return 1 % self.p
-        step = self.steps[level - 1]
-        return (self._raw_one(level - 1),) + (self._raw_zero(level - 1),) * (step.degree - 1)
-
-    def _raw_const(self, level: int, c: int) -> Raw:
-        if level == 0:
-            return c % self.p
-        step = self.steps[level - 1]
-        return (self._raw_const(level - 1, c),) + (self._raw_zero(level - 1),) * (step.degree - 1)
-
-    def _raw_is_zero(self, level: int, a: Raw) -> bool:
-        if level == 0:
-            return a == 0
-        return all(self._raw_is_zero(level - 1, c) for c in a)
-
-    def _raw_add(self, level: int, a: Raw, b: Raw) -> Raw:
-        if level == 0:
-            return (a + b) % self.p
-        down = level - 1
-        return tuple(self._raw_add(down, x, y) for x, y in zip(a, b))
-
-    def _raw_neg(self, level: int, a: Raw) -> Raw:
-        if level == 0:
-            return (-a) % self.p
-        down = level - 1
-        return tuple(self._raw_neg(down, x) for x in a)
-
-    def _raw_mul(self, level: int, a: Raw, b: Raw) -> Raw:
-        if level == 0:
-            return (a * b) % self.p
-        step = self.steps[level - 1]
-        d = step.degree
-        down = level - 1
-        if d == 1:
-            return (self._raw_mul(down, a[0], b[0]),)
-        prod = [self._raw_zero(down)] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if self._raw_is_zero(down, ai):
-                continue
-            for j, bj in enumerate(b):
-                prod[i + j] = self._raw_add(down, prod[i + j], self._raw_mul(down, ai, bj))
-        out = prod[:d]
-        for m in range(d, 2 * d - 1):
-            cm = prod[m]
-            if self._raw_is_zero(down, cm):
-                continue
-            xm = step._xpows[m - d]
-            out = [self._raw_add(down, r, self._raw_mul(down, cm, x)) for r, x in zip(out, xm)]
-        return tuple(out)
-
-    def _raw_pow(self, level: int, a: Raw, n: int) -> Raw:
-        result = self._raw_one(level)
-        base = a
-        while n > 0:
-            if n & 1:
-                result = self._raw_mul(level, result, base)
-            base = self._raw_mul(level, base, base)
-            n >>= 1
-        return result
-
-    # -- indexing / digits ------------------------------------------------
-
-    def _raw_from_index(self, level: int, index: int) -> Raw:
-        if level == 0:
-            return index
-        step = self.steps[level - 1]
-        base = self._cards[level - 1]
-        coeffs = []
-        for _ in range(step.degree):
-            coeffs.append(self._raw_from_index(level - 1, index % base))
-            index //= base
-        return tuple(coeffs)
-
-    def _raw_index(self, level: int, a: Raw) -> int:
-        if level == 0:
-            return a
-        base = self._cards[level - 1]
-        index = 0
-        for c in reversed(a):
-            index = index * base + self._raw_index(level - 1, c)
-        return index
-
-    def _raw_digits(self, level: int, a: Raw) -> tuple[int, ...]:
-        if level == 0:
-            return (a,)
-        out: tuple[int, ...] = ()
-        for c in a:
-            out += self._raw_digits(level - 1, c)
-        return out
+        return (FieldElement(self, level, i) for i in range(self.cardinality(level)))
 
     def digit_length(self, level: int) -> int:
         """Number of base-p digits a level element flattens to."""
-        n = 1
-        for step in self.steps[:level]:
-            n *= step.degree
-        return n
+        return self._spans[level]
 
     def element_from_digits(self, level: int, digits: Sequence[int]) -> FieldElement:
         if len(digits) != self.digit_length(level):
             raise ValueError(f"expected {self.digit_length(level)} digits, got {len(digits)}")
         if any(not 0 <= d < self.p for d in digits):
             raise ValueError("digit out of range for characteristic")
-        return FieldElement(self, level, self._raw_from_digits(level, tuple(digits)))
+        return FieldElement(self, level, _from_digits(digits, self.p))
 
-    def _raw_from_digits(self, level: int, digits: tuple[int, ...]) -> Raw:
+    # -- index arithmetic: mod p at level 0, table lookups above --------------
+
+    def _add(self, level: int, a: int, b: int) -> int:
         if level == 0:
-            return digits[0]
-        span = self.digit_length(level - 1)
-        return tuple(
-            self._raw_from_digits(level - 1, digits[i * span:(i + 1) * span])
-            for i in range(self.steps[level - 1].degree)
-        )
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        exp, log, zech = self.steps[level - 1].tables or self._tabulate(level)
+        la = log[a]
+        z = zech[(log[b] - la) % (len(log) - 1)]
+        return 0 if z < 0 else exp[la + z]
+
+    def _neg(self, level: int, a: int) -> int:
+        if level == 0:
+            return -a % self.p
+        if self.p == 2 or a == 0:
+            return a
+        exp, log, _ = self.steps[level - 1].tables or self._tabulate(level)
+        # -1 = alpha^((card - 1) / 2)
+        return exp[log[a] + (len(log) - 1) // 2]
+
+    def _mul(self, level: int, a: int, b: int) -> int:
+        if level == 0:
+            return a * b % self.p
+        if a == 0 or b == 0:
+            return 0
+        exp, log, _ = self.steps[level - 1].tables or self._tabulate(level)
+        return exp[log[a] + log[b]]
+
+    def _pow(self, level: int, a: int, n: int) -> int:
+        """a^n for n >= 0, with 0^0 = 1."""
+        if level == 0:
+            return pow(a, n, self.p)
+        if a == 0:
+            return 0 if n else 1
+        exp, log, _ = self.steps[level - 1].tables or self._tabulate(level)
+        return exp[log[a] * n % (len(log) - 1)]
 
     # -- tower construction ---------------------------------------------------
 
@@ -429,45 +386,39 @@ class FieldTower:
         card_below = self._cards[-1]
         card = card_below**degree
         if override is not None:
-            if len(override) != degree:
-                raise ValueError(f"override needs {degree} coefficient indexes")
-            coeffs = tuple(self._raw_from_index(level, i) for i in override)
-            modulus = coeffs + (self._raw_one(level),)
+            if len(override) != degree or any(not 0 <= c < card_below for c in override):
+                raise ValueError(f"override needs {degree} coefficient indexes below {card_below}")
+            modulus = tuple(override) + (1,)
             primes = distinct_prime_factors(card - 1)
-            if not self._x_order_is(level, degree, modulus, card - 1, primes):
+            if not self._x_order_is(level, modulus, card - 1, primes):
                 raise ValueError("override modulus is not primitive")
         else:
             modulus = self._search_primitive_modulus(level, degree, card - 1)
-        xpows = self._xpow_table(level, degree, modulus)
-        self.steps.append(FieldStep(degree, modulus, card, xpows))
+        self.steps.append(FieldStep(degree, modulus, card))
         self._cards.append(card)
-        # class of x at the new level: x itself for degree >= 2, else -a0
-        if degree >= 2:
-            alpha = tuple(
-                self._raw_one(level) if i == 1 else self._raw_zero(level) for i in range(degree)
-            )
-        else:
-            alpha = (self._raw_neg(level, modulus[0]),)
-        self._alphas.append(alpha)
+        self._spans.append(self._spans[-1] * degree)
 
-    def _xpow_table(self, level: int, degree: int, modulus: tuple) -> tuple:
-        """x^m mod modulus for m in [degree, 2*degree-2], coefficients over `level`."""
-        if degree == 1:
-            return ()
-        # x^degree = -(a_0 + a_1 x + ... + a_{degree-1} x^{degree-1})
-        xd = tuple(self._raw_neg(level, modulus[i]) for i in range(degree))
-        table = [xd]
-        for _ in range(degree - 2):
-            prev = table[-1]
-            # multiply by x: shift, then fold the overflow through x^degree
-            top = prev[-1]
-            shifted = [self._raw_zero(level)] + list(prev[:-1])
-            nxt = tuple(
-                self._raw_add(level, shifted[i], self._raw_mul(level, top, xd[i]))
-                for i in range(degree)
-            )
-            table.append(nxt)
-        return tuple(table)
+    def _tabulate(self, level: int) -> tuple:
+        """Fill the tables of `level` by walking the powers of x, which is primitive."""
+        step, below = self.steps[level - 1], level - 1
+        card, card_below = step.cardinality, self._cards[below]
+        if card > TABLE_GUARD:
+            raise FieldTooLarge(f"level {level} has {card} elements, guard is {TABLE_GUARD}")
+        n = card - 1
+        exp, log = [0] * n, [0] * card
+        x = self._x_residue(below, step.modulus)
+        power = [1] + [0] * (step.degree - 1)
+        for m in range(n):
+            index = _from_digits(power, card_below)
+            exp[m], log[index] = index, m
+            power = self._polymod_mul(below, step.modulus, power, x)
+        zech = None
+        if self.p != 2:
+            # 1 + alpha^m differs from alpha^m only in the constant coefficient
+            sums = (e - e % card_below + self._add(below, e % card_below, 1) for e in exp)
+            zech = [log[s] if s else -1 for s in sums]
+        step.tables = (exp + exp, log, zech)
+        return step.tables
 
     def _search_primitive_modulus(self, level: int, degree: int, group_order: int) -> tuple:
         """Lexicographically smallest monic primitive polynomial of `degree`.
@@ -478,67 +429,61 @@ class FieldTower:
         ring has multiplicative order exactly group_order, which implies
         irreducibility as well.
         """
-        card_below = self._cards[level]
         primes = distinct_prime_factors(group_order)
-        one = self._raw_one(level)
-        for digits in itertools.product(range(card_below), repeat=degree):
-            coeffs = tuple(self._raw_from_index(level, d) for d in digits)
-            modulus = coeffs + (one,)
-            if self._x_order_is(level, degree, modulus, group_order, primes):
+        for coeffs in itertools.product(range(self._cards[level]), repeat=degree):
+            modulus = coeffs + (1,)
+            if self._x_order_is(level, modulus, group_order, primes):
                 return modulus
         raise NoPrimitivePolynomialFound(
             f"no primitive polynomial of degree {degree} over level {level}"
         )
 
-    def _x_order_is(self, level: int, degree: int, modulus: tuple,
-                    group_order: int, primes: list[int]) -> bool:
-        if self._raw_is_zero(level, modulus[0]):
-            return False  # x divides the candidate
-        one = (self._raw_one(level),) + (self._raw_zero(level),) * (degree - 1)
-        if degree >= 2:
-            x = tuple(
-                self._raw_one(level) if i == 1 else self._raw_zero(level)
-                for i in range(degree)
-            )
-        else:
-            x = (self._raw_neg(level, modulus[0]),)
-        if self._polymod_pow(level, degree, modulus, x, group_order) != one:
-            return False
-        for ell in primes:
-            if self._polymod_pow(level, degree, modulus, x, group_order // ell) == one:
-                return False
-        return True
-
-    def _polymod_mul(self, level: int, degree: int, modulus: tuple, a: tuple, b: tuple) -> tuple:
-        """Product of two residues mod a monic candidate modulus."""
+    def _x_residue(self, level: int, modulus: tuple) -> list[int]:
+        """Class of x modulo a monic modulus over `level`, as coefficient indexes."""
+        degree = len(modulus) - 1
         if degree == 1:
-            return (self._raw_mul(level, a[0], b[0]),)
-        prod = [self._raw_zero(level)] * (2 * degree - 1)
+            return [self._neg(level, modulus[0])]
+        return [0, 1] + [0] * (degree - 2)
+
+    def _x_order_is(self, level: int, modulus: tuple, group_order: int,
+                    primes: list[int]) -> bool:
+        if modulus[0] == 0:
+            return False  # x divides the candidate
+        one = [1] + [0] * (len(modulus) - 2)
+        x = self._x_residue(level, modulus)
+
+        def x_power(n: int) -> list[int]:
+            result, base = one, x
+            while n > 0:
+                if n & 1:
+                    result = self._polymod_mul(level, modulus, result, base)
+                base = self._polymod_mul(level, modulus, base, base)
+                n >>= 1
+            return result
+
+        if x_power(group_order) != one:
+            return False
+        return all(x_power(group_order // ell) != one for ell in primes)
+
+    def _polymod_mul(self, level: int, modulus: tuple, a: list[int], b: list[int]) -> list[int]:
+        """Product of two residues mod a monic modulus, coefficients over `level`."""
+        degree = len(modulus) - 1
+        add, mul = self._add, self._mul
+        b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
+        # the monic top term is left out: it only cancels the coefficient reduced
+        f_terms = [(i, fi) for i, fi in enumerate(modulus[:degree]) if fi]
+        prod = [0] * (2 * degree - 1)
         for i, ai in enumerate(a):
-            if self._raw_is_zero(level, ai):
-                continue
-            for j, bj in enumerate(b):
-                prod[i + j] = self._raw_add(level, prod[i + j], self._raw_mul(level, ai, bj))
+            if ai:
+                for j, bj in b_terms:
+                    prod[i + j] = add(level, prod[i + j], mul(level, ai, bj))
         for m in range(2 * degree - 2, degree - 1, -1):
             c = prod[m]
-            if self._raw_is_zero(level, c):
-                continue
-            nc = self._raw_neg(level, c)
-            for i in range(degree + 1):
-                prod[m - degree + i] = self._raw_add(
-                    level, prod[m - degree + i], self._raw_mul(level, nc, modulus[i])
-                )
-        return tuple(prod[:degree])
-
-    def _polymod_pow(self, level: int, degree: int, modulus: tuple, a: tuple, n: int) -> tuple:
-        result = (self._raw_one(level),) + (self._raw_zero(level),) * (degree - 1)
-        base = a
-        while n > 0:
-            if n & 1:
-                result = self._polymod_mul(level, degree, modulus, result, base)
-            base = self._polymod_mul(level, degree, modulus, base, base)
-            n >>= 1
-        return result
+            if c:
+                nc = self._neg(level, c)
+                for i, fi in f_terms:
+                    prod[m - degree + i] = add(level, prod[m - degree + i], mul(level, nc, fi))
+        return prod[:degree]
 
 
 def field_build(p: int, e: int, k: int, t: int) -> FieldTower:
@@ -548,10 +493,6 @@ def field_build(p: int, e: int, k: int, t: int) -> FieldTower:
     The level-3 step exists to fix the degree-t modulus whose companion
     matrix drives the group construction.
     """
-    if not is_prime(p):
-        raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
-    if min(e, k, t) < 1:
-        raise ValueError(f"degrees must be >= 1, got e={e}, k={k}, t={t}")
     return FieldTower(p, (e, k, t))
 
 

@@ -8,7 +8,7 @@ first-nonzero-monic generator, which is exactly the RREF of a 1-row matrix.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -18,7 +18,7 @@ from .errors import (
     SingularInput,
     ZeroVector,
 )
-from .gftower import FieldElement, FieldTower
+from .gftower import DIGIT_ALPHABET, FieldElement, FieldTower
 
 Vector = tuple[FieldElement, ...]
 
@@ -168,7 +168,7 @@ class Matrix:
 
     def __repr__(self) -> str:
         body = "; ".join(
-            " ".join("".join(map("0123456789abcdefghijklmnopqrstuvwxyz".__getitem__, a.digits())) for a in row)
+            " ".join("".join(map(DIGIT_ALPHABET.__getitem__, a.digits())) for a in row)
             for row in self.rows
         )
         return f"<Matrix {self.nrows}x{self.ncols} L{self.level} [{body}]>"
@@ -398,22 +398,6 @@ def enumerate_lines(tower: FieldTower, level: int, s: int) -> LineCode:
             gen = (z,) * pivot + (o,) + tuple(tower.from_index(level, c) for c in rest)
             lines.append(Line(gen))
     return frozenset(lines)
-
-
-_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
-def format_subspaces(code: Iterable[Subspace]) -> str:
-    """Human-oriented text form: one digit row per basis vector, blank line
-    between subspaces, members in canonical (digit) order."""
-    blocks = []
-    for sub in sorted(code, key=lambda s: s.key()):
-        rows = [
-            "".join(_ALPHABET[d] for a in row for d in a.digits())
-            for row in sub.matrix.rows
-        ]
-        blocks.append("\n".join(rows))
-    return "\n\n".join(blocks) + "\n"
 
 
 def _as_subspace(x) -> Subspace:

@@ -167,22 +167,8 @@ def min_distance_orbit(
     without acting; either way the result equals the brute-force minimum
     distance of the orbit code.
     """
-    best = None
-    moved = False
-    for exp, g in full_group(ctx):
-        if stab is not None and exp in stab:
-            continue
-        image = generator.apply(g)
-        if image == generator:
-            continue
-        moved = True
-        d = subspace_distance(generator, image)
-        if best is None or d < best:
-            best = d
-    if not moved:
-        raise TrivialOrbit("every group element stabilizes the generator")
-    assert best is not None
-    return best
+    elements = (g for exp, g in full_group(ctx) if stab is None or exp not in stab)
+    return orbit_min_distance(generator, elements)
 
 
 # -- classification ---------------------------------------------------------------

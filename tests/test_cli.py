@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from spreadforge import codecs
 from spreadforge.cli import main
 
@@ -34,6 +36,12 @@ def test_params_listing_contents(capsys):
 def test_params_empty_range(capsys):
     assert main(["params", "--max-order", "1"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_params_lists_no_characteristic_past_the_digit_alphabet(capsys):
+    assert main(["params", "--max-order", "64"]) == 0
+    primes = {int(line.split()[0]) for line in capsys.readouterr().out.splitlines()[1:]}
+    assert max(primes) == 31  # 37..61 are prime and small enough, but unwritable
 
 
 # --- construct -----------------------------------------------------------------
@@ -72,6 +80,17 @@ def test_construct_gcd_violation_exits_3(tmp_path):
     rc = main(["construct", "--p", "2", "--e", "1", "--k", "2", "--t", "3",
                "--out", str(tmp_path / "x")])
     assert rc == 3
+
+
+def test_characteristic_past_the_digit_alphabet_exits_2_before_any_work(tmp_path, capsys):
+    flags = ["--p", "37", "--e", "1", "--k", "1", "--t", "1"]
+    for argv in (["construct", *flags, "--out", str(tmp_path / "run")],
+                 ["oracle", *flags, "--out", str(tmp_path / "oracle.code")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "characteristic 37" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_construct_io_failure_exits_4(tmp_path):
@@ -139,6 +158,27 @@ def test_verify_duplicate_member_is_io_error(tmp_path, capsys):
 
 def test_verify_missing_file_exits_4(tmp_path):
     assert main(["verify", "--in", str(tmp_path / "nope.code")]) == 4
+
+
+@pytest.mark.parametrize("patch", [
+    {"p=2": "p=4", "q=2": "q=4", "r=3": "r=5"},  # non-prime characteristic
+    {"k=1": "k=0", "n=4": "n=0"},               # degree below 1
+])
+def test_header_with_impossible_parameters_is_a_parse_failure(tmp_path, capsys, patch):
+    out = tmp_path / "run"
+    assert main(["construct", "--p", "2", "--e", "1", "--k", "1", "--t", "2",
+                 "--out", str(out)]) == 0
+    good = out / "spread.code"
+    lines = good.read_text().splitlines()
+    header = [patch.get(l[2:], l[2:]) for l in lines if l.startswith("# ")]
+    bad = tmp_path / "bad.code"
+    bad.write_text("".join(f"# {l}\n" for l in header)
+                   + "".join(l + "\n" for l in lines if not l.startswith("#")))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(bad)]) == 4
+    assert main(["compare", str(bad), str(good)]) == 4
+    assert main(["distance", "--in", str(bad)]) == 4
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # --- oracle / compare ---------------------------------------------------------------

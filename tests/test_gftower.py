@@ -2,19 +2,32 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import math
 import random
 
 import pytest
 
-from spreadforge.errors import DivisionByZero, LevelMismatch, NonPrimeCharacteristic
+from spreadforge.errors import (
+    DivisionByZero,
+    FieldTooLarge,
+    LevelMismatch,
+    NonPrimeCharacteristic,
+)
 from spreadforge.gftower import (
     FieldTower,
     coprime_transfer_holds,
     element_order,
     field_build,
+    is_prime,
 )
 
 from conftest import PARAM_SETS
+
+# Odd-characteristic towers: their sums go through Zech logarithms and
+# their negation through -1 = alpha^((card - 1) / 2).
+ODD_TOWERS = [(3, 1, 1, 3), (3, 2, 1, 1), (5, 1, 1, 2), (7, 1, 2, 1)]
 
 
 # --- independent oracle: bit-polynomial arithmetic over F_2 -------------------
@@ -118,7 +131,7 @@ def test_adjoined_generators_have_full_order(pekt):
     assert element_order(tower.alpha(3)) == q ** (k * t) - 1
 
 
-@pytest.mark.parametrize("pekt", PARAM_SETS)
+@pytest.mark.parametrize("pekt", PARAM_SETS + ODD_TOWERS)
 def test_inverse_roundtrip_exhaustive(pekt):
     tower = field_build(*pekt)
     for level in range(tower.nlevels):
@@ -167,7 +180,7 @@ def test_coprime_transfer_exhaustive():
             assert left == right, (ell, q)
 
 
-@pytest.mark.parametrize("pekt", PARAM_SETS)
+@pytest.mark.parametrize("pekt", PARAM_SETS + ODD_TOWERS)
 def test_field_axioms_on_samples(pekt):
     tower = field_build(*pekt)
     rng = random.Random(20240917)
@@ -183,7 +196,7 @@ def test_field_axioms_on_samples(pekt):
             assert x * (y + z) == x * y + x * z
 
 
-@pytest.mark.parametrize("pekt", PARAM_SETS)
+@pytest.mark.parametrize("pekt", PARAM_SETS + ODD_TOWERS)
 def test_frobenius_is_additive(pekt):
     tower = field_build(*pekt)
     rng = random.Random(57)
@@ -242,6 +255,17 @@ def test_explicit_modulus_override():
     assert default.describe() != alt.describe()
     with pytest.raises(ValueError):
         FieldTower(2, (2,), moduli=[(1, 0)])  # x^2 + 1 = (x+1)^2 is reducible
+    with pytest.raises(ValueError):
+        FieldTower(2, (2,), moduli=[(2, 1)])  # 2 is no element of F_2
+
+
+def test_tables_past_the_guard_are_refused():
+    # x^21 + x^19 + 1 is primitive over F_2: the level builds at once, but its
+    # 2^21 elements are past the guard, so computing in it is refused
+    tower = FieldTower(2, (21,), moduli=[(1,) + (0,) * 18 + (1, 0)])
+    assert tower.cardinality(1) == 2**21
+    with pytest.raises(FieldTooLarge):
+        tower.alpha(1)
 
 
 def test_gcd_utility_rejects_bad_input():
@@ -249,3 +273,59 @@ def test_gcd_utility_rejects_bad_input():
         coprime_transfer_holds(0, 4)
     with pytest.raises(ValueError):
         coprime_transfer_holds(2, 1)
+
+
+# --- independent reference: coefficient-vector arithmetic -----------------------
+
+def _reference_product(x, y):
+    """Schoolbook product of the coefficient vectors, reduced by the step modulus."""
+    tower, level = x.tower, x.level
+    a, b = x.coefficients(), y.coefficients()
+    modulus = tower.step_modulus(level)
+    d = len(a)
+    prod = [tower.zero(level - 1)] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = prod[i + j] + ai * bj
+    for m in range(2 * d - 2, d - 1, -1):
+        c = prod[m]
+        for i, fi in enumerate(modulus):
+            prod[m - d + i] = prod[m - d + i] - c * fi
+    return tower.element(level, prod[:d])
+
+
+@pytest.mark.parametrize("pekt", PARAM_SETS + ODD_TOWERS)
+def test_arithmetic_matches_coefficient_reference(pekt):
+    tower = field_build(*pekt)
+    for level in range(1, tower.nlevels):
+        if tower.cardinality(level) > 64:
+            continue
+        elems = list(tower.elements(level))
+        for x in elems:
+            for y in elems:
+                assert x * y == _reference_product(x, y)
+                pairs = list(zip(x.coefficients(), y.coefficients()))
+                assert (x + y).coefficients() == tuple(a + b for a, b in pairs)
+                assert (x - y).coefficients() == tuple(a - b for a, b in pairs)
+
+
+def _gcd_valid_rows(max_order: int) -> list[tuple[int, int, int, int]]:
+    """Every (p, e, k, t) with p prime, q^kt <= max_order and gcd(t, q^k - 1) = 1."""
+    rows = []
+    for p in filter(is_prime, range(2, max_order + 1)):
+        for e, k, t in itertools.product(range(1, max_order.bit_length()), repeat=3):
+            qk = p ** (e * k)
+            if qk**t <= max_order and math.gcd(t, qk - 1) == 1:
+                rows.append((p, e, k, t))
+    return rows
+
+
+def test_modulus_search_picks_the_pinned_moduli():
+    # every gcd-valid row with q^kt <= 256, whatever p; the digest fixes the
+    # moduli the search must pick, on which golden files and fingerprints rest
+    rows = _gcd_valid_rows(256)
+    assert len(rows) == 111
+    text = "".join(field_build(*row).describe() + "\n" for row in rows)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "d67408e09ef1948954c0b4828fd96948a7ba1def1663c1b6ecada26fcac027a3"
+    )

@@ -354,12 +354,3 @@ def test_line_action(gf2):
     line = Line((one, zero))
     swap = _mat(gf2, 0, [[0, 1], [1, 0]])
     assert line.apply(swap) == Line((zero, one))
-
-
-def test_format_subspaces(gf2):
-    from spreadforge.subspaces import format_subspaces
-
-    u = _unit_subspace(gf2, 0, 3, [0, 1])
-    v = _unit_subspace(gf2, 0, 3, [2])
-    text = format_subspaces([u, v])
-    assert text == "001\n\n100\n010\n"  # sorted by digits: v first
