@@ -1,7 +1,8 @@
 """Command-line driver for the full construct / verify / compare pipeline.
 
 Exit codes: 0 success, 1 compared codes differ, 2 invalid flags, 3 gcd
-condition violated, 4 I/O or parse failure, 5 verification failure.
+condition violated, 4 I/O or parse failure, 5 verification failure or a
+failed internal self-check (an ``InternalError``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .construction import (
     spread_components,
     validate_params,
 )
-from .errors import CodecError, GcdConditionViolated, NonPrimeCharacteristic, SpreadforgeError
+from .errors import CodecError, GcdConditionViolated, InternalError, SpreadforgeError
 from .gftower import DIGIT_ALPHABET, is_prime
 from .verify import (
     Verdict,
@@ -115,7 +116,7 @@ def _iter_valid_params(max_order: int):
                     qk = q**k
                     t = 1
                     while qk**t <= max_order:
-                        if math.gcd(t, qk - 1) == 1:
+                        if qk**t > 2 and math.gcd(t, qk - 1) == 1:
                             yield validate_params(p, e, k, t)
                         t += 1
                     k += 1
@@ -314,9 +315,9 @@ def main(argv=None) -> int:
     except GcdConditionViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GCD
-    except NonPrimeCharacteristic as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except SpreadforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

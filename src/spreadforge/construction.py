@@ -6,6 +6,13 @@ unit line is a large constant-distance line code; two explicit families of
 r further lines complete it to the full line Grassmannian, and field
 reduction turns that partition into a k-spread of F_q^n.
 
+The completion is forced.  Summing the two geometric series in the mixing
+block of h1^a h2^b gives U(a, b) = (alpha^a c^b - alpha^b c^a)(alpha I - c)^{-1}.
+For a in the m-th exponent class and b = (q^k - 1) l, the product
+alpha^a c^b runs through every nonzero element of the matrix field
+F_{q^kt} exactly once, so the blocks to avoid are all of that field but
+-c^m (alpha I - c)^{-1}, which is therefore the only completion block.
+
 Exponents are 1-based in every public signature; internal lookups reduce
 them modulo the relevant element orders.
 """
@@ -25,6 +32,7 @@ from .errors import (
     InternalError,
     InternalOrderCheckFailed,
     NonPrimeCharacteristic,
+    TrivialGroup,
 )
 from .gftower import (
     DIGIT_ALPHABET,
@@ -83,6 +91,8 @@ def validate_params(p: int, e: int, k: int, t: int) -> CodeParams:
         raise ValueError(f"degrees must be >= 1, got e={e}, k={k}, t={t}")
     q = p**e
     qk = q**k
+    if qk**t == 2:
+        raise TrivialGroup("q^kt = 2: the group of order q^kt - 1 = 1 is trivial")
     g = math.gcd(t, qk - 1)
     if g != 1:
         raise GcdConditionViolated(f"gcd(t, q^k - 1) = gcd({t}, {qk - 1}) = {g}, expected 1")
@@ -132,10 +142,8 @@ class GroupContext:
             ap.append(ap[-1] * self.alpha)
         self.alpha_powers = tuple(ap)  # alpha^0 .. alpha^{q^k-2}
 
-        mp = [ident]
-        for _ in range(t - 1):
-            mp.append(mp[-1] * self.m_t)
-        self.mt_powers = tuple(mp)  # m_t^0 .. m_t^{t-1}
+        # singular only for q^kt = 2, which validate_params rejects
+        self.mixing_denominator = (alpha_ident - self.c).inverse()  # (alpha I - c)^{-1}
 
         self._zero_block = zero
         self._identity_s = Matrix.identity(tower, 2, params.s)
@@ -228,23 +236,13 @@ def upper_right_block(ctx: GroupContext, a: int, b: int) -> Matrix:
 
 
 def upper_right_block_geometric(ctx: GroupContext, a: int, b: int) -> Matrix:
-    """Same block through the factored geometric sum; cross-check path only."""
+    """Same block as (alpha^a c^b - alpha^b c^a)(alpha I - c)^{-1}; cross-check path only."""
     ctx._check_exponent(a, "a")
     ctx._check_exponent(b, "b")
-    if a == b:
-        return ctx._zero_block
-    if a < b:
-        return -upper_right_block_geometric(ctx, b, a)
     qk1, r = ctx.params.qk - 1, ctx.params.r
-    tower, t = ctx.tower, ctx.params.t
-    ident = Matrix.identity(tower, 2, t)
-    ratio = ctx.c.scale(ctx.alpha.inverse())
-    if ratio == ident:
-        raise InternalError("geometric ratio degenerated; gcd condition violated upstream")
-    d = a - b
-    ratio_d = ctx.c_powers[d % r].scale(ctx.alpha_powers[(-d) % qk1])
-    series = (ratio_d - ident) * (ratio - ident).inverse()
-    return (ctx.c_powers[b % r] * series).scale(ctx.alpha_powers[(a - 1) % qk1])
+    numerator = (ctx.c_powers[b % r].scale(ctx.alpha_powers[a % qk1])
+                 - ctx.c_powers[a % r].scale(ctx.alpha_powers[b % qk1]))
+    return numerator * ctx.mixing_denominator
 
 
 def group_element(ctx: GroupContext, a: int, b: int) -> Matrix:
@@ -343,10 +341,10 @@ def orbit_code(ctx: GroupContext, i: int) -> LineCode:
         raise IndexOutOfRange(f"orbit index {i} not in 1..{params.t}")
     lines = set()
     for slow in ctx.h2_slow_powers():
-        cur = slow
+        row = slow.rows[i - 1]
         for _ in range(params.max_exponent):
-            cur = cur * ctx.h1
-            lines.add(canonical_line(cur.rows[i - 1]))
+            row = vector_matrix(row, ctx.h1)
+            lines.add(canonical_line(row))
     expected = params.max_exponent * params.r
     if len(lines) != expected:
         raise InternalError(f"orbit collapsed: {len(lines)} lines, expected {expected}")
@@ -375,27 +373,16 @@ def forbidden_blocks(ctx: GroupContext, m: int) -> frozenset[Matrix]:
 
 
 def completion_block(ctx: GroupContext, m: int) -> Matrix:
-    """First t x t matrix (in canonical field order) avoiding every forbidden block.
+    """The one t x t matrix outside forbidden_blocks(ctx, m): -c^m (alpha I - c)^{-1}.
 
-    Candidates run through the q^kt-element matrix field generated by the
-    companion matrix, ordered by little-endian coefficient vectors starting
-    at zero; at most q^kt - 1 of them are forbidden, so the search cannot fail.
+    Every forbidden block is U(a, b) = (alpha^a c^b - c^m)(alpha I - c)^{-1}
+    with alpha^b = 1 and c^a = c^m, and over the class alpha^a c^b takes
+    each of the q^kt - 1 nonzero values of the matrix field once.  The
+    block for alpha^a c^b = 0 is the only one the class does not reach.
     """
-    params = ctx.params
-    forbidden = forbidden_blocks(ctx, m)
-    tower, qk = ctx.tower, params.qk
-    zero = ctx._zero_block
-    for index in range(qk**params.t):
-        cand = zero
-        rem = index
-        for power in ctx.mt_powers:
-            digit = rem % qk
-            rem //= qk
-            if digit:
-                cand = cand + power.scale(tower.from_index(2, digit))
-        if cand not in forbidden:
-            return cand
-    raise InternalError(f"completion block search exhausted for m={m}")
+    if not 1 <= m <= ctx.params.r:
+        raise IndexOutOfRange(f"class index {m} not in 1..{ctx.params.r}")
+    return -(ctx.c_powers[m % ctx.params.r] * ctx.mixing_denominator)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,10 @@ class GcdConditionViolated(SpreadforgeError, ValueError):
     pass
 
 
+class TrivialGroup(SpreadforgeError, ValueError):
+    """q^kt = 2: the generators would need order q^kt - 1 = 1, so there is no group."""
+
+
 class InternalOrderCheckFailed(InternalError):
     """A generator did not have the order the construction guarantees."""
 

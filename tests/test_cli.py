@@ -8,6 +8,7 @@ import pytest
 
 from spreadforge import codecs
 from spreadforge.cli import main
+from spreadforge.errors import InternalOrderCheckFailed
 
 
 def _construct(tmp_path: Path, name: str, *extra) -> Path:
@@ -91,6 +92,33 @@ def test_characteristic_past_the_digit_alphabet_exits_2_before_any_work(tmp_path
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "characteristic 37" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_trivial_group_exits_2_before_any_work(tmp_path, capsys):
+    assert main(["params", "--max-order", "16"]) == 0
+    rows = {tuple(line.split()[:4]) for line in capsys.readouterr().out.splitlines()[1:]}
+    assert ("2", "1", "1", "1") not in rows
+    flags = ["--p", "2", "--e", "1", "--k", "1", "--t", "1"]
+    for argv in (["construct", *flags, "--out", str(tmp_path / "run")],
+                 ["oracle", *flags, "--out", str(tmp_path / "oracle.code")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "trivial" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_internal_self_check_failure_exits_5(tmp_path, capsys, monkeypatch):
+    def failing_build(params):
+        raise InternalOrderCheckFailed("h1 does not have order q^kt - 1")
+
+    monkeypatch.setattr("spreadforge.cli.build_group", failing_build)
+    rc = main(["construct", "--p", "2", "--e", "1", "--k", "1", "--t", "2",
+               "--out", str(tmp_path / "run")])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: h1 does not have order q^kt - 1\n"
 
 
 def test_construct_io_failure_exits_4(tmp_path):

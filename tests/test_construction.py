@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -37,7 +38,10 @@ from spreadforge.errors import (
     GroupTooLarge,
     IndexOutOfRange,
     NonPrimeCharacteristic,
+    TrivialGroup,
 )
+from spreadforge.cli import main
+from spreadforge.codecs import completion_fingerprint
 from spreadforge.subspaces import Matrix, canonical_line, enumerate_lines
 from spreadforge.verify import codes_equal, desarguesian_oracle
 
@@ -66,6 +70,12 @@ def test_validate_params_rejects_bad_characteristic():
         validate_params(6, 1, 1, 2)
     with pytest.raises(ValueError):
         validate_params(2, 1, 0, 2)
+
+
+def test_validate_params_rejects_the_trivial_group():
+    # q^kt = 2 asks for generators of order q^kt - 1 = 1; the gcd condition admits it
+    with pytest.raises(TrivialGroup, match="trivial"):
+        validate_params(2, 1, 1, 1)
 
 
 # --- generators -------------------------------------------------------------------
@@ -141,9 +151,14 @@ def test_mixing_block_small_example(ctx_2112):
     assert upper_right_block(ctx_2112, 2, 1) == ctx_2112.c
 
 
-@pytest.mark.parametrize("pekt", [(2, 1, 1, 2), (2, 1, 2, 2)])
+def _context(contexts, pekt):
+    """The session context for a PARAM_SETS row, a fresh build for any other."""
+    return contexts[pekt] if pekt in contexts else build_group(validate_params(*pekt))
+
+
+@pytest.mark.parametrize("pekt", [(2, 1, 1, 2), (2, 1, 2, 2), (3, 1, 2, 1), (5, 1, 1, 1)])
 def test_mixing_block_geometric_path_agrees(contexts, pekt):
-    ctx = contexts[pekt]
+    ctx = _context(contexts, pekt)
     n = ctx.params.max_exponent
     for a in range(1, n + 1):
         for b in range(1, n + 1):
@@ -351,14 +366,15 @@ def test_forbidden_block_count_and_zero_rule(contexts, pekt):
             assert block == zero
 
 
-@pytest.mark.parametrize("pekt", PARAM_SETS)
+@pytest.mark.parametrize("pekt", PARAM_SETS + [(3, 1, 1, 3), (5, 1, 1, 1)])
 def test_completion_block_survivor_is_unique_and_code_forced(contexts, pekt):
-    # empirical resolution of the choice question: the forbidden set always
-    # has exactly q^kt - 1 distinct members, leaving a single survivor, so
-    # the completion code admits no variation at all
-    ctx = contexts[pekt]
+    # scan the whole q^kt-element matrix field: the forbidden set always has
+    # exactly q^kt - 1 distinct members, leaving a single survivor, so the
+    # completion code admits no variation at all
+    ctx = _context(contexts, pekt)
     params = ctx.params
     tower, qk = ctx.tower, params.qk
+    mt_powers = [ctx.m_t**d for d in range(params.t)]
     for m in range(1, params.r + 1):
         forbidden = forbidden_blocks(ctx, m)
         assert len(forbidden) == params.max_exponent
@@ -366,7 +382,7 @@ def test_completion_block_survivor_is_unique_and_code_forced(contexts, pekt):
         for index in range(qk**params.t):
             cand = Matrix.zeros(tower, 2, params.t, params.t)
             rem = index
-            for power in ctx.mt_powers:
+            for power in mt_powers:
                 digit = rem % qk
                 rem //= qk
                 if digit:
@@ -374,6 +390,22 @@ def test_completion_block_survivor_is_unique_and_code_forced(contexts, pekt):
             if cand not in forbidden:
                 survivors.append(cand)
         assert survivors == [completion_block(ctx, m)]
+
+
+def test_completion_blocks_pinned_over_the_params_listing(capsys):
+    # every row of `params --max-order 64`, odd characteristics included
+    # (where the sign of -c^m matters); the digest was computed by an
+    # exhaustive first-survivor search over the matrix field
+    assert main(["params", "--max-order", "64"]) == 0
+    rows = [tuple(map(int, line.split()[:4])) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 41 and rows == sorted(rows)
+    text = "".join(
+        f"{p},{e},{k},{t}:"
+        f"{completion_fingerprint(default_completion(build_group(validate_params(p, e, k, t)), 1, t + 1))}\n"
+        for p, e, k, t in rows
+    )
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert digest == "8d6caea15f442a73d7885d73795a9bb8fbdbf9f8663d87d181c2cf2048b67cb3"
 
 
 @pytest.mark.parametrize("pekt", PARAM_SETS)
