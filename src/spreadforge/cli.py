@@ -226,8 +226,7 @@ def cmd_oracle(args) -> int:
     header = _component_header(params, "oracle")
     try:
         path = Path(args.out)
-        if path.parent and not path.parent.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(codecs.write_code(code, header), encoding="ascii")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,13 +2,16 @@
 
 A code file is line oriented and diff friendly: `#`-prefixed header lines
 carrying one key=value pair each, then one member per line.  Members are
-written as base-p digit strings (tower elements flattened level-major,
-little-endian), rows joined by `;`, and the body is sorted by those digit
-strings, so a given code has exactly one on-disk form.
+written as base-p digit strings, rows joined by `;`, and the body is sorted
+by those digit strings, so a given code has exactly one on-disk form.
+Entries are canonical element indexes (ints), whose little-endian base-p
+digits are the element flattened level-major, so writing and parsing an
+entry is one lookup in a per-level table of digit strings.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -21,7 +24,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .gftower import DIGIT_ALPHABET, FieldTower, field_build, is_prime
-from .subspaces import Line, Matrix, Subspace, canonical_line, canonical_subspace
+from .subspaces import Line, Matrix, Subspace, Vector, canonical_line, canonical_subspace
 from .verify import VerificationReport
 
 FORMAT_NAME = "spreadforge-code"
@@ -30,8 +33,6 @@ FORMAT_VERSION = 1
 KIND_LINES = "lines"
 KIND_SUBSPACES = "subspaces"
 COMPONENTS = ("Ci", "Ai", "Bj", "spread", "oracle", "external")
-
-_DIGIT_VALUE = {ch: i for i, ch in enumerate(DIGIT_ALPHABET)}
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,10 @@ class CodeHeader:
             raise ValueError(f"characteristic {self.p} exceeds the digit alphabet")
         if min(self.e, self.k, self.t) < 1:
             raise ValueError(f"degrees must be >= 1, got e={self.e}, k={self.k}, t={self.t}")
+        if self.i is not None and not 1 <= self.i <= self.t:
+            raise ValueError(f"tag i={self.i} not in 1..{self.t}")
+        if self.j is not None and not self.t + 1 <= self.j <= self.s:
+            raise ValueError(f"tag j={self.j} not in {self.t + 1}..{self.s}")
 
     @property
     def q(self) -> int:
@@ -90,41 +95,48 @@ def completion_fingerprint(choice: CompletionChoice) -> str:
 # -- member records --------------------------------------------------------------
 
 
-def _row_record(row) -> str:
-    digits = []
-    for entry in row:
-        digits.extend(entry.digits())
-    return "".join(DIGIT_ALPHABET[d] for d in digits)
+@functools.lru_cache(maxsize=8)
+def _digit_strings(tower: FieldTower, level: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """Digit string of every element of a level by index, and its inverse."""
+    p, span = tower.p, tower.digit_length(level)
+    strings = tuple(
+        "".join(DIGIT_ALPHABET[index // p**d % p] for d in range(span))
+        for index in range(tower.cardinality(level))
+    )
+    return strings, {text: index for index, text in enumerate(strings)}
+
+
+def _row_record(tower: FieldTower, level: int, row: Vector) -> str:
+    strings = _digit_strings(tower, level)[0]
+    return "".join(strings[a] for a in row)
 
 
 def _matrix_record(m: Matrix) -> str:
-    return ";".join(_row_record(row) for row in m.rows)
+    return ";".join(_row_record(m.tower, m.level, row) for row in m.rows)
 
 
 def member_record(member) -> str:
     """Canonical one-line text form of a Line or Subspace."""
     if isinstance(member, Line):
-        return _row_record(member.generator)
+        return _row_record(member.tower, member.level, member.generator)
     if isinstance(member, Subspace):
         return _matrix_record(member.matrix)
     raise TypeError(f"cannot serialize {type(member).__name__}")
 
 
-def _parse_row(tower: FieldTower, level: int, width: int, text: str, lineno: int):
+def _parse_row(tower: FieldTower, level: int, width: int, text: str, lineno: int) -> Vector:
     span = tower.digit_length(level)
     if len(text) != width * span:
         raise MalformedHeader(
             f"line {lineno}: row has {len(text)} digits, expected {width * span}"
         )
+    index = _digit_strings(tower, level)[1]
     entries = []
     for pos in range(0, len(text), span):
-        digits = []
-        for ch in text[pos:pos + span]:
-            value = _DIGIT_VALUE.get(ch)
-            if value is None or value >= tower.p:
-                raise MalformedHeader(f"line {lineno}: invalid digit {ch!r}")
-            digits.append(value)
-        entries.append(tower.element_from_digits(level, digits))
+        entry = index.get(text[pos:pos + span])
+        if entry is None:
+            raise MalformedHeader(f"line {lineno}: invalid digits {text[pos:pos + span]!r}")
+        entries.append(entry)
     return tuple(entries)
 
 
@@ -134,7 +146,7 @@ def _parse_member(header: CodeHeader, tower: FieldTower, text: str, lineno: int)
             raise MalformedHeader(f"line {lineno}: line records must be a single row")
         gen = _parse_row(tower, 2, header.s, text, lineno)
         try:
-            line = canonical_line(gen)
+            line = canonical_line(tower, 2, gen)
         except Exception as exc:
             raise NonCanonicalMember(f"line {lineno}: {exc}") from exc
         if line.generator != gen:
@@ -144,7 +156,7 @@ def _parse_member(header: CodeHeader, tower: FieldTower, text: str, lineno: int)
     if len(rows) != header.k:
         raise MalformedHeader(f"line {lineno}: expected {header.k} rows, found {len(rows)}")
     parsed = [_parse_row(tower, 1, header.n, row, lineno) for row in rows]
-    matrix = Matrix(parsed)
+    matrix = Matrix(tower, 1, parsed)
     try:
         sub = canonical_subspace(matrix)
     except Exception as exc:

@@ -121,9 +121,9 @@ class GroupContext:
         self.tower = tower
         t, qk, r = params.t, params.qk, params.r
 
-        self.m_t = companion_matrix(tower.step_modulus(3))
+        self.m_t = companion_matrix(tower, 2, tower.step_modulus(3))
         self.c = self.m_t ** (qk - 1)
-        self.alpha = tower.alpha(2)
+        self.alpha = tower.index_of(tower.alpha(2))
 
         ident = Matrix.identity(tower, 2, t)
         zero = Matrix.zeros(tower, 2, t, t)
@@ -136,10 +136,9 @@ class GroupContext:
             cp.append(cp[-1] * self.c)
         self.c_powers = tuple(cp)  # c^0 .. c^{r-1}
 
-        one = tower.one(2)
-        ap = [one]
+        ap = [1]
         for _ in range(qk - 2):
-            ap.append(ap[-1] * self.alpha)
+            ap.append(tower.mul(2, ap[-1], self.alpha))
         self.alpha_powers = tuple(ap)  # alpha^0 .. alpha^{q^k-2}
 
         # singular only for q^kt = 2, which validate_params rejects
@@ -173,8 +172,7 @@ class GroupContext:
         """The canonical line spanned by the i-th unit vector, i in 1..s."""
         if not 1 <= i <= self.params.s:
             raise IndexOutOfRange(f"unit index {i} not in 1..{self.params.s}")
-        z, o = self.tower.zero(2), self.tower.one(2)
-        return Line(tuple(o if j == i - 1 else z for j in range(self.params.s)))
+        return Line(self.tower, 2, tuple(int(j == i - 1) for j in range(self.params.s)))
 
     def _check_exponent(self, x: int, name: str) -> None:
         if not 1 <= x <= self.params.max_exponent:
@@ -201,7 +199,7 @@ def build_group(params: CodeParams, tower: FieldTower | None = None) -> GroupCon
     ctx = GroupContext(params, tower)
     if ctx.h1 * ctx.h2 != ctx.h2 * ctx.h1:
         raise InternalOrderCheckFailed("generators do not commute")
-    if element_order(ctx.alpha) != params.qk - 1:
+    if element_order(tower.alpha(2)) != params.qk - 1:
         raise InternalOrderCheckFailed("middle-field generator has wrong order")
     n = params.max_exponent
     if n <= ORDER_CHECK_BOUND:
@@ -324,7 +322,7 @@ def stabilizer_bruteforce(ctx: GroupContext, line: Line) -> frozenset[GroupExpon
         vab = va
         for b in range(1, n + 1):
             vab = vector_matrix(vab, ctx.h2)
-            if canonical_line(vab) == line:
+            if canonical_line(ctx.tower, 2, vab) == line:
                 hits.append(GroupExponents(a, b))
     return frozenset(hits)
 
@@ -344,7 +342,7 @@ def orbit_code(ctx: GroupContext, i: int) -> LineCode:
         row = slow.rows[i - 1]
         for _ in range(params.max_exponent):
             row = vector_matrix(row, ctx.h1)
-            lines.add(canonical_line(row))
+            lines.add(canonical_line(ctx.tower, 2, row))
     expected = params.max_exponent * params.r
     if len(lines) != expected:
         raise InternalError(f"orbit collapsed: {len(lines)} lines, expected {expected}")
@@ -424,7 +422,7 @@ def completion_code(ctx: GroupContext, choice: CompletionChoice) -> LineCode:
     lines = set()
     for m, block in enumerate(choice.blocks, start=1):
         gen = ctx.c_powers[m % params.r].rows[row] + block.rows[row]
-        lines.add(canonical_line(gen))
+        lines.add(canonical_line(ctx.tower, 2, gen))
     if len(lines) != params.r:
         raise InternalError("completion lines are not pairwise distinct")
     return frozenset(lines)
@@ -435,7 +433,7 @@ def tail_orbit(ctx: GroupContext, j: int) -> LineCode:
     params = ctx.params
     if not params.t + 1 <= j <= params.s:
         raise IndexOutOfRange(f"tail index {j} not in {params.t + 1}..{params.s}")
-    lines = {canonical_line(g.rows[j - 1]) for g in ctx.h2_slow_powers()}
+    lines = {canonical_line(ctx.tower, 2, g.rows[j - 1]) for g in ctx.h2_slow_powers()}
     if len(lines) != params.r:
         raise InternalError("tail orbit is smaller than r; stabilizer not trivial")
     return frozenset(lines)

@@ -13,6 +13,11 @@ Each higher level computes with exp/log tables of its primitive generator
 alpha: products add logarithms, and sums are XOR when p = 2 and Zech
 logarithms log(1 + alpha^m) otherwise.  Polynomial arithmetic modulo a
 step's modulus runs only to search for moduli and to fill the tables.
+
+`FieldTower.add/neg/mul/pow/inv` compute on indexes directly, and the
+linear algebra in :mod:`spreadforge.subspaces` uses nothing else;
+`FieldElement` boxes one index with its tower and level as the public
+scalar type.
 """
 
 from __future__ import annotations
@@ -161,30 +166,27 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.tower, self.level, self.tower._add(self.level, self.raw, other.raw))
+        return FieldElement(self.tower, self.level, self.tower.add(self.level, self.raw, other.raw))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
         t = self.tower
-        return FieldElement(t, self.level, t._add(self.level, self.raw, t._neg(self.level, other.raw)))
+        return FieldElement(t, self.level, t.add(self.level, self.raw, t.neg(self.level, other.raw)))
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.tower, self.level, self.tower._neg(self.level, self.raw))
+        return FieldElement(self.tower, self.level, self.tower.neg(self.level, self.raw))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.tower, self.level, self.tower._mul(self.level, self.raw, other.raw))
+        return FieldElement(self.tower, self.level, self.tower.mul(self.level, self.raw, other.raw))
 
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
             return self.inverse() ** (-n)
-        return FieldElement(self.tower, self.level, self.tower._pow(self.level, self.raw, n))
+        return FieldElement(self.tower, self.level, self.tower.pow(self.level, self.raw, n))
 
     def inverse(self) -> "FieldElement":
-        if self.raw == 0:
-            raise DivisionByZero(f"zero has no inverse at level {self.level}")
-        card = self.tower.cardinality(self.level)
-        return FieldElement(self.tower, self.level, self.tower._pow(self.level, self.raw, card - 2))
+        return FieldElement(self.tower, self.level, self.tower.inv(self.level, self.raw))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
@@ -262,10 +264,9 @@ class FieldTower:
     def cardinality(self, level: int) -> int:
         return self._cards[level]
 
-    def step_modulus(self, level: int) -> tuple[FieldElement, ...]:
-        """Modulus of the step creating `level`, as elements of level-1."""
-        step = self.steps[level - 1]
-        return tuple(FieldElement(self, level - 1, c) for c in step.modulus)
+    def step_modulus(self, level: int) -> tuple[int, ...]:
+        """Modulus of the step creating `level`, as indexes at level-1, constant term first."""
+        return self.steps[level - 1].modulus
 
     def compatible_at(self, other: "FieldTower", level: int) -> bool:
         """True when both towers define identical arithmetic up to `level`."""
@@ -330,16 +331,10 @@ class FieldTower:
         """Number of base-p digits a level element flattens to."""
         return self._spans[level]
 
-    def element_from_digits(self, level: int, digits: Sequence[int]) -> FieldElement:
-        if len(digits) != self.digit_length(level):
-            raise ValueError(f"expected {self.digit_length(level)} digits, got {len(digits)}")
-        if any(not 0 <= d < self.p for d in digits):
-            raise ValueError("digit out of range for characteristic")
-        return FieldElement(self, level, _from_digits(digits, self.p))
-
     # -- index arithmetic: mod p at level 0, table lookups above --------------
+    # Operands are canonical indexes at `level`; none of these checks its inputs.
 
-    def _add(self, level: int, a: int, b: int) -> int:
+    def add(self, level: int, a: int, b: int) -> int:
         if level == 0:
             return (a + b) % self.p
         if self.p == 2:
@@ -353,7 +348,7 @@ class FieldTower:
         z = zech[(log[b] - la) % (len(log) - 1)]
         return 0 if z < 0 else exp[la + z]
 
-    def _neg(self, level: int, a: int) -> int:
+    def neg(self, level: int, a: int) -> int:
         if level == 0:
             return -a % self.p
         if self.p == 2 or a == 0:
@@ -362,7 +357,7 @@ class FieldTower:
         # -1 = alpha^((card - 1) / 2)
         return exp[log[a] + (len(log) - 1) // 2]
 
-    def _mul(self, level: int, a: int, b: int) -> int:
+    def mul(self, level: int, a: int, b: int) -> int:
         if level == 0:
             return a * b % self.p
         if a == 0 or b == 0:
@@ -370,7 +365,7 @@ class FieldTower:
         exp, log, _ = self.steps[level - 1].tables or self._tabulate(level)
         return exp[log[a] + log[b]]
 
-    def _pow(self, level: int, a: int, n: int) -> int:
+    def pow(self, level: int, a: int, n: int) -> int:
         """a^n for n >= 0, with 0^0 = 1."""
         if level == 0:
             return pow(a, n, self.p)
@@ -378,6 +373,14 @@ class FieldTower:
             return 0 if n else 1
         exp, log, _ = self.steps[level - 1].tables or self._tabulate(level)
         return exp[log[a] * n % (len(log) - 1)]
+
+    def inv(self, level: int, a: int) -> int:
+        if a == 0:
+            raise DivisionByZero(f"zero has no inverse at level {level}")
+        if level == 0:
+            return pow(a, self.p - 2, self.p)
+        exp, log, _ = self.steps[level - 1].tables or self._tabulate(level)
+        return exp[-log[a] % (len(log) - 1)]
 
     # -- tower construction ---------------------------------------------------
 
@@ -415,7 +418,7 @@ class FieldTower:
         zech = None
         if self.p != 2:
             # 1 + alpha^m differs from alpha^m only in the constant coefficient
-            sums = (e - e % card_below + self._add(below, e % card_below, 1) for e in exp)
+            sums = (e - e % card_below + self.add(below, e % card_below, 1) for e in exp)
             zech = [log[s] if s else -1 for s in sums]
         step.tables = (exp + exp, log, zech)
         return step.tables
@@ -442,7 +445,7 @@ class FieldTower:
         """Class of x modulo a monic modulus over `level`, as coefficient indexes."""
         degree = len(modulus) - 1
         if degree == 1:
-            return [self._neg(level, modulus[0])]
+            return [self.neg(level, modulus[0])]
         return [0, 1] + [0] * (degree - 2)
 
     def _x_order_is(self, level: int, modulus: tuple, group_order: int,
@@ -468,7 +471,7 @@ class FieldTower:
     def _polymod_mul(self, level: int, modulus: tuple, a: list[int], b: list[int]) -> list[int]:
         """Product of two residues mod a monic modulus, coefficients over `level`."""
         degree = len(modulus) - 1
-        add, mul = self._add, self._mul
+        add, mul = self.add, self.mul
         b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
         # the monic top term is left out: it only cancels the coefficient reduced
         f_terms = [(i, fi) for i, fi in enumerate(modulus[:degree]) if fi]
@@ -480,7 +483,7 @@ class FieldTower:
         for m in range(2 * degree - 2, degree - 1, -1):
             c = prod[m]
             if c:
-                nc = self._neg(level, c)
+                nc = self.neg(level, c)
                 for i, fi in f_terms:
                     prod[m - degree + i] = add(level, prod[m - degree + i], mul(level, nc, fi))
         return prod[:degree]

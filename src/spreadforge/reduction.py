@@ -6,13 +6,15 @@ matrices over F_q through the companion matrix of the tower's middle step;
 F_q^n (n = ks); `embed_matrix` blows an invertible s x s matrix over
 F_{q^k} up to an invertible n x n matrix over F_q, block by block.  The
 two group actions commute with these maps, which is what lets orbit codes
-be computed on whichever side is cheaper.
+be computed on whichever side is cheaper.  Field elements are canonical
+indexes (ints): the base-q digits of a middle-field index are its
+coefficients over F_q.
 """
 
 from __future__ import annotations
 
 from .errors import InternalError, LevelMismatch, SingularInput
-from .gftower import FieldElement, FieldTower
+from .gftower import FieldTower
 from .subspaces import (
     Line,
     LineCode,
@@ -32,24 +34,22 @@ class ReductionContext:
         self.tower = tower
         self.k = tower.steps[1].degree
         self.qk = tower.cardinality(2)
-        self.m_k = companion_matrix(tower.step_modulus(2))
+        self.m_k = companion_matrix(tower, 1, tower.step_modulus(2))
         pows = [Matrix.identity(tower, 1, self.k)]
         for _ in range(self.qk - 2):
             pows.append(pows[-1] * self.m_k)
         self.mk_powers = tuple(pows)
         self._zero_block = Matrix.zeros(tower, 1, self.k, self.k)
 
-    def matrix_rep(self, u: FieldElement) -> Matrix:
-        """k x k matrix over F_q acting as multiplication by u in F_{q^k}."""
-        if u.level != 2 or not u.tower.compatible_at(self.tower, 2):
-            raise LevelMismatch("matrix_rep expects an element of the middle field")
-        out = None
-        for i, b in enumerate(u.coefficients()):
-            if b.is_zero():
-                continue
-            term = self.mk_powers[i].scale(b)
-            out = term if out is None else out + term
-        return self._zero_block if out is None else out
+    def matrix_rep(self, u: int) -> Matrix:
+        """k x k matrix over F_q acting as multiplication by the F_{q^k} element of index u."""
+        q = self.tower.cardinality(1)
+        out = self._zero_block
+        for power in self.mk_powers[:self.k]:
+            u, b = divmod(u, q)
+            if b:
+                out = out + power.scale(b)
+        return out
 
     def reduce_line(self, line: Line) -> Subspace:
         """Field reduction of a line: a k-dimensional subspace of F_q^{ks}."""

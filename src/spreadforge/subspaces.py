@@ -1,8 +1,13 @@
 """Dense linear algebra over any tower level, plus canonical subspaces and lines.
 
-Subspaces are kept in reduced row echelon form so that set membership,
-equality and hashing are plain structural comparisons.  Lines carry a
-first-nonzero-monic generator, which is exactly the RREF of a 1-row matrix.
+A Matrix, Line or Subspace holds its tower and level once and its entries
+as canonical element indexes (plain ints), and computes through the
+tower's index arithmetic.  Tower compatibility is checked once per
+operand, not per entry.  Subspaces are kept in reduced row echelon form
+so that set membership, equality and hashing are plain structural
+comparisons.  Lines carry a first-nonzero-monic generator, which is
+exactly the RREF of a 1-row matrix.  `rank`, `rref` and `Matrix.inverse`
+share one forward-elimination loop.
 """
 
 from __future__ import annotations
@@ -18,30 +23,39 @@ from .errors import (
     SingularInput,
     ZeroVector,
 )
-from .gftower import DIGIT_ALPHABET, FieldElement, FieldTower
+from .gftower import FieldTower
 
-Vector = tuple[FieldElement, ...]
+Vector = tuple[int, ...]
+
+
+def _compatible(x, y) -> bool:
+    """Same level, in towers whose arithmetic agrees up to that level."""
+    return x.level == y.level and (
+        x.tower is y.tower or x.tower.compatible_at(y.tower, x.level)
+    )
+
+
+def _add_multiple(tower: FieldTower, level: int, row: Sequence[int], c: int,
+                  other: Sequence[int]) -> list[int]:
+    """row + c * other, entrywise."""
+    add, mul = tower.add, tower.mul
+    return [add(level, a, mul(level, c, b)) for a, b in zip(row, other)]
 
 
 class Matrix:
-    """Immutable rows x cols matrix with entries at one tower level."""
+    """Immutable rows x cols matrix of element indexes at one tower level."""
 
     __slots__ = ("tower", "level", "nrows", "ncols", "rows")
 
-    def __init__(self, rows: Sequence[Sequence[FieldElement]]):
+    def __init__(self, tower: FieldTower, level: int, rows: Sequence[Sequence[int]]):
         rows = tuple(tuple(r) for r in rows)
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
-        first = rows[0][0]
         ncols = len(rows[0])
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            for x in r:
-                if x.level != first.level or x.tower != first.tower:
-                    raise LevelMismatch("mixed levels inside one matrix")
-        self.tower = first.tower
-        self.level = first.level
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        self.tower = tower
+        self.level = level
         self.nrows = len(rows)
         self.ncols = ncols
         self.rows = rows
@@ -50,70 +64,59 @@ class Matrix:
 
     @classmethod
     def zeros(cls, tower: FieldTower, level: int, nrows: int, ncols: int) -> "Matrix":
-        z = tower.zero(level)
-        return cls([[z] * ncols for _ in range(nrows)])
+        return cls(tower, level, [[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def identity(cls, tower: FieldTower, level: int, n: int) -> "Matrix":
-        z, o = tower.zero(level), tower.one(level)
-        return cls([[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls(tower, level, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
         """Assemble a matrix from a rectangular grid of blocks."""
-        rows: list[tuple[FieldElement, ...]] = []
+        first = grid[0][0]
+        rows: list[tuple[int, ...]] = []
         for band in grid:
             height = band[0].nrows
-            if any(b.nrows != height for b in band):
-                raise ValueError("block heights disagree within a band")
+            for b in band:
+                first._check(b)
+                if b.nrows != height:
+                    raise ValueError("block heights disagree within a band")
             for i in range(height):
-                row: tuple[FieldElement, ...] = ()
-                for b in band:
-                    row += b.rows[i]
-                rows.append(row)
-        return cls(rows)
+                rows.append(tuple(itertools.chain.from_iterable(b.rows[i] for b in band)))
+        return cls(first.tower, first.level, rows)
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check(self, other: "Matrix") -> None:
-        if self.level != other.level or not self.tower.compatible_at(other.tower, self.level):
-            raise LevelMismatch("matrices at different levels")
+    def _check(self, other) -> None:
+        if not _compatible(self, other):
+            raise LevelMismatch("operands at different levels or of incompatible towers")
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix addition")
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        tower, level = self.tower, self.level
+        return Matrix(tower, level, [
+            _add_multiple(tower, level, ra, 1, rb) for ra, rb in zip(self.rows, other.rows)
+        ])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.rows])
+        return self.scale(self.tower.neg(self.level, 1))
 
-    def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return self.scale(other)
+    def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check(other)
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out.append([_dot(row, col) for col in cols])
-        return Matrix(out)
+        return Matrix(self.tower, self.level, [vector_matrix(row, other) for row in self.rows])
 
-    def __rmul__(self, other):
-        if isinstance(other, FieldElement):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: FieldElement) -> "Matrix":
-        return Matrix([[c * a for a in row] for row in self.rows])
+    def scale(self, c: int) -> "Matrix":
+        mul, level = self.tower.mul, self.level
+        return Matrix(self.tower, level, [[mul(level, c, a) for a in row] for row in self.rows])
 
     def __pow__(self, n: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -135,125 +138,105 @@ class Matrix:
             raise SingularInput("only square matrices are invertible")
         n = self.nrows
         ident = Matrix.identity(self.tower, self.level, n)
-        aug = Matrix.block([[self, ident]])
-        reduced, _ = rref(aug)
-        if Matrix([row[:n] for row in reduced.rows]) != ident:
+        reduced, _ = rref(Matrix.block([[self, ident]]))
+        if tuple(row[:n] for row in reduced.rows) != ident.rows:
             raise SingularInput("matrix is singular")
-        return Matrix([row[n:] for row in reduced.rows])
+        return Matrix(self.tower, self.level, [row[n:] for row in reduced.rows])
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.rows for a in row)
+        return not any(any(row) for row in self.rows)
 
     # -- identity ---------------------------------------------------------
 
     def key(self) -> tuple:
-        """Structural sort/hash key: shape, level and flattened digits."""
-        digits: tuple[int, ...] = ()
-        for row in self.rows:
-            for a in row:
-                digits += a.digits()
-        return (self.nrows, self.ncols, self.level, digits)
+        """Structural sort/hash key: level and rows."""
+        return (self.level, self.rows)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.level == other.level
-            and self.rows == other.rows
-        )
+        return isinstance(other, Matrix) and self.rows == other.rows and _compatible(self, other)
 
     def __hash__(self) -> int:
         return hash(self.key())
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join("".join(map(DIGIT_ALPHABET.__getitem__, a.digits())) for a in row)
-            for row in self.rows
-        )
+        body = "; ".join(" ".join(map(str, row)) for row in self.rows)
         return f"<Matrix {self.nrows}x{self.ncols} L{self.level} [{body}]>"
 
 
-def _dot(u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
-    acc = None
-    for a, b in zip(u, v):
-        term = a * b
-        acc = term if acc is None else acc + term
-    assert acc is not None
-    return acc
-
-
-def vector_matrix(v: Vector, m: Matrix) -> Vector:
+def vector_matrix(v: Sequence[int], m: Matrix) -> Vector:
     """Row vector times matrix."""
     if len(v) != m.nrows:
         raise ValueError(f"vector length {len(v)} does not match {m.nrows} rows")
-    cols = tuple(zip(*m.rows))
-    return tuple(_dot(v, col) for col in cols)
+    tower, level = m.tower, m.level
+    out = [0] * m.ncols
+    for c, row in zip(v, m.rows):
+        if c:
+            out = _add_multiple(tower, level, out, c, row)
+    return tuple(out)
 
 
 # -- elimination ------------------------------------------------------------
 
 
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank (Gauss-Jordan, exact)."""
+def _echelon(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Forward elimination: a row echelon form of m and its pivot columns."""
+    tower, level = m.tower, m.level
     rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(pivot_row, nrows) if not rows[r][col].is_zero()), None)
+    pivots: list[int] = []
+    for col in range(m.ncols):
+        rk = len(pivots)
+        pivot = next((r for r in range(rk, m.nrows) if rows[r][col]), None)
         if pivot is None:
             continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = rows[pivot_row][col].inverse()
-        rows[pivot_row] = [inv * a for a in rows[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and not rows[r][col].is_zero():
-                c = rows[r][col]
-                rows[r] = [a - c * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == nrows:
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        top = rows[rk]
+        factor = tower.neg(level, tower.inv(level, top[col]))
+        for r in range(rk + 1, m.nrows):
+            if rows[r][col]:
+                c = tower.mul(level, rows[r][col], factor)
+                rows[r][col:] = _add_multiple(tower, level, rows[r][col:], c, top[col:])
+        pivots.append(col)
+        if rk + 1 == m.nrows:
             break
-    return Matrix(rows), pivot_row
+    return rows, pivots
 
 
 def rank(m: Matrix) -> int:
     """Rank by forward elimination only (cheaper than full rref)."""
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    rk = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rk, nrows) if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        inv = rows[rk][col].inverse()
-        for r in range(rk + 1, nrows):
-            if not rows[r][col].is_zero():
-                c = rows[r][col] * inv
-                rows[r] = [a - c * b for a, b in zip(rows[r], rows[rk])]
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
+    return len(_echelon(m)[1])
 
 
-def companion_matrix(modulus: Sequence[FieldElement]) -> Matrix:
-    """Companion matrix of a monic polynomial given as (a_0, ..., a_{d-1}, 1).
+def rref(m: Matrix) -> tuple[Matrix, int]:
+    """Reduced row echelon form and rank.
+
+    Forward elimination, then, bottom-up, each pivot row is normalized and
+    its pivot column cleared in the rows above.
+    """
+    tower, level = m.tower, m.level
+    rows, pivots = _echelon(m)
+    for i in reversed(range(len(pivots))):
+        col = pivots[i]
+        top = rows[i] = [tower.mul(level, tower.inv(level, rows[i][col]), a) for a in rows[i]]
+        for r in range(i):
+            if rows[r][col]:
+                rows[r] = _add_multiple(tower, level, rows[r], tower.neg(level, rows[r][col]), top)
+    return Matrix(tower, level, rows), len(pivots)
+
+
+def companion_matrix(tower: FieldTower, level: int, modulus: Sequence[int]) -> Matrix:
+    """Companion matrix of a monic polynomial (a_0, ..., a_{d-1}, 1) over `level`.
 
     Superdiagonal of ones, last row the negated low coefficients; its
     characteristic polynomial is the modulus itself.
     """
-    modulus = tuple(modulus)
     d = len(modulus) - 1
     if d < 1:
         raise NonMonicModulus("modulus must have degree >= 1")
-    tower, level = modulus[0].tower, modulus[0].level
-    if modulus[-1] != tower.one(level):
+    if modulus[-1] != 1:
         raise NonMonicModulus("modulus must be monic")
-    z, o = tower.zero(level), tower.one(level)
-    rows = [[o if j == i + 1 else z for j in range(d)] for i in range(d - 1)]
-    rows.append([-modulus[j] for j in range(d)])
-    return Matrix(rows)
+    rows = [[int(j == i + 1) for j in range(d)] for i in range(d - 1)]
+    rows.append([tower.neg(level, a) for a in modulus[:d]])
+    return Matrix(tower, level, rows)
 
 
 # -- canonical subspaces and lines -------------------------------------------
@@ -290,18 +273,10 @@ class Subspace:
 
     def nonzero_vectors(self) -> Iterator[Vector]:
         """All q^dim - 1 nonzero vectors, each exactly once."""
-        tower, level = self.tower, self.level
-        card = tower.cardinality(level)
+        card = self.tower.cardinality(self.level)
         for coeffs in itertools.product(range(card), repeat=self.dim):
-            if all(c == 0 for c in coeffs):
-                continue
-            scalars = [tower.from_index(level, c) for c in coeffs]
-            vec = None
-            for c, row in zip(scalars, self.matrix.rows):
-                term = tuple(c * a for a in row)
-                vec = term if vec is None else tuple(x + y for x, y in zip(vec, term))
-            assert vec is not None
-            yield vec
+            if any(coeffs):
+                yield vector_matrix(coeffs, self.matrix)
 
     def key(self) -> tuple:
         return self.matrix.key()
@@ -327,41 +302,33 @@ def canonical_subspace(m: Matrix) -> Subspace:
 class Line:
     """A 1-dimensional subspace with first-nonzero-monic generator."""
 
-    __slots__ = ("generator",)
+    __slots__ = ("tower", "level", "generator")
 
-    def __init__(self, generator: Vector):
+    def __init__(self, tower: FieldTower, level: int, generator: Vector):
         # trusted constructor: generator must already be normalized
+        self.tower = tower
+        self.level = level
         self.generator = generator
-
-    @property
-    def tower(self) -> FieldTower:
-        return self.generator[0].tower
-
-    @property
-    def level(self) -> int:
-        return self.generator[0].level
 
     @property
     def ambient(self) -> int:
         return len(self.generator)
 
     def apply(self, a: Matrix) -> "Line":
-        return canonical_line(vector_matrix(self.generator, a))
+        a._check(self)
+        return canonical_line(self.tower, self.level, vector_matrix(self.generator, a))
 
     def as_subspace(self) -> Subspace:
-        return Subspace(Matrix([self.generator]))
+        return Subspace(Matrix(self.tower, self.level, [self.generator]))
 
     def key(self) -> tuple:
-        digits: tuple[int, ...] = ()
-        for a in self.generator:
-            digits += a.digits()
-        return (self.ambient, self.level, digits)
+        return (self.level, self.generator)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Line)
-            and self.level == other.level
             and self.generator == other.generator
+            and _compatible(self, other)
         )
 
     def __hash__(self) -> int:
@@ -371,14 +338,13 @@ class Line:
         return f"<Line in F^{self.ambient} L{self.level}>"
 
 
-def canonical_line(v: Sequence[FieldElement]) -> Line:
-    """Scale a nonzero vector so its first nonzero coordinate is 1."""
-    v = tuple(v)
-    lead = next((a for a in v if not a.is_zero()), None)
-    if lead is None:
+def canonical_line(tower: FieldTower, level: int, v: Sequence[int]) -> Line:
+    """Scale a nonzero vector over `level` so its first nonzero coordinate is 1."""
+    lead = next((a for a in v if a), 0)
+    if not lead:
         raise ZeroVector("zero vector spans no line")
-    inv = lead.inverse()
-    return Line(tuple(inv * a for a in v))
+    inv = tower.inv(level, lead)
+    return Line(tower, level, tuple(tower.mul(level, inv, a) for a in v))
 
 
 LineCode = frozenset  # frozenset[Line]
@@ -390,14 +356,11 @@ def enumerate_lines(tower: FieldTower, level: int, s: int) -> LineCode:
     if s < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {s}")
     card = tower.cardinality(level)
-    z, o = tower.zero(level), tower.one(level)
-    lines = []
-    for pivot in range(s):
-        tail = s - pivot - 1
-        for rest in itertools.product(range(card), repeat=tail):
-            gen = (z,) * pivot + (o,) + tuple(tower.from_index(level, c) for c in rest)
-            lines.append(Line(gen))
-    return frozenset(lines)
+    return frozenset(
+        Line(tower, level, (0,) * pivot + (1,) + rest)
+        for pivot in range(s)
+        for rest in itertools.product(range(card), repeat=s - pivot - 1)
+    )
 
 
 def _as_subspace(x) -> Subspace:
@@ -411,11 +374,7 @@ def _as_subspace(x) -> Subspace:
 def subspace_distance(u, v) -> int:
     """dim(U+V) - dim(U cap V), computed as 2 rank(stack) - dim U - dim V."""
     us, vs = _as_subspace(u), _as_subspace(v)
-    if (
-        us.ambient != vs.ambient
-        or us.level != vs.level
-        or not us.tower.compatible_at(vs.tower, us.level)
-    ):
+    if us.ambient != vs.ambient or not _compatible(us, vs):
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    stacked = Matrix(us.matrix.rows + vs.matrix.rows)
+    stacked = Matrix(us.tower, us.level, us.matrix.rows + vs.matrix.rows)
     return 2 * rank(stacked) - us.dim - vs.dim

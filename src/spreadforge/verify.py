@@ -13,7 +13,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .construction import GroupContext, GroupExponents, full_group
+from .construction import GroupContext, full_group
 from .errors import (
     AmbientMismatch,
     CodeTooSmall,
@@ -156,19 +156,12 @@ def orbit_min_distance(generator, elements: Iterable) -> int:
     return best
 
 
-def min_distance_orbit(
-    ctx: GroupContext,
-    generator: Line,
-    stab: frozenset[GroupExponents] | None = None,
-) -> int:
+def min_distance_orbit(ctx: GroupContext, generator: Line) -> int:
     """Orbit-formula distance of the full-group orbit of a line.
 
-    When the stabilizer exponent set is supplied those elements are skipped
-    without acting; either way the result equals the brute-force minimum
-    distance of the orbit code.
+    The result equals the brute-force minimum distance of the orbit code.
     """
-    elements = (g for exp, g in full_group(ctx) if stab is None or exp not in stab)
-    return orbit_min_distance(generator, elements)
+    return orbit_min_distance(generator, (g for _, g in full_group(ctx)))
 
 
 # -- classification ---------------------------------------------------------------

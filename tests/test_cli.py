@@ -191,6 +191,8 @@ def test_verify_missing_file_exits_4(tmp_path):
 @pytest.mark.parametrize("patch", [
     {"p=2": "p=4", "q=2": "q=4", "r=3": "r=5"},  # non-prime characteristic
     {"k=1": "k=0", "n=4": "n=0"},               # degree below 1
+    {"i=1": "i=3"},                              # leading index past t
+    {"j=3": "j=1"},                              # tail index not in t+1..s
 ])
 def test_header_with_impossible_parameters_is_a_parse_failure(tmp_path, capsys, patch):
     out = tmp_path / "run"

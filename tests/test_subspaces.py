@@ -16,7 +16,7 @@ from spreadforge.errors import (
     SingularInput,
     ZeroVector,
 )
-from spreadforge.gftower import field_build
+from spreadforge.gftower import FieldTower, field_build
 from spreadforge.subspaces import (
     Line,
     Matrix,
@@ -41,19 +41,6 @@ def gf4tower():
     return field_build(2, 2, 1, 2)
 
 
-def _mat(tower, level, entries):
-    return Matrix([[tower.element(level, x) for x in row] for row in entries])
-
-
-def _entries(m):
-    return [[tower_digits(a) for a in row] for row in m.rows]
-
-
-def tower_digits(a):
-    d = a.digits()
-    return d[0] if len(d) == 1 else d
-
-
 # --- rref / rank -------------------------------------------------------------
 
 
@@ -67,16 +54,16 @@ def test_rref_identity_and_zero(gf2):
 
 
 def test_rref_hand_case_over_gf2(gf2):
-    m = _mat(gf2, 0, [[1, 1], [1, 1]])
+    m = Matrix(gf2, 0, [[1, 1], [1, 1]])
     reduced, rk = rref(m)
     assert rk == 1
-    assert _entries(reduced) == [[1, 1], [0, 0]]
+    assert reduced.rows == ((1, 1), (0, 0))
 
 
 def _is_rref(m: Matrix) -> bool:
     pivots = []
     for row in m.rows:
-        cols = [j for j, a in enumerate(row) if not a.is_zero()]
+        cols = [j for j, a in enumerate(row) if a]
         if not cols:
             pivots.append(None)
             continue
@@ -85,9 +72,9 @@ def _is_rref(m: Matrix) -> bool:
         lead = cols[0]
         if pivots and pivots[-1] is not None and lead <= pivots[-1]:
             return False
-        if row[lead] != m.tower.one(m.level):
+        if row[lead] != 1:
             return False
-        if any(not other[lead].is_zero() for other in m.rows if other is not row):
+        if any(other[lead] for other in m.rows if other is not row):
             return False
         pivots.append(lead)
     return True
@@ -100,41 +87,80 @@ def test_rref_idempotent_and_preserves_rowspace():
         card = tower.cardinality(level)
         for _ in range(20):
             nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
-            m = Matrix([
-                [tower.from_index(level, rng.randrange(card)) for _ in range(ncols)]
-                for _ in range(nrows)
+            m = Matrix(tower, level, [
+                [rng.randrange(card) for _ in range(ncols)] for _ in range(nrows)
             ])
             reduced, rk = rref(m)
             assert _is_rref(reduced)
             again, rk2 = rref(reduced)
             assert again == reduced and rk2 == rk
             assert rank(m) == rk
-            stacked = Matrix(m.rows + reduced.rows)
+            stacked = Matrix(tower, level, m.rows + reduced.rows)
             assert rank(stacked) == rk
+
+
+def _rowspace(m: Matrix) -> set:
+    """Every combination of the rows, by the tower's index arithmetic alone."""
+    tower, level = m.tower, m.level
+    card = tower.cardinality(level)
+    span = set()
+    for coeffs in itertools.product(range(card), repeat=m.nrows):
+        vec = [0] * m.ncols
+        for c, row in zip(coeffs, m.rows):
+            vec = [tower.add(level, a, tower.mul(level, c, b)) for a, b in zip(vec, row)]
+        span.add(tuple(vec))
+    return span
+
+
+@pytest.mark.parametrize("pekt,level,nrows,ncols", [
+    ((2, 1, 1, 2), 0, 2, 3),  # F_2
+    ((3, 1, 1, 1), 0, 2, 3),  # F_3
+    ((2, 2, 1, 2), 1, 2, 3),  # F_4
+    ((3, 1, 2, 1), 2, 2, 2),  # F_9, sums through Zech logarithms
+])
+def test_elimination_against_exhaustive_rowspaces(pekt, level, nrows, ncols):
+    # every matrix of the shape: the row space counted by enumeration fixes
+    # the rank, and rref must keep that row space and be idempotent
+    tower = field_build(*pekt)
+    card = tower.cardinality(level)
+    ident = Matrix.identity(tower, level, nrows)
+    for flat in itertools.product(range(card), repeat=nrows * ncols):
+        m = Matrix(tower, level, [flat[r * ncols:(r + 1) * ncols] for r in range(nrows)])
+        span = _rowspace(m)
+        rk = rank(m)
+        assert card**rk == len(span)
+        reduced, rk2 = rref(m)
+        assert rk2 == rk and _is_rref(reduced)
+        assert _rowspace(reduced) == span
+        assert rref(reduced) == (reduced, rk)
+        if nrows == ncols and rk == nrows:
+            inv = m.inverse()
+            assert m * inv == ident and inv * m == ident
+        elif nrows == ncols:
+            with pytest.raises(SingularInput):
+                m.inverse()
 
 
 # --- companion matrices --------------------------------------------------------
 
 
 def test_companion_of_quadratic_over_gf2(gf2):
-    modulus = [gf2.one(0), gf2.one(0), gf2.one(0)]  # x^2 + x + 1
-    m = companion_matrix(modulus)
-    assert _entries(m) == [[0, 1], [1, 1]]
+    m = companion_matrix(gf2, 0, (1, 1, 1))  # x^2 + x + 1
+    assert m.rows == ((0, 1), (1, 1))
 
 
 def test_companion_of_linear_polynomial():
     tower = field_build(3, 1, 1, 1)
-    one = tower.one(0)
-    m = companion_matrix([-one, one])  # x - 1
-    assert _entries(m) == [[1]]
+    m = companion_matrix(tower, 0, (2, 1))  # x - 1
+    assert m.rows == ((1,),)
 
 
 def test_companion_requires_monic(gf4tower):
-    alpha = gf4tower.alpha(1)
+    alpha = 2  # the class of x in F_4
     with pytest.raises(NonMonicModulus):
-        companion_matrix([alpha, alpha])
+        companion_matrix(gf4tower, 1, (alpha, alpha))
     with pytest.raises(NonMonicModulus):
-        companion_matrix([gf4tower.one(1)])
+        companion_matrix(gf4tower, 1, (1,))
 
 
 @pytest.mark.parametrize("pekt", [(2, 1, 2, 2), (2, 2, 1, 2), (3, 1, 2, 1)])
@@ -144,7 +170,7 @@ def test_companion_is_annihilated_by_its_modulus(pekt):
     tower = field_build(*pekt)
     for level in (1, 2, 3):
         modulus = tower.step_modulus(level)
-        m = companion_matrix(modulus)
+        m = companion_matrix(tower, level - 1, modulus)
         acc = Matrix.zeros(tower, level - 1, m.nrows, m.ncols)
         power = Matrix.identity(tower, level - 1, m.nrows)
         for coeff in modulus:
@@ -160,8 +186,8 @@ def test_matrix_ring_axioms_sampled():
     tower = field_build(2, 2, 1, 2)
     rng = random.Random(99)
     card = tower.cardinality(1)
-    rand = lambda: Matrix([
-        [tower.from_index(1, rng.randrange(card)) for _ in range(3)] for _ in range(3)
+    rand = lambda: Matrix(tower, 1, [
+        [rng.randrange(card) for _ in range(3)] for _ in range(3)
     ])
     ident = Matrix.identity(tower, 1, 3)
     for _ in range(10):
@@ -181,9 +207,7 @@ def test_matrix_inverse_roundtrip():
     card = tower.cardinality(2)
     found = 0
     while found < 5:
-        m = Matrix([
-            [tower.from_index(2, rng.randrange(card)) for _ in range(3)] for _ in range(3)
-        ])
+        m = Matrix(tower, 2, [[rng.randrange(card) for _ in range(3)] for _ in range(3)])
         if rank(m) < 3:
             continue
         found += 1
@@ -193,11 +217,11 @@ def test_matrix_inverse_roundtrip():
 
 
 def test_matrix_inverse_rejects_singular(gf2):
-    singular = _mat(gf2, 0, [[1, 1], [1, 1]])
+    singular = Matrix(gf2, 0, [[1, 1], [1, 1]])
     with pytest.raises(SingularInput):
         singular.inverse()
     with pytest.raises(SingularInput):
-        _mat(gf2, 0, [[1, 1]]).inverse()
+        Matrix(gf2, 0, [[1, 1]]).inverse()
 
 
 def test_block_assembly(gf2):
@@ -224,25 +248,42 @@ def test_matrices_from_independent_builds_compare_equal():
 
 
 def test_vector_matrix_product(gf2):
-    m = _mat(gf2, 0, [[1, 1, 0], [0, 1, 1]])
-    v = (gf2.one(0), gf2.one(0))
-    assert [tower_digits(x) for x in vector_matrix(v, m)] == [1, 0, 1]
+    m = Matrix(gf2, 0, [[1, 1, 0], [0, 1, 1]])
+    assert vector_matrix((1, 1), m) == (1, 0, 1)
+
+
+def test_int_entries_keep_towers_apart():
+    # F_8 from x^3 + x^2 + 1 (the search's choice) and from x^3 + x + 1: the
+    # same indexes name different elements, so nothing may mix them
+    default = FieldTower(2, (3,))
+    alt = FieldTower(2, (3,), moduli=[(1, 1, 0)])
+    assert default.step_modulus(1) != alt.step_modulus(1)
+    rows = [[1, 2, 3], [4, 5, 6], [7, 0, 1]]
+    a, b = Matrix(default, 1, rows), Matrix(alt, 1, rows)
+    la, lb = Line(default, 1, (1, 2, 3)), Line(alt, 1, (1, 2, 3))
+    assert a != b and la != lb
+    assert a == Matrix(FieldTower(2, (3,)), 1, rows)  # an independent equal build
+    for mixed in (lambda: a * b, lambda: a + b, lambda: a - b, lambda: Matrix.block([[a, b]]),
+                  lambda: la.apply(b), lambda: lb.apply(a)):
+        with pytest.raises(LevelMismatch):
+            mixed()
+    with pytest.raises(AmbientMismatch):
+        subspace_distance(la, lb)
 
 
 # --- distance -------------------------------------------------------------------
 
 
 def _unit_subspace(tower, level, s, indexes):
-    z, o = tower.zero(level), tower.one(level)
-    rows = [[o if j == i else z for j in range(s)] for i in indexes]
-    return canonical_subspace(Matrix(rows))
+    rows = [[int(j == i) for j in range(s)] for i in indexes]
+    return canonical_subspace(Matrix(tower, level, rows))
 
 
 def test_distance_examples(gf2):
     u = _unit_subspace(gf2, 0, 4, [0, 1])
     assert subspace_distance(u, u) == 0
-    l1 = canonical_line((gf2.one(0), gf2.zero(0), gf2.zero(0), gf2.zero(0)))
-    l2 = canonical_line((gf2.zero(0), gf2.one(0), gf2.zero(0), gf2.zero(0)))
+    l1 = canonical_line(gf2, 0, (1, 0, 0, 0))
+    l2 = canonical_line(gf2, 0, (0, 1, 0, 0))
     assert subspace_distance(l1, l2) == 2
     v = _unit_subspace(gf2, 0, 4, [1, 2])
     assert subspace_distance(u, v) == 2  # dim sum 3, dim intersection 1
@@ -257,12 +298,10 @@ def test_distance_ambient_mismatch(gf2):
 
 def _all_planes_of_f2_4(gf2):
     # every 2-dimensional subspace of F_2^4, by canonicalizing all rank-2 pairs
-    vectors = [
-        tuple(gf2.element(0, (i >> b) & 1) for b in range(4)) for i in range(1, 16)
-    ]
+    vectors = [tuple((i >> b) & 1 for b in range(4)) for i in range(1, 16)]
     planes = set()
     for a, b in itertools.combinations(vectors, 2):
-        m = Matrix([a, b])
+        m = Matrix(gf2, 0, [a, b])
         if rank(m) == 2:
             planes.add(canonical_subspace(m))
     return sorted(planes, key=lambda s: s.key())
@@ -320,37 +359,32 @@ def test_enumerate_lines_counts(pekt, level, s, count):
     lines = enumerate_lines(tower, level, s)
     card = tower.cardinality(level)
     assert len(lines) == count == (card**s - 1) // (card - 1)
-    one = tower.one(level)
     for line in lines:
-        lead = next(a for a in line.generator if not a.is_zero())
-        assert lead == one
+        assert next(a for a in line.generator if a) == 1
 
 
 def test_canonical_line_scaling(gf4tower):
-    zero, alpha = gf4tower.zero(1), gf4tower.alpha(1)
-    one = gf4tower.one(1)
-    line = canonical_line((zero, alpha, alpha))
-    assert line.generator == (zero, one, one)
-    assert canonical_line(line.generator) == line  # idempotent
+    alpha = 2  # the class of x in F_4
+    line = canonical_line(gf4tower, 1, (0, alpha, alpha))
+    assert line.generator == (0, 1, 1)
+    assert canonical_line(gf4tower, 1, line.generator) == line  # idempotent
     with pytest.raises(ZeroVector):
-        canonical_line((zero, zero, zero))
+        canonical_line(gf4tower, 1, (0, 0, 0))
 
 
 def test_canonical_subspace_rejects_dependent_rows(gf2):
     with pytest.raises(RankDeficient):
-        canonical_subspace(_mat(gf2, 0, [[1, 1], [1, 1]]))
+        canonical_subspace(Matrix(gf2, 0, [[1, 1], [1, 1]]))
 
 
 def test_line_as_subspace_roundtrip(gf4tower):
-    zero, one, alpha = gf4tower.zero(1), gf4tower.one(1), gf4tower.alpha(1)
-    line = canonical_line((zero, alpha, one))
+    line = canonical_line(gf4tower, 1, (0, 2, 1))
     sub = line.as_subspace()
     assert sub.dim == 1 and sub.ambient == 3
     assert sub.matrix.rows[0] == line.generator
 
 
 def test_line_action(gf2):
-    one, zero = gf2.one(0), gf2.zero(0)
-    line = Line((one, zero))
-    swap = _mat(gf2, 0, [[0, 1], [1, 0]])
-    assert line.apply(swap) == Line((zero, one))
+    line = Line(gf2, 0, (1, 0))
+    swap = Matrix(gf2, 0, [[0, 1], [1, 0]])
+    assert line.apply(swap) == Line(gf2, 0, (0, 1))

@@ -8,7 +8,6 @@ from spreadforge.construction import (
     orbit_code,
     scalar_subgroup,
     spread_components,
-    stabilizer_bruteforce,
     transversal_subgroup,
     validate_params,
 )
@@ -68,12 +67,6 @@ def test_orbit_formula_matches_bruteforce_small(ctx_2112):
     assert via_formula == via_brute == 2
 
 
-def test_orbit_formula_with_supplied_stabilizer(ctx_2112):
-    gen = ctx_2112.unit_line(1)
-    stab = stabilizer_bruteforce(ctx_2112, gen)
-    assert min_distance_orbit(ctx_2112, gen, stab) == 2
-
-
 def test_orbit_formula_on_reduced_side(ctx_2122):
     # act on the reduced generator with the embedded transversal subgroup
     red = ctx_2122.reduction()
@@ -128,7 +121,7 @@ def test_classify_singleton(ctx_2122):
 def test_classify_mixed_dimensions(ctx_2122):
     red = ctx_2122.reduction()
     plane = red.reduce_line(ctx_2122.unit_line(1))
-    line = canonical_subspace(Matrix([plane.matrix.rows[0]]))
+    line = canonical_subspace(Matrix(plane.tower, plane.level, [plane.matrix.rows[0]]))
     report = classify(frozenset([plane, line]))
     assert report.verdict is Verdict.NOT_CONSTANT_DIMENSION
     assert not report.constant_dimension and report.dimension is None
