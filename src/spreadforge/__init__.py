@@ -55,6 +55,7 @@ from .verify import (
     classify,
     codes_equal,
     desarguesian_oracle,
+    min_distance,
     min_distance_bruteforce,
     min_distance_orbit,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "field_build",
     "group_element",
     "line_partition",
+    "min_distance",
     "min_distance_bruteforce",
     "min_distance_orbit",
     "orbit_code",

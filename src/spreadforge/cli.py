@@ -29,6 +29,7 @@ from .verify import (
     classify,
     codes_equal,
     desarguesian_oracle,
+    min_distance,
     min_distance_bruteforce,
     min_distance_orbit,
     orbit_min_distance,
@@ -177,7 +178,7 @@ def cmd_construct(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    distance = min_distance_bruteforce(spread, workers=workers)
+    distance = min_distance(spread, workers=workers)
     print(f"params {params} i={i} j={j}")
     print(f"orbit part: {len(orbit_part)}  completion part: {len(completion_part)}  "
           f"tail part: {len(tail_part)}")

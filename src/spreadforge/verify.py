@@ -4,6 +4,10 @@ Each predicate here is computed from first principles (pairwise ranks,
 vector coverage counts, full orbit enumeration) rather than through the
 formulas the construction itself uses, so agreement between the two paths
 is meaningful evidence.
+
+`min_distance` is the fast exact path: it ranks only the pairs of members
+that share a nonzero vector.  `classify` keeps the first-principles check,
+every pairwise rank plus the coverage count.
 """
 
 from __future__ import annotations
@@ -133,6 +137,37 @@ def min_distance_bruteforce(code: Iterable, workers: int = 1) -> int:
     subs = _members_as_subspaces(code)
     d = pairwise_min_distance(subs, workers)
     return 0 if d is None else d
+
+
+def min_distance(code: Iterable, workers: int = 1) -> int:
+    """Exact minimum subspace distance, ranking only pairs that share a vector.
+
+    Two k-dimensional members that share no nonzero vector meet in 0, so
+    their distance is 2k, and a pair that does share one is closer.  Each
+    member's nonzero vectors are bucketed, only pairs found in a common
+    bucket are ranked, and the result is the least of 2k and their
+    distances.  Mixed dimensions, or an ambient space past COVERAGE_GUARD,
+    fall back to `min_distance_bruteforce`; `workers` applies only there.
+    0 for a singleton.
+    """
+    subs = _members_as_subspaces(code)
+    if len(subs) < 2:
+        return 0
+    dims = {s.dim for s in subs}
+    q = subs[0].tower.cardinality(subs[0].level)
+    if len(dims) > 1 or q ** subs[0].ambient > COVERAGE_GUARD:
+        return min_distance_bruteforce(subs, workers)
+    holders: dict = {}
+    pairs: set = set()
+    for idx, s in enumerate(subs):
+        for v in s.nonzero_vectors():
+            earlier = holders.setdefault(v, [])
+            pairs.update((h, idx) for h in earlier)
+            earlier.append(idx)
+    best = 2 * dims.pop()
+    for i, j in pairs:
+        best = min(best, subspace_distance(subs[i], subs[j]))
+    return best
 
 
 # -- orbit-formula distance ------------------------------------------------------

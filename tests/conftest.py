@@ -10,6 +10,19 @@ from spreadforge import assemble_spread, build_group, validate_params
 PARAM_SETS = [(2, 1, 1, 2), (2, 1, 1, 3), (2, 1, 2, 2), (2, 2, 1, 2)]
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap module.<name> for the test; return the list of its call arguments."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def contexts():
     """pekt tuple -> built GroupContext, shared by the whole session."""

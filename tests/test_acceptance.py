@@ -217,8 +217,10 @@ def test_criterion_09_map_laws(ctx_2122):
     assert len(lines) == 85
     rng = random.Random(424242)
     card = tower.cardinality(2)
-    sampled = 0
+    sampled = draws = 0
     while sampled < 100:
+        draws += 1
+        assert draws <= 1000, "fewer than 100 full-rank matrices in 1000 random draws"
         m = Matrix(tower, 2, [[rng.randrange(card) for _ in range(4)] for _ in range(4)])
         if rank(m) < 4:
             continue

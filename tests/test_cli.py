@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from spreadforge import codecs
+from spreadforge import codecs, verify
 from spreadforge.cli import main
 from spreadforge.errors import InternalOrderCheckFailed
+
+from conftest import count_calls
 
 
 def _construct(tmp_path: Path, name: str, *extra) -> Path:
@@ -68,6 +70,22 @@ def test_construct_defaults(tmp_path):
     header, code = codecs.read_code((out / "spread.code").read_text())
     assert len(code) == 15
     assert (header.i, header.j) == (1, 3)
+
+
+def test_construct_distance_line_ranks_no_pair_of_a_spread(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, verify, "subspace_distance")
+    rc = main(["construct", "--p", "2", "--e", "1", "--k", "1", "--t", "5",
+               "--out", str(tmp_path / "run"), "--workers", "1"])
+    assert rc == 0
+    assert "spread: 1023 members, min distance 2\n" in capsys.readouterr().out
+    assert calls == []
+
+
+def test_construct_2142_spread(tmp_path, capsys):
+    rc = main(["construct", "--p", "2", "--e", "1", "--k", "4", "--t", "2",
+               "--out", str(tmp_path / "run"), "--workers", "1"])
+    assert rc == 0
+    assert "spread: 4369 members, min distance 8\n" in capsys.readouterr().out
 
 
 def test_construct_rejects_bad_index(tmp_path, capsys):

@@ -113,10 +113,11 @@ def test_embed_is_multiplicative_sampled(red_2122):
     card = tower.cardinality(2)
 
     def random_invertible():
-        while True:
+        for _ in range(1000):
             m = Matrix(tower, 2, [[rng.randrange(card) for _ in range(4)] for _ in range(4)])
             if rank(m) == 4:
                 return m
+        pytest.fail("no full-rank matrix in 1000 random draws")
 
     for _ in range(10):
         a, b = random_invertible(), random_invertible()
@@ -136,8 +137,10 @@ def test_equivariance_sampled(red_2122):
     lines = sorted(enumerate_lines(tower, 2, 4), key=lambda l: l.key())
     rng = random.Random(101)
     card = tower.cardinality(2)
-    tested = 0
+    tested = draws = 0
     while tested < 10:
+        draws += 1
+        assert draws <= 1000, "fewer than 10 full-rank matrices in 1000 random draws"
         m = Matrix(tower, 2, [[rng.randrange(card) for _ in range(4)] for _ in range(4)])
         if rank(m) < 4:
             continue

@@ -205,8 +205,10 @@ def test_matrix_inverse_roundtrip():
     rng = random.Random(3)
     ident = Matrix.identity(tower, 2, 3)
     card = tower.cardinality(2)
-    found = 0
+    found = draws = 0
     while found < 5:
+        draws += 1
+        assert draws <= 1000, "fewer than 5 full-rank matrices in 1000 random draws"
         m = Matrix(tower, 2, [[rng.randrange(card) for _ in range(3)] for _ in range(3)])
         if rank(m) < 3:
             continue

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
+from spreadforge import verify
 from spreadforge.construction import (
     orbit_code,
     scalar_subgroup,
@@ -12,20 +16,21 @@ from spreadforge.construction import (
     validate_params,
 )
 from spreadforge.errors import CodeTooSmall, KindMismatch, TrivialOrbit
-from spreadforge.gftower import FieldTower
-from spreadforge.subspaces import Matrix, canonical_subspace, enumerate_lines
+from spreadforge.gftower import FieldTower, field_build
+from spreadforge.subspaces import Matrix, canonical_subspace, enumerate_lines, rank
 from spreadforge.verify import (
     Verdict,
     classify,
     codes_equal,
     desarguesian_oracle,
+    min_distance,
     min_distance_bruteforce,
     min_distance_orbit,
     orbit_min_distance,
     pairwise_min_distance,
 )
 
-from conftest import PARAM_SETS
+from conftest import PARAM_SETS, count_calls
 
 
 # --- brute-force distance -----------------------------------------------------
@@ -55,6 +60,97 @@ def test_workers_agree_with_reference_path(spreads):
     code = list(spreads[(2, 1, 2, 2)])
     subs = sorted(code, key=lambda s: s.key())
     assert pairwise_min_distance(subs, workers=1) == pairwise_min_distance(subs, workers=2) == 4
+
+
+# --- bucketed distance against brute force ------------------------------------
+
+
+def _subspace(tower, level, rows):
+    return canonical_subspace(Matrix(tower, level, rows))
+
+
+def _random_code(tower, level, n, k, size, seed):
+    rng = random.Random(seed)
+    card = tower.cardinality(level)
+    code = set()
+    for _ in range(1000):
+        if len(code) == size:
+            return code
+        m = Matrix(tower, level, [[rng.randrange(card) for _ in range(n)] for _ in range(k)])
+        if rank(m) == k:
+            code.add(canonical_subspace(m))
+    pytest.fail(f"fewer than {size} distinct {k}-spaces in 1000 random draws")
+
+
+@pytest.mark.parametrize("pekt", PARAM_SETS)
+def test_bucketed_distance_on_spreads_and_components(contexts, spreads, pekt):
+    ctx = contexts[pekt]
+    for code in (spreads[pekt], *spread_components(ctx, 1, ctx.params.t + 1)):
+        assert min_distance(code) == min_distance_bruteforce(code)
+
+
+@pytest.mark.parametrize("pekt, level, n, k, size", [
+    ((2, 1, 1, 2), 0, 5, 2, 20),   # F_2
+    ((3, 1, 1, 2), 0, 4, 2, 12),   # F_3
+    ((2, 2, 1, 2), 1, 4, 2, 10),   # F_4
+    ((2, 1, 1, 2), 0, 6, 3, 16),   # F_2, k = 3
+])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bucketed_distance_on_colliding_random_codes(pekt, level, n, k, size, seed):
+    code = _random_code(field_build(*pekt), level, n, k, size, seed)
+    brute = min_distance_bruteforce(code)
+    assert brute < 2 * k  # some pair shares a vector
+    assert min_distance(code) == brute
+
+
+def test_bucketed_distance_when_every_pair_collides(monkeypatch):
+    # the seven planes of F_2^4 through e1 pairwise meet in exactly <e1>
+    tower = field_build(2, 1, 1, 2)
+    code = [_subspace(tower, 0, [[1, 0, 0, 0], [0, *u]])
+            for u in itertools.product(range(2), repeat=3) if any(u)]
+    calls = count_calls(monkeypatch, verify, "subspace_distance")
+    assert min_distance(code) == min_distance_bruteforce(code) == 2
+    assert len(calls) == 2 * 21  # 21 pairs, ranked once by each path
+
+
+def test_bucketed_distance_ranks_pairs_whose_shared_vectors_are_held_earlier():
+    # b and c share the plane <e1, e2>, but each of its three nonzero
+    # vectors first appears in a different earlier member
+    tower = field_build(2, 1, 1, 2)
+    rows = [
+        [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]],  # holds e1
+        [[0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]],  # holds e2
+        [[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, 1]],  # holds e1 + e2
+        [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],  # b
+        [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]],  # c
+    ]
+    code = [_subspace(tower, 0, r) for r in rows]
+    assert min_distance(code) == min_distance_bruteforce(code) == 2
+
+
+def test_bucketed_distance_falls_back_on_mixed_dimensions(ctx_2122, monkeypatch):
+    red = ctx_2122.reduction()
+    plane = red.reduce_line(ctx_2122.unit_line(1))
+    line = _subspace(plane.tower, plane.level, [plane.matrix.rows[0]])
+    other = red.reduce_line(ctx_2122.unit_line(2))
+    code = frozenset([plane, line, other])
+    reference = min_distance_bruteforce(code)
+    calls = count_calls(monkeypatch, verify, "min_distance_bruteforce")
+    assert min_distance(code) == reference == 1
+    assert len(calls) == 1
+
+
+def test_bucketed_distance_falls_back_past_the_coverage_guard(spreads, monkeypatch):
+    code = spreads[(2, 1, 1, 2)]  # the 15 points of F_2^4
+    reference = min_distance_bruteforce(code)
+    monkeypatch.setattr(verify, "COVERAGE_GUARD", 15)
+    calls = count_calls(monkeypatch, verify, "min_distance_bruteforce")
+    assert min_distance(code) == reference == 2
+    assert len(calls) == 1
+
+
+def test_bucketed_distance_of_a_singleton_is_zero(ctx_2112):
+    assert min_distance(frozenset([ctx_2112.unit_line(1)])) == 0
 
 
 # --- orbit-formula distance ------------------------------------------------------
