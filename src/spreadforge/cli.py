@@ -55,6 +55,15 @@ def _resolve_workers(flag: int | None) -> int:
     return os.cpu_count() or 1
 
 
+def _read_code_file(path: str):
+    """Parse a code file; on failure print one ``error:`` line and return None (exit 4)."""
+    try:
+        return codecs.read_code(Path(path).read_text(encoding="ascii"))
+    except (OSError, UnicodeDecodeError, CodecError) as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=int, required=True, help="prime characteristic")
     parser.add_argument("--e", type=int, required=True, help="degree of F_q over F_p")
@@ -197,11 +206,10 @@ _EXPECTED_VERDICT = {
 
 
 def cmd_verify(args) -> int:
-    try:
-        header, code = codecs.read_code(Path(args.infile).read_text(encoding="ascii"))
-    except (OSError, CodecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    loaded = _read_code_file(args.infile)
+    if loaded is None:
         return EXIT_IO
+    header, code = loaded
     report = classify(code, workers=_resolve_workers(args.workers))
     sys.stdout.write(codecs.report_text(report))
     expected = _EXPECTED_VERDICT.get(header.component)
@@ -239,12 +247,10 @@ def cmd_oracle(args) -> int:
 def cmd_compare(args) -> int:
     codes = []
     for name in (args.file_a, args.file_b):
-        try:
-            _, code = codecs.read_code(Path(name).read_text(encoding="ascii"))
-        except (OSError, CodecError) as exc:
-            print(f"error: {name}: {exc}", file=sys.stderr)
+        loaded = _read_code_file(name)
+        if loaded is None:
             return EXIT_IO
-        codes.append(code)
+        codes.append(loaded[1])
     try:
         equal = codes_equal(codes[0], codes[1])
     except SpreadforgeError as exc:
@@ -262,11 +268,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    try:
-        header, code = codecs.read_code(Path(args.infile).read_text(encoding="ascii"))
-    except (OSError, CodecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    loaded = _read_code_file(args.infile)
+    if loaded is None:
         return EXIT_IO
+    header, code = loaded
     if len(code) < 2:
         print("d_S = 0: singleton (or empty) code")
         return EXIT_USAGE

@@ -12,9 +12,7 @@ entry is one lookup in a per-level table of digit strings.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construction import CompletionChoice
 from .errors import (
@@ -35,9 +33,8 @@ KIND_SUBSPACES = "subspaces"
 COMPONENTS = ("Ci", "Ai", "Bj", "spread", "oracle", "external")
 
 
-@dataclass(frozen=True)
-class CodeHeader:
-    """Identity of a code file: parameters, kind, and provenance tags."""
+class _HeaderFields(NamedTuple):
+    """CodeHeader's fields (a NamedTuple may not define __new__, so the checks are below)."""
 
     p: int
     e: int
@@ -49,7 +46,14 @@ class CodeHeader:
     j: int | None = None
     bm: str | None = None
 
-    def __post_init__(self):
+
+class CodeHeader(_HeaderFields):
+    """Identity of a code file: parameters, kind, and provenance tags."""
+
+    __slots__ = ()  # no instance __dict__: like the fields, nothing can be assigned
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (KIND_LINES, KIND_SUBSPACES):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.component not in COMPONENTS:
@@ -64,6 +68,7 @@ class CodeHeader:
             raise ValueError(f"tag i={self.i} not in 1..{self.t}")
         if self.j is not None and not self.t + 1 <= self.j <= self.s:
             raise ValueError(f"tag j={self.j} not in {self.t + 1}..{self.s}")
+        return self
 
     @property
     def q(self) -> int:
@@ -88,6 +93,8 @@ class CodeHeader:
 
 def completion_fingerprint(choice: CompletionChoice) -> str:
     """Short stable digest of the chosen completion blocks."""
+    import hashlib  # here, not at the top: only construct pays for loading it
+
     text = "|".join(_matrix_record(block) for block in choice.blocks)
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
@@ -286,4 +293,6 @@ def report_text(report: VerificationReport) -> str:
 
 
 def report_json(report: VerificationReport) -> str:
+    import json  # here, not at the top: no command pays for loading it
+
     return json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"

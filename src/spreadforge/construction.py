@@ -20,7 +20,6 @@ them modulo the relevant element orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -59,8 +58,7 @@ GROUP_ENUM_GUARD = 1 << 20
 ORDER_CHECK_BOUND = 1 << 16
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(NamedTuple):
     """Validated construction parameters with all derived quantities."""
 
     p: int
@@ -383,8 +381,7 @@ def completion_block(ctx: GroupContext, m: int) -> Matrix:
     return -(ctx.c_powers[m % ctx.params.r] * ctx.mixing_denominator)
 
 
-@dataclass(frozen=True)
-class CompletionChoice:
+class CompletionChoice(NamedTuple):
     """A pair (i, j) plus the r chosen completion blocks B_1..B_r."""
 
     i: int

@@ -13,9 +13,7 @@ every pairwise rank plus the coverage count.
 from __future__ import annotations
 
 import enum
-import multiprocessing
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .construction import GroupContext, full_group
 from .errors import (
@@ -46,8 +44,7 @@ class Verdict(enum.Enum):
     NOT_CONSTANT_DIMENSION = "NotConstantDimension"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Everything classify() measured about one code."""
 
     cardinality: int
@@ -63,7 +60,7 @@ class VerificationReport:
     verdict: Verdict
 
     def as_dict(self) -> dict:
-        d = {f: getattr(self, f) for f in self.__dataclass_fields__}
+        d = self._asdict()
         d["verdict"] = self.verdict.value
         return d
 
@@ -126,6 +123,9 @@ def pairwise_min_distance(subs: Sequence[Subspace], workers: int = 1) -> int | N
     step = max(1, n // (workers * 4))
     for lo in range(0, n - 1, step):
         bands.append((lo, min(lo + step, n - 1)))
+    # Imported here: only a multi-worker run pays for loading multiprocessing.
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers, initializer=_pool_init, initargs=(list(subs),)) as pool:
         mins = pool.map(_row_band_min, bands)

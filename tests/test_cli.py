@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,6 +231,23 @@ def test_header_with_impossible_parameters_is_a_parse_failure(tmp_path, capsys, 
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "compare", "distance"])
+def test_non_ascii_code_file_exits_4_with_one_line(tmp_path, capsys, command):
+    good = _construct(tmp_path, "run") / "spread.code"
+    bad = tmp_path / "bad.code"
+    bad.write_bytes(good.read_bytes().replace(b"# kind=", b"# \xffkind=", 1))
+    argv = {
+        "verify": ["verify", "--in", str(bad)],
+        "compare": ["compare", str(good), str(bad)],
+        "distance": ["distance", "--in", str(bad)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # --- oracle / compare ---------------------------------------------------------------
 
 
@@ -312,6 +331,18 @@ def test_workers_flag_and_env_agree(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SPREADFORGE_WORKERS", "2")
     assert main(["verify", "--in", spread]) == 0
     assert capsys.readouterr().out == reference
+
+
+def test_cli_import_leaves_unused_stdlib_packages_unloaded():
+    # -S: no site-packages .pth file can load these first and mask a regression.
+    src = Path(__file__).resolve().parents[1] / "src"
+    unused = ("multiprocessing", "dataclasses", "inspect", "hashlib", "json")
+    snippet = (f"import sys; sys.path.insert(0, {str(src)!r}); import spreadforge.cli; "
+               f"print(*[m for m in {unused!r} if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-S", "-c", snippet],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
 
 
 def test_usage_error_exit_code():

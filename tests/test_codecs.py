@@ -8,7 +8,12 @@ import pytest
 
 from spreadforge import codecs
 from spreadforge.codecs import CodeHeader, read_code, write_code
-from spreadforge.construction import default_completion, orbit_code, spread_components
+from spreadforge.construction import (
+    default_completion,
+    orbit_code,
+    spread_components,
+    validate_params,
+)
 from spreadforge.errors import (
     DuplicateMember,
     MalformedHeader,
@@ -150,3 +155,60 @@ def test_report_serialization(spreads):
     assert blob["verdict"] == "Spread"
     assert blob["coverage_count"] == 15
     assert blob["min_distance"] == 2
+
+
+# -- record types: value semantics the serialized forms rest on -------------------------
+
+_REPORT_2112_SPREAD = (
+    "cardinality=15\nconstant_dimension=True\ndimension=1\nambient=4\nfield_order=2\n"
+    "min_distance=2\npairwise_trivial=True\ncoverage_count=15\nspread_bound=15\n"
+    "partial_spread_bound=15\nverdict=Spread\n"
+)
+_REPORT_2112_CI = (
+    "cardinality=9\nconstant_dimension=True\ndimension=1\nambient=4\nfield_order=2\n"
+    "min_distance=2\npairwise_trivial=True\ncoverage_count=9\nspread_bound=15\n"
+    "partial_spread_bound=15\nverdict=PartialSpread\n"
+)
+
+
+@pytest.mark.parametrize("part, expected", [("spread", _REPORT_2112_SPREAD),
+                                            ("Ci", _REPORT_2112_CI)])
+def test_report_text_and_json_are_pinned(ctx_2112, spreads, part, expected):
+    code = spreads[(2, 1, 1, 2)] if part == "spread" else spread_components(ctx_2112, 1, 3)[0]
+    report = classify(code)
+    assert codecs.report_text(report) == expected
+    blob = json.loads(codecs.report_json(report))
+    assert list(blob) == sorted(blob)
+    assert {key: str(value) for key, value in blob.items()} == dict(
+        line.split("=") for line in expected.splitlines())
+    assert blob["constant_dimension"] is True and blob["coverage_count"] == report.cardinality
+
+
+def test_code_params_str_and_repr():
+    params = validate_params(2, 1, 1, 2)
+    assert str(params) == "(p=2, e=1, k=1, t=2)"
+    assert repr(params) == ("CodeParams(p=2, e=1, k=1, t=2, q=2, qk=2, s=4, n=4, r=3, "
+                            "max_exponent=3, group_order=9)")
+
+
+def test_record_fields_cannot_be_assigned(ctx_2112, spreads):
+    for record, field in [
+        (validate_params(2, 1, 1, 2), "p"),
+        (default_completion(ctx_2112, 1, 3), "blocks"),
+        (classify(spreads[(2, 1, 1, 2)]), "verdict"),
+        (_spread_header((2, 1, 1, 2)), "kind"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_equal_headers_are_equal_and_hash_equal():
+    a = _spread_header((2, 1, 2, 2), bm="0123456789abcdef")
+    b = CodeHeader(p=2, e=1, k=2, t=2, kind="subspaces", component="spread",
+                   i=1, j=3, bm="0123456789abcdef")
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != _spread_header((2, 1, 2, 2), bm="fedcba9876543210")
+    assert CodeHeader(p=2, e=1, k=1, t=2, kind="lines", component="external").i is None
