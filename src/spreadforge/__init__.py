@@ -11,7 +11,6 @@ in :mod:`spreadforge.verify`.
 
 from .construction import (
     CodeParams,
-    CompletionChoice,
     GroupContext,
     GroupExponents,
     assemble_spread,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CodeParams",
-    "CompletionChoice",
     "FieldElement",
     "FieldTower",
     "GroupContext",

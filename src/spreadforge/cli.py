@@ -167,9 +167,8 @@ def cmd_construct(args) -> int:
         print(f"error: --j must be in {params.t + 1}..{params.s}", file=sys.stderr)
         return EXIT_USAGE
     ctx = build_group(params)
-    choice = default_completion(ctx, i, j)
-    bm = codecs.completion_fingerprint(choice)
-    orbit_part, completion_part, tail_part = spread_components(ctx, i, j, choice)
+    bm = codecs.completion_fingerprint(default_completion(ctx))
+    orbit_part, completion_part, tail_part = spread_components(ctx, i, j)
     spread = orbit_part | completion_part | tail_part
     workers = _resolve_workers(args.workers)
 

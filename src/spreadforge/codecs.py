@@ -12,16 +12,16 @@ entry is one lookup in a per-level table of digit strings.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .construction import CompletionChoice
 from .errors import (
     DuplicateMember,
+    FieldTooLarge,
     MalformedHeader,
     NonCanonicalMember,
     VersionUnsupported,
 )
-from .gftower import DIGIT_ALPHABET, FieldTower, field_build, is_prime
+from .gftower import DIGIT_ALPHABET, TABLE_GUARD, FieldTower, is_prime
 from .subspaces import Line, Matrix, Subspace, Vector, canonical_line, canonical_subspace
 from .verify import VerificationReport
 
@@ -88,14 +88,22 @@ class CodeHeader(_HeaderFields):
         return (qk**self.t - 1) // (qk - 1)
 
     def tower(self) -> FieldTower:
-        return field_build(self.p, self.e, self.k, self.t)
+        """The levels F_p, F_q, F_{q^k} that members live in; refused past TABLE_GUARD.
+
+        The degree-t level on top only drives the group construction, and its
+        modulus search, which grows with t, would be all the cost of a read.
+        """
+        qk = self.q**self.k
+        if qk > TABLE_GUARD:
+            raise FieldTooLarge(f"header field F_{{q^k}} has {qk} elements, guard is {TABLE_GUARD}")
+        return FieldTower(self.p, (self.e, self.k))
 
 
-def completion_fingerprint(choice: CompletionChoice) -> str:
-    """Short stable digest of the chosen completion blocks."""
+def completion_fingerprint(blocks: Sequence[Matrix]) -> str:
+    """Short stable digest of the completion blocks B_1..B_r."""
     import hashlib  # here, not at the top: only construct pays for loading it
 
-    text = "|".join(_matrix_record(block) for block in choice.blocks)
+    text = "|".join(_matrix_record(block) for block in blocks)
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 

@@ -13,6 +13,12 @@ alpha^a c^b runs through every nonzero element of the matrix field
 F_{q^kt} exactly once, so the blocks to avoid are all of that field but
 -c^m (alpha I - c)^{-1}, which is therefore the only completion block.
 
+All three parts are orbits, built by one routine: Ci of e_i under
+<h2^{q^k-1}> x <h1>, Bj of e_j under <h2^{q^k-1}>, and Ai of row i of
+(I | -(alpha I - c)^{-1}) under diag(c, c) = (h1 h2)^a, where
+a = 0 mod q^k - 1 and a = 1 mod r.  The closed-form blocks and the
+forbidden-set definition under them stay as Ai's reference.
+
 Exponents are 1-based in every public signature; internal lookups reduce
 them modulo the relevant element orders.
 """
@@ -47,6 +53,7 @@ from .subspaces import (
     LineCode,
     Matrix,
     SubspaceCode,
+    Vector,
     canonical_line,
     companion_matrix,
     vector_matrix,
@@ -325,6 +332,27 @@ def stabilizer_bruteforce(ctx: GroupContext, line: Line) -> frozenset[GroupExpon
     return frozenset(hits)
 
 
+def _orbit(ctx: GroupContext, start: Vector, walk: tuple[tuple[Matrix, int], ...]) -> LineCode:
+    """Lines of start * g_1^{a_1} * ... with a_x in 1..order_x, for (g_x, order_x) in walk.
+
+    The caller's group is the direct product of the cyclic groups it names,
+    and it acts on the start line with trivial stabilizer, so the orbit has
+    the product of the orders as its size; anything else is a bug.
+    """
+    rows = [start]
+    for step, order in walk:
+        walked = []
+        for row in rows:
+            for _ in range(order):
+                row = vector_matrix(row, step)
+                walked.append(row)
+        rows = walked
+    lines = frozenset(canonical_line(ctx.tower, 2, row) for row in rows)
+    if len(lines) != len(rows):
+        raise InternalError(f"orbit collapsed: {len(lines)} lines, expected {len(rows)}")
+    return lines
+
+
 def orbit_code(ctx: GroupContext, i: int) -> LineCode:
     """The orbit of the i-th unit line (i in 1..t) under the transversal subgroup.
 
@@ -335,16 +363,8 @@ def orbit_code(ctx: GroupContext, i: int) -> LineCode:
     params = ctx.params
     if not 1 <= i <= params.t:
         raise IndexOutOfRange(f"orbit index {i} not in 1..{params.t}")
-    lines = set()
-    for slow in ctx.h2_slow_powers():
-        row = slow.rows[i - 1]
-        for _ in range(params.max_exponent):
-            row = vector_matrix(row, ctx.h1)
-            lines.add(canonical_line(ctx.tower, 2, row))
-    expected = params.max_exponent * params.r
-    if len(lines) != expected:
-        raise InternalError(f"orbit collapsed: {len(lines)} lines, expected {expected}")
-    return frozenset(lines)
+    walk = ((ctx.h2_slow_powers()[0], params.r), (ctx.h1, params.max_exponent))
+    return _orbit(ctx, ctx.unit_line(i).generator, walk)
 
 
 # -- completion ----------------------------------------------------------------
@@ -381,48 +401,24 @@ def completion_block(ctx: GroupContext, m: int) -> Matrix:
     return -(ctx.c_powers[m % ctx.params.r] * ctx.mixing_denominator)
 
 
-class CompletionChoice(NamedTuple):
-    """A pair (i, j) plus the r chosen completion blocks B_1..B_r."""
-
-    i: int
-    j: int
-    blocks: tuple[Matrix, ...]
+def default_completion(ctx: GroupContext) -> tuple[Matrix, ...]:
+    """The r completion blocks B_1..B_r; their digest is the code files' `bm` tag."""
+    return tuple(completion_block(ctx, m) for m in range(1, ctx.params.r + 1))
 
 
-def default_completion(ctx: GroupContext, i: int, j: int) -> CompletionChoice:
-    """The deterministic completion: first valid block for every class index."""
+def completion_code(ctx: GroupContext, i: int) -> LineCode:
+    """The r lines spanned by the i-th rows of (c^m | B_m), m = 1..r.
+
+    They form the orbit of row i of (I | -(alpha I - c)^{-1}) under
+    diag(c, c) = (h1 h2)^a with a = 0 mod q^k - 1, a = 1 mod r: the
+    inverse commutes with c, so the m-th step lands on (c^m | B_m).
+    """
     params = ctx.params
     if not 1 <= i <= params.t:
         raise IndexOutOfRange(f"leading index {i} not in 1..{params.t}")
-    if not params.t + 1 <= j <= params.s:
-        raise IndexOutOfRange(f"tail index {j} not in {params.t + 1}..{params.s}")
-    blocks = tuple(completion_block(ctx, m) for m in range(1, params.r + 1))
-    return CompletionChoice(i=i, j=j, blocks=blocks)
-
-
-def validate_completion(ctx: GroupContext, choice: CompletionChoice) -> None:
-    """Raise if any chosen block collides with a forbidden mixing block."""
-    params = ctx.params
-    if len(choice.blocks) != params.r:
-        raise ValueError(f"expected {params.r} blocks, got {len(choice.blocks)}")
-    for m, block in enumerate(choice.blocks, start=1):
-        if block in forbidden_blocks(ctx, m):
-            raise ValueError(f"block for class {m} is forbidden")
-
-
-def completion_code(ctx: GroupContext, choice: CompletionChoice) -> LineCode:
-    """The r lines spanned by the i-th rows of (c^m | B_m), m = 1..r."""
-    params = ctx.params
-    if not 1 <= choice.i <= params.t:
-        raise IndexOutOfRange(f"leading index {choice.i} not in 1..{params.t}")
-    row = choice.i - 1
-    lines = set()
-    for m, block in enumerate(choice.blocks, start=1):
-        gen = ctx.c_powers[m % params.r].rows[row] + block.rows[row]
-        lines.add(canonical_line(ctx.tower, 2, gen))
-    if len(lines) != params.r:
-        raise InternalError("completion lines are not pairwise distinct")
-    return frozenset(lines)
+    start = ctx.unit_line(i).generator[:params.t] + (-ctx.mixing_denominator).rows[i - 1]
+    diag_c = Matrix.block([[ctx.c, ctx._zero_block], [ctx._zero_block, ctx.c]])
+    return _orbit(ctx, start, ((diag_c, params.r),))
 
 
 def tail_orbit(ctx: GroupContext, j: int) -> LineCode:
@@ -430,40 +426,29 @@ def tail_orbit(ctx: GroupContext, j: int) -> LineCode:
     params = ctx.params
     if not params.t + 1 <= j <= params.s:
         raise IndexOutOfRange(f"tail index {j} not in {params.t + 1}..{params.s}")
-    lines = {canonical_line(ctx.tower, 2, g.rows[j - 1]) for g in ctx.h2_slow_powers()}
-    if len(lines) != params.r:
-        raise InternalError("tail orbit is smaller than r; stabilizer not trivial")
-    return frozenset(lines)
+    return _orbit(ctx, ctx.unit_line(j).generator, ((ctx.h2_slow_powers()[0], params.r),))
 
 
 # -- assembly -------------------------------------------------------------------
 
 
-def line_partition(
-    ctx: GroupContext, i: int, j: int, choice: CompletionChoice | None = None
-) -> tuple[LineCode, LineCode, LineCode]:
+def line_partition(ctx: GroupContext, i: int, j: int) -> tuple[LineCode, LineCode, LineCode]:
     """The three line codes that partition the full line Grassmannian."""
-    if choice is None:
-        choice = default_completion(ctx, i, j)
-    elif (choice.i, choice.j) != (i, j):
-        raise ValueError(f"completion choice is for {(choice.i, choice.j)}, not {(i, j)}")
-    return orbit_code(ctx, i), completion_code(ctx, choice), tail_orbit(ctx, j)
+    return orbit_code(ctx, i), completion_code(ctx, i), tail_orbit(ctx, j)
 
 
 def spread_components(
-    ctx: GroupContext, i: int, j: int, choice: CompletionChoice | None = None
+    ctx: GroupContext, i: int, j: int
 ) -> tuple[SubspaceCode, SubspaceCode, SubspaceCode]:
     """Field reduction of the three partition parts, in the same order."""
-    parts = line_partition(ctx, i, j, choice)
+    parts = line_partition(ctx, i, j)
     red = ctx.reduction()
     return tuple(red.reduce_code(part) for part in parts)  # type: ignore[return-value]
 
 
-def assemble_spread(
-    ctx: GroupContext, i: int, j: int, choice: CompletionChoice | None = None
-) -> SubspaceCode:
+def assemble_spread(ctx: GroupContext, i: int, j: int) -> SubspaceCode:
     """The k-spread of F_q^n: union of the three reduced partition parts."""
-    reduced = spread_components(ctx, i, j, choice)
+    reduced = spread_components(ctx, i, j)
     spread = frozenset().union(*reduced)
     expected = (ctx.params.q**ctx.params.n - 1) // (ctx.params.qk - 1)
     if len(spread) != expected:

@@ -11,6 +11,7 @@ import pytest
 from spreadforge import codecs, verify
 from spreadforge.cli import main
 from spreadforge.errors import InternalOrderCheckFailed
+from spreadforge.gftower import TABLE_GUARD, FieldTower
 
 from conftest import count_calls
 
@@ -246,6 +247,53 @@ def test_non_ascii_code_file_exits_4_with_one_line(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _empty_code_file(tmp_path: Path, k: int, t: int) -> str:
+    header = codecs.CodeHeader(p=2, e=1, k=k, t=t, kind=codecs.KIND_SUBSPACES,
+                               component="spread", i=1, j=t + 1)
+    path = tmp_path / f"k{k}t{t}.code"
+    path.write_text(codecs.write_code(frozenset(), header), encoding="ascii")
+    return str(path)
+
+
+def test_header_t_starts_no_modulus_search_of_degree_t(tmp_path, capsys, monkeypatch):
+    # members live at levels 1 and 2; a degree-40 search over F_8 would spin for minutes
+    search = FieldTower._search_primitive_modulus
+    degrees = []
+
+    def bounded_search(self, level, degree, group_order):
+        degrees.append(degree)
+        if degree > 3:
+            raise AssertionError(f"modulus search of degree {degree}")
+        return search(self, level, degree, group_order)
+
+    monkeypatch.setattr(FieldTower, "_search_primitive_modulus", bounded_search)
+    path = _empty_code_file(tmp_path, 3, 40)
+    assert main(["verify", "--in", path]) == 2    # an empty code cannot be classified
+    assert main(["compare", path, path]) == 0
+    assert main(["distance", "--in", path]) == 2  # singleton (or empty) code
+    assert sorted(set(degrees)) == [1, 3]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "compare", "distance"])
+def test_header_field_past_the_table_guard_exits_2_before_any_search(
+        tmp_path, capsys, monkeypatch, command):
+    assert 2**21 > TABLE_GUARD
+    path = _empty_code_file(tmp_path, 21, 1)
+    searches = count_calls(monkeypatch, FieldTower, "_search_primitive_modulus")
+    argv = {
+        "verify": ["verify", "--in", path],
+        "compare": ["compare", path, path],
+        "distance": ["distance", "--in", path],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and searches == []
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "2097152 elements, guard is 1048576" in captured.err
 
 
 # --- oracle / compare ---------------------------------------------------------------

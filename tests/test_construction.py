@@ -9,7 +9,6 @@ import pytest
 
 import spreadforge.construction as construction
 from spreadforge.construction import (
-    CompletionChoice,
     assemble_spread,
     build_group,
     completion_block,
@@ -400,7 +399,7 @@ def test_completion_blocks_pinned_over_the_params_listing(capsys):
     assert len(rows) == 41 and rows == sorted(rows)
     text = "".join(
         f"{p},{e},{k},{t}:"
-        f"{completion_fingerprint(default_completion(build_group(validate_params(p, e, k, t)), 1, t + 1))}\n"
+        f"{completion_fingerprint(default_completion(build_group(validate_params(p, e, k, t))))}\n"
         for p, e, k, t in rows
     )
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
@@ -414,26 +413,54 @@ def test_completion_code_and_complement_identity(contexts, pekt):
     everything = enumerate_lines(ctx.tower, 2, params.s)
     for i in range(1, params.t + 1):
         orbit = orbit_code(ctx, i)
+        completion = completion_code(ctx, i)
         for j in range(params.t + 1, params.s + 1):
-            choice = default_completion(ctx, i, j)
-            completion = completion_code(ctx, choice)
             tail = tail_orbit(ctx, j)
             assert len(completion) == len(tail) == params.r
             assert completion == everything - orbit - tail
 
 
 def test_completion_choice_validation(ctx_2112):
-    choice = default_completion(ctx_2112, 1, 3)
-    construction.validate_completion(ctx_2112, choice)
-    bad = CompletionChoice(i=1, j=3, blocks=(choice.blocks[0],) * ctx_2112.params.r)
-    with pytest.raises(ValueError):
-        construction.validate_completion(ctx_2112, bad)
+    blocks = default_completion(ctx_2112)
+    assert len(blocks) == ctx_2112.params.r
+    for m, block in enumerate(blocks, start=1):
+        assert block == completion_block(ctx_2112, m)
+        assert block not in forbidden_blocks(ctx_2112, m)
+    for i in (0, 3, 9):
+        with pytest.raises(IndexOutOfRange):
+            completion_code(ctx_2112, i)
     with pytest.raises(IndexOutOfRange):
-        default_completion(ctx_2112, 0, 3)
-    with pytest.raises(IndexOutOfRange):
-        default_completion(ctx_2112, 1, 2)
-    with pytest.raises(IndexOutOfRange):
-        completion_code(ctx_2112, CompletionChoice(i=9, j=3, blocks=choice.blocks))
+        line_partition(ctx_2112, 1, 2)
+
+
+ORBIT_SETS = PARAM_SETS + [(3, 1, 1, 3), (5, 1, 1, 1), (3, 1, 2, 1)]
+
+
+@pytest.mark.parametrize("pekt", ORBIT_SETS)
+def test_completion_code_is_the_closed_form_rows(contexts, pekt):
+    # odd characteristics are where the sign of B_m = -c^m (alpha I - c)^{-1} shows
+    ctx = _context(contexts, pekt)
+    params = ctx.params
+    for i in range(1, params.t + 1):
+        reference = frozenset(
+            canonical_line(ctx.tower, 2, ctx.c_powers[m % params.r].rows[i - 1]
+                           + completion_block(ctx, m).rows[i - 1])
+            for m in range(1, params.r + 1)
+        )
+        assert len(reference) == params.r
+        assert completion_code(ctx, i) == reference
+
+
+@pytest.mark.parametrize("pekt", ORBIT_SETS)
+def test_diag_c_is_a_power_of_h1_h2(contexts, pekt):
+    # a = 0 mod q^k - 1 and a = 1 mod r, so (h1 h2)^a = diag(alpha^a c^a, alpha^a c^a) = diag(c, c)
+    ctx = _context(contexts, pekt)
+    params = ctx.params
+    qk1 = params.qk - 1
+    a = qk1 * pow(qk1, -1, params.r) % params.max_exponent or params.max_exponent
+    assert a % qk1 == 0 and a % params.r == 1 % params.r
+    zero = Matrix.zeros(ctx.tower, 2, params.t, params.t)
+    assert group_element(ctx, a, a) == Matrix.block([[ctx.c, zero], [zero, ctx.c]])
 
 
 def test_tail_orbit_is_all_zero_prefix_lines(ctx_2112):
@@ -472,12 +499,6 @@ def test_line_partition_small(ctx_2112):
         assert len(orbit) + len(completion) + len(tail) == 15
         assert orbit | completion | tail == everything
         assert not (orbit & completion or orbit & tail or completion & tail)
-
-
-def test_line_partition_rejects_mismatched_choice(ctx_2112):
-    choice = default_completion(ctx_2112, 1, 3)
-    with pytest.raises(ValueError):
-        line_partition(ctx_2112, 2, 3, choice)
 
 
 @pytest.mark.parametrize("pekt", PARAM_SETS)
