@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -30,7 +29,6 @@ from .verify import (
     codes_equal,
     desarguesian_oracle,
     min_distance,
-    min_distance_bruteforce,
     min_distance_orbit,
     orbit_min_distance,
 )
@@ -43,18 +41,6 @@ EXIT_IO = 4
 EXIT_VERIFY = 5
 
 
-def _resolve_workers(flag: int | None) -> int:
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get("SPREADFORGE_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return os.cpu_count() or 1
-
-
 def _read_code_file(path: str):
     """Parse a code file; on failure print one ``error:`` line and return None (exit 4)."""
     try:
@@ -62,6 +48,11 @@ def _read_code_file(path: str):
     except (OSError, UnicodeDecodeError, CodecError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None
+
+
+def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workers", type=int, default=None,
+                        help="accepted for older scripts; has no effect (every path is serial)")
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -87,11 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--i", type=int, default=None, help="leading unit index (default 1)")
     p_construct.add_argument("--j", type=int, default=None, help="tail unit index (default t+1)")
     p_construct.add_argument("--out", required=True, help="output directory")
-    p_construct.add_argument("--workers", type=int, default=None)
+    _add_workers_flag(p_construct)
 
     p_verify = sub.add_parser("verify", help="classify a code file and check its claim")
     p_verify.add_argument("--in", dest="infile", required=True)
-    p_verify.add_argument("--workers", type=int, default=None)
+    _add_workers_flag(p_verify)
 
     p_oracle = sub.add_parser("oracle", help="write the field-reduction spread directly")
     _add_param_flags(p_oracle)
@@ -105,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_distance.add_argument("--in", dest="infile", required=True)
     p_distance.add_argument("--orbit", action="store_true",
                             help="also evaluate the orbit formula and compare")
-    p_distance.add_argument("--workers", type=int, default=None)
+    _add_workers_flag(p_distance)
     p_distance.add_argument("--max-order", type=int, default=1 << 10,
                             help="largest q^kt - 1 for which --orbit will enumerate the group")
     return parser
@@ -170,7 +161,6 @@ def cmd_construct(args) -> int:
     bm = codecs.completion_fingerprint(default_completion(ctx))
     orbit_part, completion_part, tail_part = spread_components(ctx, i, j)
     spread = orbit_part | completion_part | tail_part
-    workers = _resolve_workers(args.workers)
 
     outputs = (
         ("ci.code", orbit_part, _component_header(params, "Ci", i=i)),
@@ -186,7 +176,7 @@ def cmd_construct(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    distance = min_distance(spread, workers=workers)
+    distance = min_distance(spread)
     print(f"params {params} i={i} j={j}")
     print(f"orbit part: {len(orbit_part)}  completion part: {len(completion_part)}  "
           f"tail part: {len(tail_part)}")
@@ -209,7 +199,7 @@ def cmd_verify(args) -> int:
     if loaded is None:
         return EXIT_IO
     header, code = loaded
-    report = classify(code, workers=_resolve_workers(args.workers))
+    report = classify(code)
     sys.stdout.write(codecs.report_text(report))
     expected = _EXPECTED_VERDICT.get(header.component)
     if expected is None:
@@ -274,9 +264,8 @@ def cmd_distance(args) -> int:
     if len(code) < 2:
         print("d_S = 0: singleton (or empty) code")
         return EXIT_USAGE
-    workers = _resolve_workers(args.workers)
-    brute = min_distance_bruteforce(code, workers=workers)
-    print(f"min distance (brute force): {brute}")
+    distance = min_distance(code)
+    print(f"min distance: {distance}")
     if not args.orbit:
         return EXIT_OK
     if header.component not in ("Ci", "Bj"):
@@ -294,7 +283,7 @@ def cmd_distance(args) -> int:
     else:
         line_distance = orbit_min_distance(ctx.unit_line(header.j), h2_subgroup(ctx))
     orbit_value = params.k * line_distance
-    agree = orbit_value == brute
+    agree = orbit_value == distance
     print(f"min distance (orbit formula): {orbit_value}")
     print(f"agreement: {'yes' if agree else 'NO'}")
     return EXIT_OK if agree else EXIT_VERIFY

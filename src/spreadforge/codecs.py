@@ -92,10 +92,13 @@ class CodeHeader(_HeaderFields):
 
         The degree-t level on top only drives the group construction, and its
         modulus search, which grows with t, would be all the cost of a read.
+        As p >= 2, ek past the guard's bit length is too large before q^k is computed.
         """
-        qk = self.q**self.k
-        if qk > TABLE_GUARD:
-            raise FieldTooLarge(f"header field F_{{q^k}} has {qk} elements, guard is {TABLE_GUARD}")
+        ek = self.e * self.k
+        if ek >= TABLE_GUARD.bit_length() or self.p**ek > TABLE_GUARD:
+            size = self.p**ek if ek <= 64 else f"{self.p}^{ek}"
+            raise FieldTooLarge(f"header field F_{{q^k}} with p={self.p}, e={self.e}, k={self.k} "
+                                f"has {size} elements, guard is {TABLE_GUARD}")
         return FieldTower(self.p, (self.e, self.k))
 
 
@@ -264,8 +267,13 @@ def read_code(text: str) -> tuple[CodeHeader, frozenset]:
         raise MalformedHeader(f"component {header.component!r} requires an 'i' tag")
     if header.component in ("Bj", "spread") and header.j is None:
         raise MalformedHeader(f"component {header.component!r} requires a 'j' tag")
+    tower = header.tower()  # bounds e and k before any derived key is computed
+    # r = 1 + q^k + ... + q^(k(t-1)) has more than (t-1)(bitlen(q^k)-1) bits, so a
+    # shorter declared r is refused before r, whose cost grows with t, is computed
+    r_bits = (header.t - 1) * (tower.cardinality(2).bit_length() - 1)
     for key in ("q", "s", "n", "r"):
-        if intfield(key) != getattr(header, key):
+        declared = intfield(key)
+        if (key == "r" and declared.bit_length() <= r_bits) or declared != getattr(header, key):
             raise MalformedHeader(
                 f"derived key {key}={fields[key]} inconsistent with parameters"
             )
@@ -275,7 +283,6 @@ def read_code(text: str) -> tuple[CodeHeader, frozenset]:
         raise MalformedHeader(
             f"line {body_start + len(body) + 1}: body has {len(body)} records, header says {members}"
         )
-    tower = header.tower()
     out = []
     seen: set[str] = set()
     prev: str | None = None

@@ -1,18 +1,20 @@
 """Independent checks for every claim the construction makes.
 
-Each predicate here is computed from first principles (pairwise ranks,
-vector coverage counts, full orbit enumeration) rather than through the
-formulas the construction itself uses, so agreement between the two paths
-is meaningful evidence.
+Each predicate here is computed from first principles (ranks, vector
+coverage counts, full orbit enumeration) rather than through the formulas
+the construction itself uses, so agreement between the two paths is
+meaningful evidence.
 
-`min_distance` is the fast exact path: it ranks only the pairs of members
-that share a nonzero vector.  `classify` keeps the first-principles check,
-every pairwise rank plus the coverage count.
+`min_distance` is the fast exact path: one pass over the members' nonzero
+vectors, then ranks of only the pairs that share one.  `classify` checks
+that pass against a certificate that the members are distinct lines over
+the next field of the tower or, where it does not hold, every pair's rank.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Iterable, NamedTuple, Sequence
 
 from .construction import GroupContext, full_group
@@ -27,9 +29,12 @@ from .gftower import FieldTower, field_build
 from .reduction import ReductionContext
 from .subspaces import (
     Line,
+    Matrix,
     Subspace,
     SubspaceCode,
+    companion_matrix,
     enumerate_lines,
+    rank,
     subspace_distance,
 )
 
@@ -87,76 +92,27 @@ def _members_as_subspaces(code: Iterable) -> list[Subspace]:
 
 # -- pairwise distance ---------------------------------------------------------
 
-_POOL_STATE: dict = {}
 
+def pairwise_min_distance(subs: Sequence[Subspace], _workers: int = 1) -> int | None:
+    """Minimum distance over all unordered pairs; None for fewer than 2 members.
 
-def _pool_init(subs: Sequence[Subspace]) -> None:
-    _POOL_STATE["subs"] = subs
-
-
-def _row_band_min(band: tuple[int, int]) -> int | None:
-    subs = _POOL_STATE["subs"]
-    lo, hi = band
-    best = None
-    for i in range(lo, hi):
-        for j in range(i + 1, len(subs)):
-            d = subspace_distance(subs[i], subs[j])
-            if best is None or d < best:
-                best = d
-    return best
-
-
-def pairwise_min_distance(subs: Sequence[Subspace], workers: int = 1) -> int | None:
-    """Minimum distance over all unordered pairs; None for fewer than 2 members."""
-    n = len(subs)
-    if n < 2:
-        return None
-    if workers <= 1 or n < 8:
-        best = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = subspace_distance(subs[i], subs[j])
-                if best is None or d < best:
-                    best = d
-        return best
-    bands = []
-    step = max(1, n // (workers * 4))
-    for lo in range(0, n - 1, step):
-        bands.append((lo, min(lo + step, n - 1)))
-    # Imported here: only a multi-worker run pays for loading multiprocessing.
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_pool_init, initargs=(list(subs),)) as pool:
-        mins = pool.map(_row_band_min, bands)
-    return min(m for m in mins if m is not None)
-
-
-def min_distance_bruteforce(code: Iterable, workers: int = 1) -> int:
-    """Minimum subspace distance over all unordered pairs; 0 for a singleton."""
-    subs = _members_as_subspaces(code)
-    d = pairwise_min_distance(subs, workers)
-    return 0 if d is None else d
-
-
-def min_distance(code: Iterable, workers: int = 1) -> int:
-    """Exact minimum subspace distance, ranking only pairs that share a vector.
-
-    Two k-dimensional members that share no nonzero vector meet in 0, so
-    their distance is 2k, and a pair that does share one is closer.  Each
-    member's nonzero vectors are bucketed, only pairs found in a common
-    bucket are ranked, and the result is the least of 2k and their
-    distances.  Mixed dimensions, or an ambient space past COVERAGE_GUARD,
-    fall back to `min_distance_bruteforce`; `workers` applies only there.
-    0 for a singleton.
+    The second argument is ignored; callers that pass a worker count keep working.
     """
-    subs = _members_as_subspaces(code)
-    if len(subs) < 2:
-        return 0
-    dims = {s.dim for s in subs}
-    q = subs[0].tower.cardinality(subs[0].level)
-    if len(dims) > 1 or q ** subs[0].ambient > COVERAGE_GUARD:
-        return min_distance_bruteforce(subs, workers)
+    pairs = itertools.combinations(subs, 2)
+    return min((subspace_distance(a, b) for a, b in pairs), default=None)
+
+
+def min_distance_bruteforce(code: Iterable) -> int:
+    """Minimum subspace distance over all unordered pairs; 0 for a singleton."""
+    return pairwise_min_distance(_members_as_subspaces(code)) or 0
+
+
+def _shared_vectors(subs: Sequence[Subspace]) -> tuple[int, set]:
+    """One pass over every member's nonzero vectors.
+
+    Returns the number of distinct nonzero vectors covered and the index
+    pairs (i, j), i < j, of members that share at least one of them.
+    """
     holders: dict = {}
     pairs: set = set()
     for idx, s in enumerate(subs):
@@ -164,10 +120,53 @@ def min_distance(code: Iterable, workers: int = 1) -> int:
             earlier = holders.setdefault(v, [])
             pairs.update((h, idx) for h in earlier)
             earlier.append(idx)
-    best = 2 * dims.pop()
-    for i, j in pairs:
-        best = min(best, subspace_distance(subs[i], subs[j]))
-    return best
+    return len(holders), pairs
+
+
+def _ranked_min(subs: Sequence[Subspace], pairs: Iterable, k: int) -> int:
+    """Minimum distance of k-spaces, given every pair that shares a nonzero vector.
+
+    Any other pair meets in 0, at distance 2k, and a sharing pair is closer.
+    """
+    return min((subspace_distance(subs[i], subs[j]) for i, j in pairs), default=2 * k)
+
+
+def min_distance(code: Iterable) -> int:
+    """Exact minimum subspace distance, ranking only pairs that share a vector.
+
+    Mixed dimensions, or an ambient space past COVERAGE_GUARD, fall back to
+    `min_distance_bruteforce`.  0 for a singleton.
+    """
+    subs = _members_as_subspaces(code)
+    if len(subs) < 2:
+        return 0
+    q = subs[0].tower.cardinality(subs[0].level)
+    if len({s.dim for s in subs}) > 1 or q ** subs[0].ambient > COVERAGE_GUARD:
+        return min_distance_bruteforce(subs)
+    return _ranked_min(subs, _shared_vectors(subs)[1], subs[0].dim)
+
+
+def _lines_over_next_level(subs: Sequence[Subspace]) -> bool:
+    """True when the members are distinct lines over the next field of the tower.
+
+    D, block-diagonal in the companion matrix of the degree-d step above the
+    members' level, spans a copy of F_{Q^d} acting on F_Q^n.  A d-space U
+    with rank [U; U D] = d is a line of F_{Q^d}^{n/d}, and distinct lines
+    meet only in 0 (Lavrauw and Van de Voorde, "Field reduction and linear
+    sets in finite geometry", Contemp. Math. 632, 2015).
+    """
+    first = subs[0]
+    tower, level, n = first.tower, first.level, first.ambient
+    if level + 1 >= tower.nlevels:
+        return False
+    d = tower.steps[level].degree
+    if n % d or any(s.dim != d for s in subs) or len(set(subs)) != len(subs):
+        return False
+    m = companion_matrix(tower, level, tower.step_modulus(level + 1))
+    zero, blocks = Matrix.zeros(tower, level, d, d), range(n // d)
+    diag = Matrix.block([[m if a == b else zero for b in blocks] for a in blocks])
+    return all(rank(Matrix(tower, level, s.matrix.rows + (s.matrix * diag).rows)) == d
+               for s in subs)
 
 
 # -- orbit-formula distance ------------------------------------------------------
@@ -202,46 +201,49 @@ def min_distance_orbit(ctx: GroupContext, generator: Line) -> int:
 # -- classification ---------------------------------------------------------------
 
 
-def classify(code: Iterable, workers: int = 1) -> VerificationReport:
+def _spread_bounds(q: int, ambient: int, k: int) -> tuple[int, int | None]:
+    """Partial-spread bound (q^n - q^m)/(q^k - 1), m = n mod k, and the spread size when k | n."""
+    m = ambient % k
+    partial = (q**ambient - q**m) // (q**k - 1)
+    return partial, (q**ambient - 1) // (q**k - 1) if m == 0 else None
+
+
+def classify(code: Iterable) -> VerificationReport:
     """Measure a code and decide Spread / PartialSpread / weaker verdicts.
 
-    The spread decision is triple-checked: pairwise distances, cardinality
-    against the spread bound, and (within the guard) an exhaustive count of
-    covered nonzero vectors.  Disagreement raises InternalError.
+    The minimum distance comes from the line certificate or, where it does
+    not hold, every pairwise rank; within COVERAGE_GUARD one vector pass
+    counts coverage and, for constant dimension, must give the same
+    distance.  The spread decision is checked against cardinality and
+    coverage too.  Any disagreement raises InternalError.
     """
     subs = _members_as_subspaces(code)
     if not subs:
         raise CodeTooSmall("cannot classify an empty code")
     ambient = subs[0].ambient
-    tower, level = subs[0].tower, subs[0].level
-    q = tower.cardinality(level)
+    q = subs[0].tower.cardinality(subs[0].level)
     cardinality = len(subs)
 
     dims = {s.dim for s in subs}
     constant = len(dims) == 1
     k = dims.pop() if constant else None
 
-    min_distance = min_distance_bruteforce(subs, workers) if cardinality >= 2 else 0
+    coverage = pairs = None
+    if q**ambient <= COVERAGE_GUARD:
+        coverage, pairs = _shared_vectors(subs)
+
+    min_distance = 0
+    if cardinality >= 2:
+        min_distance = 2 * k if _lines_over_next_level(subs) else pairwise_min_distance(subs)
+        if constant and pairs is not None and _ranked_min(subs, pairs, k) != min_distance:
+            raise InternalError("vector pass and independent distance path disagree")
     pairwise_trivial = constant and (cardinality < 2 or min_distance == 2 * k)
 
-    spread_bound = None
-    partial_bound = None
-    if constant:
-        m = ambient % k
-        partial_bound = (q**ambient - q**m) // (q**k - 1)
-        if m == 0:
-            spread_bound = (q**ambient - 1) // (q**k - 1)
-
-    coverage = None
-    if q**ambient <= COVERAGE_GUARD:
-        seen: set = set()
-        for s in subs:
-            seen.update(s.nonzero_vectors())
-        coverage = len(seen)
-        if constant:
-            collision_free = coverage == cardinality * (q**k - 1)
-            if collision_free != pairwise_trivial:
-                raise InternalError("coverage count and pairwise ranks disagree")
+    partial_bound, spread_bound = _spread_bounds(q, ambient, k) if constant else (None, None)
+    if constant and coverage is not None:
+        collision_free = coverage == cardinality * (q**k - 1)
+        if collision_free != pairwise_trivial:
+            raise InternalError("coverage count and pairwise ranks disagree")
 
     if not constant:
         verdict = Verdict.NOT_CONSTANT_DIMENSION

@@ -84,11 +84,15 @@ def test_construct_distance_line_ranks_no_pair_of_a_spread(tmp_path, capsys, mon
     assert calls == []
 
 
-def test_construct_2142_spread(tmp_path, capsys):
+def test_construct_2142_spread(tmp_path, capsys, monkeypatch):
     rc = main(["construct", "--p", "2", "--e", "1", "--k", "4", "--t", "2",
                "--out", str(tmp_path / "run"), "--workers", "1"])
     assert rc == 0
     assert "spread: 4369 members, min distance 8\n" in capsys.readouterr().out
+    calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
+    assert main(["verify", "--in", str(tmp_path / "run" / "spread.code"), "--workers", "1"]) == 0
+    assert "verdict=Spread\n" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_construct_rejects_bad_index(tmp_path, capsys):
@@ -296,6 +300,41 @@ def test_header_field_past_the_table_guard_exits_2_before_any_search(
     assert "2097152 elements, guard is 1048576" in captured.err
 
 
+def _huge_header_file(tmp_path: Path, p, e, k, t, q, r) -> str:
+    # written by hand: CodeHeader.r and write_code would compute the powers under test
+    keys = dict(p=p, e=e, k=k, t=t, q=q, s=2 * t, n=2 * k * t, r=r,
+                kind="subspaces", component="external", members=0)
+    path = tmp_path / "huge.code"
+    path.write_text("# spreadforge-code v1\n" + "".join(f"# {key}={value}\n"
+                                                       for key, value in keys.items()))
+    return str(path)
+
+
+@pytest.mark.parametrize("degrees, code, message", [
+    ((3, 1, 10**7, 1, 3, 1), 2, "p=3, e=1, k=10000000 has 3^10000000 elements"),
+    ((2, 10**7, 1, 1, 2, 1), 2, "p=2, e=10000000, k=1 has 2^10000000 elements"),
+    ((3, 1, 1, 10**7, 3, 1), 4, "derived key r=1 inconsistent"),
+], ids=["k", "e", "t"])
+@pytest.mark.parametrize("command", ["verify", "compare", "distance"])
+def test_huge_header_degree_is_refused_before_any_power_of_it(
+        tmp_path, capsys, monkeypatch, command, degrees, code, message):
+    def unbounded(self):
+        raise AssertionError("CodeHeader.r evaluated")
+
+    monkeypatch.setattr(codecs.CodeHeader, "r", property(unbounded))
+    path = _huge_header_file(tmp_path, *degrees)
+    assert len(Path(path).read_text().splitlines()) == 12
+    argv = {
+        "verify": ["verify", "--in", path],
+        "compare": ["compare", path, path],
+        "distance": ["distance", "--in", path],
+    }[command]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 # --- oracle / compare ---------------------------------------------------------------
 
 
@@ -331,7 +370,7 @@ def test_compare_missing_file_exits_4(tmp_path):
 def test_distance_of_spread(tmp_path, capsys):
     out = _construct(tmp_path, "run")
     assert main(["distance", "--in", str(out / "spread.code")]) == 0
-    assert "min distance (brute force): 4" in capsys.readouterr().out
+    assert "min distance: 4\n" in capsys.readouterr().out
 
 
 def test_distance_orbit_formula_agreement(tmp_path, capsys):
@@ -399,6 +438,21 @@ def test_usage_error_exit_code():
 
 
 # --- the full pipeline over the test matrix ----------------------------------------
+
+
+def test_pipeline_over_every_params_row_to_order_64(tmp_path, capsys):
+    assert main(["params", "--max-order", "64"]) == 0
+    rows = [line.split()[:4] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 41
+    for p, e, k, t in rows:
+        flags = ["--p", p, "--e", e, "--k", k, "--t", t]
+        out, oracle = tmp_path / f"run_{p}_{e}_{k}_{t}", tmp_path / f"oracle_{p}_{e}_{k}_{t}.code"
+        assert main(["construct", *flags, "--out", str(out)]) == 0
+        assert main(["verify", "--in", str(out / "spread.code")]) == 0
+        assert main(["oracle", *flags, "--out", str(oracle)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(out / "spread.code"), str(oracle)]) == 0
+        assert capsys.readouterr().out == "codes are equal\n"
 
 
 def test_pipeline_matrix_every_ij_choice(tmp_path):

@@ -9,15 +9,25 @@ import pytest
 
 from spreadforge import verify
 from spreadforge.construction import (
+    assemble_spread,
+    build_group,
     orbit_code,
     scalar_subgroup,
     spread_components,
     transversal_subgroup,
     validate_params,
 )
-from spreadforge.errors import CodeTooSmall, KindMismatch, TrivialOrbit
+from spreadforge.errors import CodeTooSmall, InternalError, KindMismatch, TrivialOrbit
 from spreadforge.gftower import FieldTower, field_build
-from spreadforge.subspaces import Matrix, canonical_subspace, enumerate_lines, rank
+from spreadforge.reduction import ReductionContext
+from spreadforge.subspaces import (
+    Line,
+    Matrix,
+    canonical_subspace,
+    enumerate_lines,
+    rank,
+    subspace_distance,
+)
 from spreadforge.verify import (
     Verdict,
     classify,
@@ -27,7 +37,6 @@ from spreadforge.verify import (
     min_distance_bruteforce,
     min_distance_orbit,
     orbit_min_distance,
-    pairwise_min_distance,
 )
 
 from conftest import PARAM_SETS, count_calls
@@ -54,12 +63,6 @@ def test_line_code_distance(ctx_2112):
 def test_singleton_distance_is_zero(ctx_2112):
     single = frozenset([ctx_2112.unit_line(1)])
     assert min_distance_bruteforce(single) == 0
-
-
-def test_workers_agree_with_reference_path(spreads):
-    code = list(spreads[(2, 1, 2, 2)])
-    subs = sorted(code, key=lambda s: s.key())
-    assert pairwise_min_distance(subs, workers=1) == pairwise_min_distance(subs, workers=2) == 4
 
 
 # --- bucketed distance against brute force ------------------------------------
@@ -264,6 +267,153 @@ def test_components_satisfy_partial_spread_bound(contexts, pekt):
         report = classify(part)
         assert report.cardinality <= bound
         assert report.pairwise_trivial
+
+
+# --- classification against a brute-force reference ----------------------------------
+
+
+def _reference_report(code):
+    """(verdict, min distance, pairwise trivial, coverage) from every pairwise rank."""
+    subs = [m.as_subspace() if isinstance(m, Line) else m for m in code]
+    q, n = subs[0].tower.cardinality(subs[0].level), subs[0].ambient
+    dists = [subspace_distance(a, b) for a, b in itertools.combinations(subs, 2)]
+    coverage = len({v for s in subs for v in s.nonzero_vectors()})
+    dims = {s.dim for s in subs}
+    if len(dims) > 1:
+        return Verdict.NOT_CONSTANT_DIMENSION, min(dists), False, coverage
+    k = dims.pop()
+    trivial = all(d == 2 * k for d in dists)
+    if trivial and n % k == 0 and len(subs) == (q**n - 1) // (q**k - 1):
+        verdict = Verdict.SPREAD
+    elif trivial and 2 <= len(subs) <= (q**n - q**(n % k)) // (q**k - 1):
+        verdict = Verdict.PARTIAL_SPREAD
+    else:
+        verdict = Verdict.CONSTANT_DIMENSION
+    return verdict, min(dists, default=0), trivial, coverage
+
+
+def _report_tuple(report):
+    return report.verdict, report.min_distance, report.pairwise_trivial, report.coverage_count
+
+
+@pytest.fixture(scope="module")
+def certified_codes(contexts):
+    """Spread and Ci, Ai, Bj at PARAM_SETS, (3,1,1,3) and (3,1,2,1), by parameter set."""
+    ctxs = dict(contexts)
+    for pekt in ((3, 1, 1, 3), (3, 1, 2, 1)):
+        ctxs[pekt] = build_group(validate_params(*pekt))
+    return {
+        pekt: [assemble_spread(ctx, 1, ctx.params.t + 1),
+               *spread_components(ctx, 1, ctx.params.t + 1)]
+        for pekt, ctx in ctxs.items()
+    }
+
+
+@pytest.mark.parametrize("pekt", [*PARAM_SETS, (3, 1, 1, 3), (3, 1, 2, 1)])
+def test_classify_matches_reference_and_ranks_no_pair(certified_codes, monkeypatch, pekt):
+    for code in certified_codes[pekt]:
+        reference = _reference_report(code)
+        calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
+        assert _report_tuple(classify(code)) == reference
+        assert calls == []
+
+
+def _field_lines(tower, s, size, seed):
+    """A seeded sample of the reduced lines of F_{q^2}^s: members the certificate accepts."""
+    lines = sorted(enumerate_lines(tower, 2, s), key=lambda line: line.generator)
+    spread = ReductionContext(tower).reduce_code(random.Random(seed).sample(lines, size))
+    return list(spread)
+
+
+def _collision_free_code(tower, n, k, size, seed):
+    """Seeded random k-spaces of F^n at level 1, pairwise meeting in 0."""
+    rng = random.Random(seed)
+    card = tower.cardinality(1)
+    code, seen = [], set()
+    for _ in range(1000):
+        if len(code) == size:
+            return code
+        m = Matrix(tower, 1, [[rng.randrange(card) for _ in range(n)] for _ in range(k)])
+        if rank(m) == k:
+            sub = canonical_subspace(m)
+            vectors = set(sub.nonzero_vectors())
+            if not vectors & seen:
+                code.append(sub)
+                seen |= vectors
+    pytest.fail(f"fewer than {size} pairwise disjoint {k}-spaces in 1000 random draws")
+
+
+# level 1 of these towers is F_q under a degree-2 step: the certificate is tried on 2-spaces
+CERTIFICATE_TOWERS = [((2, 1, 2, 2), 8, 20), ((3, 1, 2, 1), 4, 6)]
+
+
+@pytest.mark.parametrize("pekt, n, size", CERTIFICATE_TOWERS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_classify_matches_reference_on_random_codes(monkeypatch, pekt, n, size, seed):
+    tower = field_build(*pekt)
+    colliding = list(_random_code(tower, 1, n, 2, size, seed))
+    disjoint = _collision_free_code(tower, n, 2, size // 2, seed)
+    certified = _field_lines(tower, n // 2, size // 2, seed)
+    mixed = certified[1:] + colliding[:1]
+    for code in (colliding, disjoint, certified, mixed):
+        assert _report_tuple(classify(code)) == _reference_report(code)
+    assert _reference_report(colliding)[1] < 4  # some pair shares a vector
+    assert _reference_report(disjoint)[2]
+    calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
+    classify(certified)
+    assert calls == []
+
+
+def test_classify_list_with_a_repeated_member(spreads):
+    code = sorted(spreads[(2, 1, 2, 2)], key=lambda s: s.key())
+    code.append(code[0])
+    report = classify(code)
+    assert _report_tuple(report) == _reference_report(code)
+    assert report.verdict is Verdict.CONSTANT_DIMENSION and report.min_distance == 0
+    assert report.cardinality == 86
+
+
+def test_classify_spread_with_one_member_swapped(spreads):
+    spread = spreads[(2, 1, 2, 2)]
+    tower = next(iter(spread)).tower
+    outsider = next(s for s in _random_code(tower, 1, 8, 2, 20, 7) if s not in spread)
+    code = sorted(spread, key=lambda s: s.key())[1:] + [outsider]
+    report = classify(code)
+    assert _report_tuple(report) == _reference_report(code)
+    assert report.verdict is Verdict.CONSTANT_DIMENSION and report.min_distance < 4
+
+
+# --- classification: every InternalError branch, by fault injection ---------------------
+
+
+def _colliding_code():
+    return list(_random_code(field_build(2, 1, 2, 2), 1, 8, 2, 20, 1))
+
+
+def test_classify_raises_when_the_certificate_is_wrong(monkeypatch):
+    monkeypatch.setattr(verify, "_lines_over_next_level", lambda subs: True)
+    with pytest.raises(InternalError, match="vector pass and independent distance path"):
+        classify(_colliding_code())
+
+
+def test_classify_raises_when_the_brute_force_path_is_wrong(monkeypatch):
+    monkeypatch.setattr(verify, "pairwise_min_distance", lambda subs: 4)
+    with pytest.raises(InternalError, match="vector pass and independent distance path"):
+        classify(_colliding_code())
+
+
+def test_classify_raises_when_ranks_contradict_the_coverage_count(monkeypatch):
+    # both distance paths rank through subspace_distance, so they agree on the lie
+    monkeypatch.setattr(verify, "subspace_distance", lambda u, v: u.dim + v.dim)
+    with pytest.raises(InternalError, match="coverage count and pairwise ranks"):
+        classify(_colliding_code())
+
+
+def test_classify_raises_when_the_spread_bound_contradicts_coverage(ctx_2122, monkeypatch):
+    reduced_orbit, _, _ = spread_components(ctx_2122, 1, 3)
+    monkeypatch.setattr(verify, "_spread_bounds", lambda q, n, k: (85, len(reduced_orbit)))
+    with pytest.raises(InternalError, match="coverage-based and rank-based spread tests"):
+        classify(reduced_orbit)
 
 
 # --- oracles -----------------------------------------------------------------------------
