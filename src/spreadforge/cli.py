@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import codecs
 from .construction import (
+    GROUP_ENUM_GUARD,
     CodeParams,
     build_group,
     default_completion,
@@ -97,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_distance.add_argument("--orbit", action="store_true",
                             help="also evaluate the orbit formula and compare")
     _add_workers_flag(p_distance)
-    p_distance.add_argument("--max-order", type=int, default=1 << 10,
-                            help="largest q^kt - 1 for which --orbit will enumerate the group")
     return parser
 
 
@@ -273,9 +272,9 @@ def cmd_distance(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     params = validate_params(header.p, header.e, header.k, header.t)
-    if params.max_exponent > args.max_order:
-        print(f"error: q^kt - 1 = {params.max_exponent} exceeds --max-order {args.max_order}",
-              file=sys.stderr)
+    if params.group_order > GROUP_ENUM_GUARD:
+        print(f"error: --orbit refused: the group has (q^kt - 1)^2 = {params.group_order} "
+              f"elements, GROUP_ENUM_GUARD is {GROUP_ENUM_GUARD}", file=sys.stderr)
         return EXIT_USAGE
     ctx = build_group(params)
     if header.component == "Ci":

@@ -16,12 +16,11 @@ from typing import NamedTuple, Sequence
 
 from .errors import (
     DuplicateMember,
-    FieldTooLarge,
     MalformedHeader,
     NonCanonicalMember,
     VersionUnsupported,
 )
-from .gftower import DIGIT_ALPHABET, TABLE_GUARD, FieldTower, is_prime
+from .gftower import DIGIT_ALPHABET, FieldTower, check_field_size, is_prime
 from .subspaces import Line, Matrix, Subspace, Vector, canonical_line, canonical_subspace
 from .verify import VerificationReport
 
@@ -92,13 +91,8 @@ class CodeHeader(_HeaderFields):
 
         The degree-t level on top only drives the group construction, and its
         modulus search, which grows with t, would be all the cost of a read.
-        As p >= 2, ek past the guard's bit length is too large before q^k is computed.
         """
-        ek = self.e * self.k
-        if ek >= TABLE_GUARD.bit_length() or self.p**ek > TABLE_GUARD:
-            size = self.p**ek if ek <= 64 else f"{self.p}^{ek}"
-            raise FieldTooLarge(f"header field F_{{q^k}} with p={self.p}, e={self.e}, k={self.k} "
-                                f"has {size} elements, guard is {TABLE_GUARD}")
+        check_field_size(self.p, self.e, self.k)
         return FieldTower(self.p, (self.e, self.k))
 
 

@@ -30,6 +30,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import (
     CharacteristicTooLarge,
+    DegreeOutOfRange,
     ExponentOutOfRange,
     GcdConditionViolated,
     GroupTooLarge,
@@ -93,7 +94,7 @@ def validate_params(p: int, e: int, k: int, t: int) -> CodeParams:
             f"characteristic {p} exceeds the {len(DIGIT_ALPHABET)}-symbol digit alphabet"
         )
     if min(e, k, t) < 1:
-        raise ValueError(f"degrees must be >= 1, got e={e}, k={k}, t={t}")
+        raise DegreeOutOfRange(f"degrees must be >= 1, got e={e}, k={k}, t={t}")
     q = p**e
     qk = q**k
     if qk**t == 2:
@@ -135,6 +136,7 @@ class GroupContext:
         alpha_ident = ident.scale(self.alpha)
         self.h1 = Matrix.block([[self.c, ident], [zero, alpha_ident]])
         self.h2 = Matrix.block([[alpha_ident, -ident], [zero, self.c]])
+        self.h2_step = self.h2 ** (qk - 1)  # generates the order-r subgroup
 
         cp = [ident]
         for _ in range(r - 1):
@@ -151,20 +153,9 @@ class GroupContext:
 
         self._zero_block = zero
         self._identity_s = Matrix.identity(tower, 2, params.s)
-        self._h2_slow: tuple[Matrix, ...] | None = None
         self._reduction: ReductionContext | None = None
 
     # -- lazy caches --------------------------------------------------------
-
-    def h2_slow_powers(self) -> tuple[Matrix, ...]:
-        """h2^{(q^k-1) l} for l = 1..r; the last entry is the identity."""
-        if self._h2_slow is None:
-            step = self.h2 ** (self.params.qk - 1)
-            pows = [step]
-            for _ in range(self.params.r - 1):
-                pows.append(pows[-1] * step)
-            self._h2_slow = tuple(pows)
-        return self._h2_slow
 
     def reduction(self) -> ReductionContext:
         if self._reduction is None:
@@ -280,8 +271,11 @@ def scalar_subgroup(ctx: GroupContext) -> tuple[Matrix, ...]:
 
 
 def h2_subgroup(ctx: GroupContext) -> tuple[Matrix, ...]:
-    """The order-r subgroup generated by h2^{q^k-1}."""
-    return ctx.h2_slow_powers()
+    """The order-r subgroup generated by h2^{q^k-1}: its powers 1..r, the last the identity."""
+    pows = [ctx.h2_step]
+    for _ in range(ctx.params.r - 1):
+        pows.append(pows[-1] * ctx.h2_step)
+    return tuple(pows)
 
 
 def transversal_subgroup(ctx: GroupContext) -> tuple[Matrix, ...]:
@@ -290,7 +284,7 @@ def transversal_subgroup(ctx: GroupContext) -> tuple[Matrix, ...]:
     if size > GROUP_ENUM_GUARD:
         raise GroupTooLarge(f"transversal has {size} elements, guard is {GROUP_ENUM_GUARD}")
     out = []
-    for slow in ctx.h2_slow_powers():
+    for slow in h2_subgroup(ctx):
         cur = slow
         for _ in range(ctx.params.max_exponent):
             cur = cur * ctx.h1
@@ -363,7 +357,7 @@ def orbit_code(ctx: GroupContext, i: int) -> LineCode:
     params = ctx.params
     if not 1 <= i <= params.t:
         raise IndexOutOfRange(f"orbit index {i} not in 1..{params.t}")
-    walk = ((ctx.h2_slow_powers()[0], params.r), (ctx.h1, params.max_exponent))
+    walk = ((ctx.h2_step, params.r), (ctx.h1, params.max_exponent))
     return _orbit(ctx, ctx.unit_line(i).generator, walk)
 
 
@@ -426,7 +420,7 @@ def tail_orbit(ctx: GroupContext, j: int) -> LineCode:
     params = ctx.params
     if not params.t + 1 <= j <= params.s:
         raise IndexOutOfRange(f"tail index {j} not in {params.t + 1}..{params.s}")
-    return _orbit(ctx, ctx.unit_line(j).generator, ((ctx.h2_slow_powers()[0], params.r),))
+    return _orbit(ctx, ctx.unit_line(j).generator, ((ctx.h2_step, params.r),))
 
 
 # -- assembly -------------------------------------------------------------------

@@ -19,6 +19,10 @@ class CharacteristicTooLarge(SpreadforgeError, ValueError):
     """p exceeds the 36-symbol digit alphabet, so no code file could be written."""
 
 
+class DegreeOutOfRange(SpreadforgeError, ValueError):
+    """An extension degree e, k or t is below 1."""
+
+
 class FieldTooLarge(SpreadforgeError, ValueError):
     """A level would have more elements than its arithmetic tables may hold."""
 

@@ -27,6 +27,7 @@ import math
 from typing import Iterator, Sequence
 
 from .errors import (
+    DegreeOutOfRange,
     DivisionByZero,
     FieldTooLarge,
     LevelMismatch,
@@ -83,7 +84,7 @@ def coprime_transfer_holds(ell: int, q: int) -> tuple[bool, bool]:
     return left, right
 
 
-def _to_digits(index: int, base: int, length: int) -> tuple[int, ...]:
+def to_digits(index: int, base: int, length: int) -> tuple[int, ...]:
     """Little-endian base-`base` digits of `index`, exactly `length` of them."""
     out = []
     for _ in range(length):
@@ -155,12 +156,12 @@ class FieldElement:
         if self.level == 0:
             raise LevelMismatch("level-0 elements have no coefficient vector")
         tower, below = self.tower, self.level - 1
-        digits = _to_digits(self.raw, tower.cardinality(below), tower.steps[below].degree)
+        digits = to_digits(self.raw, tower.cardinality(below), tower.steps[below].degree)
         return tuple(FieldElement(tower, below, c) for c in digits)
 
     def digits(self) -> tuple[int, ...]:
         """Flat little-endian base-p digit vector (level-major)."""
-        return _to_digits(self.raw, self.tower.p, self.tower.digit_length(self.level))
+        return to_digits(self.raw, self.tower.p, self.tower.digit_length(self.level))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -229,7 +230,7 @@ class FieldTower:
         if not is_prime(p):
             raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if any(d < 1 for d in degrees):
-            raise ValueError(f"extension degrees must be >= 1, got {tuple(degrees)}")
+            raise DegreeOutOfRange(f"extension degrees must be >= 1, got {tuple(degrees)}")
         if moduli is None:
             moduli = [None] * len(degrees)
         self.p = p
@@ -277,7 +278,7 @@ class FieldTower:
         parts = [f"p={self.p}"]
         for idx, step in enumerate(self.steps):
             coeffs = ",".join(
-                "".join(DIGIT_ALPHABET[d] for d in _to_digits(c, self.p, self._spans[idx]))
+                "".join(DIGIT_ALPHABET[d] for d in to_digits(c, self.p, self._spans[idx]))
                 for c in step.modulus
             )
             parts.append(f"step={step.degree}:{coeffs}")
@@ -489,6 +490,20 @@ class FieldTower:
         return prod[:degree]
 
 
+def check_field_size(p: int, e: int, k: int) -> None:
+    """Refuse F_{q^k}, q = p^e, past TABLE_GUARD; call it before any modulus search.
+
+    The search for the degree-k modulus grows with q^k, so an oversized field
+    would spin there long before its tables are refused.  As p >= 2, ek past
+    the guard's bit length is too large before q^k is computed.
+    """
+    ek = e * k
+    if ek >= TABLE_GUARD.bit_length() or p**ek > TABLE_GUARD:
+        size = p**ek if ek <= 64 else f"{p}^{ek}"
+        raise FieldTooLarge(f"field F_{{q^k}} with p={p}, e={e}, k={k} "
+                            f"has {size} elements, guard is {TABLE_GUARD}")
+
+
 def field_build(p: int, e: int, k: int, t: int) -> FieldTower:
     """Build the four-level tower for parameters (p, e, k, t).
 
@@ -496,6 +511,7 @@ def field_build(p: int, e: int, k: int, t: int) -> FieldTower:
     The level-3 step exists to fix the degree-t modulus whose companion
     matrix drives the group construction.
     """
+    check_field_size(p, e, k)
     return FieldTower(p, (e, k, t))
 
 

@@ -1,62 +1,49 @@
 """Field reduction: representing the big field by matrices over the small one.
 
 Three maps share one context.  `matrix_rep` realizes F_{q^k} as k x k
-matrices over F_q through the companion matrix of the tower's middle step;
-`reduce_line` turns a line of F_{q^k}^s into a k-dimensional subspace of
-F_q^n (n = ks); `embed_matrix` blows an invertible s x s matrix over
-F_{q^k} up to an invertible n x n matrix over F_q, block by block.  The
-two group actions commute with these maps, which is what lets orbit codes
-be computed on whichever side is cheaper.  Field elements are canonical
-indexes (ints): the base-q digits of a middle-field index are its
-coefficients over F_q.
+matrices over F_q: row l of the matrix of u is the base-q digits of
+alpha^l * u, the coordinates of alpha^l * u over the basis 1, alpha, ...,
+alpha^{k-1}.  `reduce_line` turns a line <g> of F_{q^k}^s into the
+k-dimensional subspace of F_q^n (n = ks) spanned by alpha^l g for l < k
+(Lavrauw and Van de Voorde, "Field reduction and linear sets in finite
+geometry", Contemp. Math. 632, 2015).  A canonical generator starts with
+a 1, whose block is I_k with zero blocks to its left, so the reduced
+matrix is already in reduced row echelon form and needs no elimination.
+`embed_matrix` blows an invertible s x s matrix over F_{q^k} up to an
+invertible n x n matrix over F_q, block by block.  The two group actions
+commute with these maps, which is what lets orbit codes be computed on
+whichever side is cheaper.  Field elements are canonical indexes (ints).
 """
 
 from __future__ import annotations
 
 from .errors import InternalError, LevelMismatch, SingularInput
-from .gftower import FieldTower
-from .subspaces import (
-    Line,
-    LineCode,
-    Matrix,
-    Subspace,
-    SubspaceCode,
-    canonical_subspace,
-    companion_matrix,
-    rank,
-)
+from .gftower import FieldTower, to_digits
+from .subspaces import Line, LineCode, Matrix, Subspace, SubspaceCode, rank
 
 
 class ReductionContext:
-    """Caches the companion matrix of the F_q -> F_{q^k} step and its powers."""
+    """Holds k, q and the indexes of alpha^0 .. alpha^{k-1} in F_{q^k}."""
 
     def __init__(self, tower: FieldTower):
         self.tower = tower
         self.k = tower.steps[1].degree
-        self.qk = tower.cardinality(2)
-        self.m_k = companion_matrix(tower, 1, tower.step_modulus(2))
-        pows = [Matrix.identity(tower, 1, self.k)]
-        for _ in range(self.qk - 2):
-            pows.append(pows[-1] * self.m_k)
-        self.mk_powers = tuple(pows)
-        self._zero_block = Matrix.zeros(tower, 1, self.k, self.k)
+        self.q = tower.cardinality(1)
+        alpha = tower.index_of(tower.alpha(2))
+        self.alpha_powers = tuple(tower.pow(2, alpha, ell) for ell in range(self.k))
 
     def matrix_rep(self, u: int) -> Matrix:
         """k x k matrix over F_q acting as multiplication by the F_{q^k} element of index u."""
-        q = self.tower.cardinality(1)
-        out = self._zero_block
-        for power in self.mk_powers[:self.k]:
-            u, b = divmod(u, q)
-            if b:
-                out = out + power.scale(b)
-        return out
+        mul, q, k = self.tower.mul, self.q, self.k
+        return Matrix(self.tower, 1, [to_digits(mul(2, a, u), q, k) for a in self.alpha_powers])
 
     def reduce_line(self, line: Line) -> Subspace:
         """Field reduction of a line: a k-dimensional subspace of F_q^{ks}."""
         if line.level != 2 or not line.tower.compatible_at(self.tower, 2):
             raise LevelMismatch("reduce_line expects a line over the middle field")
-        blocks = [self.matrix_rep(u) for u in line.generator]
-        return canonical_subspace(Matrix.block([blocks]))
+        # the generator's leading 1 puts I_k in its block with zeros to its left,
+        # so the matrix is already its own RREF
+        return Subspace(Matrix.block([[self.matrix_rep(u) for u in line.generator]]))
 
     def embed_matrix(self, a: Matrix) -> Matrix:
         """Blockwise image of an invertible matrix over F_{q^k} in GL(n, F_q)."""

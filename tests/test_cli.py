@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from spreadforge import codecs, verify
+from spreadforge import cli, codecs, verify
 from spreadforge.cli import main
 from spreadforge.errors import InternalOrderCheckFailed
 from spreadforge.gftower import TABLE_GUARD, FieldTower
+from spreadforge.subspaces import Matrix, canonical_subspace
 
 from conftest import count_calls
 
@@ -261,8 +262,8 @@ def _empty_code_file(tmp_path: Path, k: int, t: int) -> str:
     return str(path)
 
 
-def test_header_t_starts_no_modulus_search_of_degree_t(tmp_path, capsys, monkeypatch):
-    # members live at levels 1 and 2; a degree-40 search over F_8 would spin for minutes
+def _searched_degrees(monkeypatch) -> list[int]:
+    """Record the degree of every modulus search; one past 3 fails the test."""
     search = FieldTower._search_primitive_modulus
     degrees = []
 
@@ -273,6 +274,12 @@ def test_header_t_starts_no_modulus_search_of_degree_t(tmp_path, capsys, monkeyp
         return search(self, level, degree, group_order)
 
     monkeypatch.setattr(FieldTower, "_search_primitive_modulus", bounded_search)
+    return degrees
+
+
+def test_header_t_starts_no_modulus_search_of_degree_t(tmp_path, capsys, monkeypatch):
+    # members live at levels 1 and 2; a degree-40 search over F_8 would spin for minutes
+    degrees = _searched_degrees(monkeypatch)
     path = _empty_code_file(tmp_path, 3, 40)
     assert main(["verify", "--in", path]) == 2    # an empty code cannot be classified
     assert main(["compare", path, path]) == 0
@@ -298,6 +305,26 @@ def test_header_field_past_the_table_guard_exits_2_before_any_search(
     assert captured.out == "" and searches == []
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "2097152 elements, guard is 1048576" in captured.err
+
+
+@pytest.mark.parametrize("command", ["construct", "oracle"])
+@pytest.mark.parametrize("degrees, message", [
+    (("1", "30", "1"), "error: field F_{q^k} with p=2, e=1, k=30 has 1073741824 elements, "
+                       "guard is 1048576"),
+    (("0", "1", "2"), "error: degrees must be >= 1, got e=0, k=1, t=2"),
+    (("1", "-1", "2"), "error: degrees must be >= 1, got e=1, k=-1, t=2"),
+    (("1", "1", "0"), "error: degrees must be >= 1, got e=1, k=1, t=0"),
+], ids=["k30", "e0", "k-1", "t0"])
+def test_bad_degrees_and_oversized_fields_exit_2_before_any_search(
+        tmp_path, capsys, monkeypatch, command, degrees, message):
+    searched = _searched_degrees(monkeypatch)
+    e, k, t = degrees
+    flags = ["--p", "2", "--e", e, "--k", k, "--t", t]
+    out = str(tmp_path / ("run" if command == "construct" else "oracle.code"))
+    assert main([command, *flags, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+    assert searched == []
 
 
 def _huge_header_file(tmp_path: Path, p, e, k, t, q, r) -> str:
@@ -397,11 +424,30 @@ def test_distance_singleton_exits_2(tmp_path, capsys, ctx_2112):
     assert "d_S = 0" in capsys.readouterr().out
 
 
-def test_distance_orbit_respects_max_order(tmp_path, capsys):
-    out = _construct(tmp_path, "run")
-    rc = main(["distance", "--in", str(out / "ci.code"), "--orbit", "--max-order", "4"])
-    assert rc == 2
-    assert "max-order" in capsys.readouterr().err
+def test_distance_orbit_refused_past_the_group_guard(tmp_path, capsys, monkeypatch):
+    # (2,1,1,11): (q^kt - 1)^2 = 2047^2 > GROUP_ENUM_GUARD = 2^20, and building
+    # the group would start a degree-11 modulus search
+    def no_group(*args):
+        raise AssertionError("build_group called")
+
+    monkeypatch.setattr(cli, "build_group", no_group)
+    searched = _searched_degrees(monkeypatch)
+    tower = FieldTower(2, (1, 1))
+    members = frozenset(
+        canonical_subspace(Matrix(tower, 1, [[int(col == row) for col in range(22)]]))
+        for row in (0, 1)
+    )
+    for component, tag in (("Ci", {"i": 1}), ("Bj", {"j": 12})):
+        header = codecs.CodeHeader(p=2, e=1, k=1, t=11, kind=codecs.KIND_SUBSPACES,
+                                   component=component, **tag)
+        path = tmp_path / f"{component}.code"
+        path.write_text(codecs.write_code(members, header), encoding="ascii")
+        assert main(["distance", "--in", str(path), "--orbit"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "min distance: 2\n"
+        assert captured.err == ("error: --orbit refused: the group has (q^kt - 1)^2 = 4190209 "
+                                "elements, GROUP_ENUM_GUARD is 1048576\n")
+    assert max(searched) <= 1
 
 
 # --- workers ---------------------------------------------------------------------------

@@ -13,10 +13,15 @@ from spreadforge.reduction import ReductionContext
 from spreadforge.subspaces import (
     Matrix,
     canonical_line,
+    canonical_subspace,
+    companion_matrix,
     enumerate_lines,
     rank,
+    rref,
     subspace_distance,
 )
+
+from conftest import PARAM_SETS
 
 
 @pytest.fixture(scope="module")
@@ -35,15 +40,55 @@ def test_rep_of_zero_and_one(red_2122):
     assert red_2122.matrix_rep(1) == Matrix.identity(tower, 1, 2)
 
 
+def _companion(tower):
+    """Companion matrix of the F_q -> F_{q^k} step: the reference for matrix_rep."""
+    return companion_matrix(tower, 1, tower.step_modulus(2))
+
+
 def test_rep_of_generator_is_companion(red_2122):
     tower = red_2122.tower
-    assert red_2122.matrix_rep(tower.index_of(tower.alpha(2))) == red_2122.m_k
+    assert red_2122.matrix_rep(tower.index_of(tower.alpha(2))) == _companion(tower)
 
 
 def test_rep_of_square(red_2122):
     tower = red_2122.tower
     alpha = tower.index_of(tower.alpha(2))
-    assert red_2122.matrix_rep(tower.mul(2, alpha, alpha)) == red_2122.m_k**2
+    assert red_2122.matrix_rep(tower.mul(2, alpha, alpha)) == _companion(tower)**2
+
+
+# (3,1,2,1) has odd q; (2,2,2,2) has q = 4 and k = 2; (2,1,4,2) has k = 4
+_REDUCTION_TOWERS = PARAM_SETS + [(3, 1, 2, 1), (2, 2, 2, 2), (2, 1, 4, 2)]
+
+
+def _reference_reps(tower):
+    """Index u -> sum_j b_j M^j, with b_j the base-q digits of u and M the companion matrix."""
+    q, k = tower.cardinality(1), tower.steps[1].degree
+    powers = [Matrix.identity(tower, 1, k)]
+    for _ in range(k - 1):
+        powers.append(powers[-1] * _companion(tower))
+    reps = {}
+    for u in range(tower.cardinality(2)):
+        acc, rest = Matrix.zeros(tower, 1, k, k), u
+        for power in powers:
+            rest, b = divmod(rest, q)
+            acc = acc + power.scale(b)
+        reps[u] = acc
+    return reps
+
+
+@pytest.mark.parametrize("pekt", _REDUCTION_TOWERS)
+def test_matrix_rep_and_reduce_line_match_the_companion_reference(pekt):
+    tower = field_build(*pekt)
+    red = ReductionContext(tower)
+    reps = _reference_reps(tower)
+    for u, expected in reps.items():
+        assert red.matrix_rep(u) == expected
+    lines = enumerate_lines(tower, 2, 2 * pekt[3])
+    assert len(lines) <= 5000  # every line is checked, so keep the towers this small
+    for line in lines:
+        m = red.reduce_line(line).matrix
+        assert rref(m)[0] == m
+        assert m == canonical_subspace(Matrix.block([[reps[u] for u in line.generator]])).matrix
 
 
 @pytest.mark.parametrize("pekt", [(2, 1, 2, 2), (2, 2, 1, 2)])
@@ -96,9 +141,8 @@ def test_embed_identity_and_scalar(ctx_2122, red_2122):
     scalar = Matrix.identity(tower, 2, s).scale(tower.index_of(tower.alpha(2)))
     embedded = red_2122.embed_matrix(scalar)
     z = Matrix.zeros(tower, 1, 2, 2)
-    expected = Matrix.block(
-        [[red_2122.m_k if i == j else z for j in range(s)] for i in range(s)]
-    )
+    m_k = _companion(tower)
+    expected = Matrix.block([[m_k if i == j else z for j in range(s)] for i in range(s)])
     assert embedded == expected
 
 
