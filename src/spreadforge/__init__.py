@@ -37,7 +37,6 @@ from .gftower import (
 )
 from .reduction import ReductionContext
 from .subspaces import (
-    Line,
     Matrix,
     Subspace,
     canonical_line,
@@ -56,7 +55,6 @@ from .verify import (
     desarguesian_oracle,
     min_distance,
     min_distance_bruteforce,
-    min_distance_orbit,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +65,6 @@ __all__ = [
     "FieldTower",
     "GroupContext",
     "GroupExponents",
-    "Line",
     "Matrix",
     "ReductionContext",
     "Subspace",
@@ -93,7 +90,6 @@ __all__ = [
     "line_partition",
     "min_distance",
     "min_distance_bruteforce",
-    "min_distance_orbit",
     "orbit_code",
     "rank",
     "rref",

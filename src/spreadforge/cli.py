@@ -18,8 +18,10 @@ from .construction import (
     CodeParams,
     build_group,
     default_completion,
+    full_group,
     h2_subgroup,
     spread_components,
+    spread_union,
     validate_params,
 )
 from .errors import CodecError, GcdConditionViolated, InternalError, SpreadforgeError
@@ -30,7 +32,6 @@ from .verify import (
     codes_equal,
     desarguesian_oracle,
     min_distance,
-    min_distance_orbit,
     orbit_min_distance,
 )
 
@@ -158,8 +159,9 @@ def cmd_construct(args) -> int:
         return EXIT_USAGE
     ctx = build_group(params)
     bm = codecs.completion_fingerprint(default_completion(ctx))
-    orbit_part, completion_part, tail_part = spread_components(ctx, i, j)
-    spread = orbit_part | completion_part | tail_part
+    parts = spread_components(ctx, i, j)
+    spread = spread_union(params, parts)
+    orbit_part, completion_part, tail_part = parts
 
     outputs = (
         ("ci.code", orbit_part, _component_header(params, "Ci", i=i)),
@@ -278,7 +280,8 @@ def cmd_distance(args) -> int:
         return EXIT_USAGE
     ctx = build_group(params)
     if header.component == "Ci":
-        line_distance = min_distance_orbit(ctx, ctx.unit_line(header.i))
+        line_distance = orbit_min_distance(ctx.unit_line(header.i),
+                                           (g for _, g in full_group(ctx)))
     else:
         line_distance = orbit_min_distance(ctx.unit_line(header.j), h2_subgroup(ctx))
     orbit_value = params.k * line_distance

@@ -21,7 +21,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .gftower import DIGIT_ALPHABET, FieldTower, check_field_size, is_prime
-from .subspaces import Line, Matrix, Subspace, Vector, canonical_line, canonical_subspace
+from .subspaces import Matrix, Subspace, Vector, canonical_subspace
 from .verify import VerificationReport
 
 FORMAT_NAME = "spreadforge-code"
@@ -118,22 +118,21 @@ def _digit_strings(tower: FieldTower, level: int) -> tuple[tuple[str, ...], dict
     return strings, {text: index for index, text in enumerate(strings)}
 
 
-def _row_record(tower: FieldTower, level: int, row: Vector) -> str:
-    strings = _digit_strings(tower, level)[0]
-    return "".join(strings[a] for a in row)
-
-
 def _matrix_record(m: Matrix) -> str:
-    return ";".join(_row_record(m.tower, m.level, row) for row in m.rows)
+    strings = _digit_strings(m.tower, m.level)[0]
+    return ";".join("".join(strings[a] for a in row) for row in m.rows)
 
 
-def member_record(member) -> str:
-    """Canonical one-line text form of a Line or Subspace."""
-    if isinstance(member, Line):
-        return _row_record(member.tower, member.level, member.generator)
-    if isinstance(member, Subspace):
-        return _matrix_record(member.matrix)
-    raise TypeError(f"cannot serialize {type(member).__name__}")
+def member_record(member: Subspace) -> str:
+    """Canonical one-line text form of a member (a line's record is its one row)."""
+    return _matrix_record(member.matrix)
+
+
+def _member_shape(header: CodeHeader) -> tuple[int, int, int]:
+    """(level, rows, width) of every member of a file of this kind."""
+    if header.kind == KIND_LINES:
+        return 2, 1, header.s
+    return 1, header.k, header.n
 
 
 def _parse_row(tower: FieldTower, level: int, width: int, text: str, lineno: int) -> Vector:
@@ -152,23 +151,12 @@ def _parse_row(tower: FieldTower, level: int, width: int, text: str, lineno: int
     return tuple(entries)
 
 
-def _parse_member(header: CodeHeader, tower: FieldTower, text: str, lineno: int):
-    if header.kind == KIND_LINES:
-        if ";" in text:
-            raise MalformedHeader(f"line {lineno}: line records must be a single row")
-        gen = _parse_row(tower, 2, header.s, text, lineno)
-        try:
-            line = canonical_line(tower, 2, gen)
-        except Exception as exc:
-            raise NonCanonicalMember(f"line {lineno}: {exc}") from exc
-        if line.generator != gen:
-            raise NonCanonicalMember(f"line {lineno}: generator is not normalized")
-        return line
+def _parse_member(header: CodeHeader, tower: FieldTower, text: str, lineno: int) -> Subspace:
+    level, nrows, width = _member_shape(header)
     rows = text.split(";")
-    if len(rows) != header.k:
-        raise MalformedHeader(f"line {lineno}: expected {header.k} rows, found {len(rows)}")
-    parsed = [_parse_row(tower, 1, header.n, row, lineno) for row in rows]
-    matrix = Matrix(tower, 1, parsed)
+    if len(rows) != nrows:
+        raise MalformedHeader(f"line {lineno}: expected {nrows} rows, found {len(rows)}")
+    matrix = Matrix(tower, level, [_parse_row(tower, level, width, row, lineno) for row in rows])
     try:
         sub = canonical_subspace(matrix)
     except Exception as exc:
@@ -183,9 +171,9 @@ def _parse_member(header: CodeHeader, tower: FieldTower, text: str, lineno: int)
 
 def write_code(code, header: CodeHeader) -> str:
     """Serialize a code to its unique text form."""
+    level, nrows, width = _member_shape(header)
     for member in code:
-        is_line = isinstance(member, Line)
-        if is_line != (header.kind == KIND_LINES):
+        if (member.level, member.dim, member.ambient) != (level, nrows, width):
             raise ValueError(f"member kind does not match header kind {header.kind!r}")
         break
     records = sorted(member_record(m) for m in code)

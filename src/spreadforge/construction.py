@@ -50,9 +50,8 @@ from .gftower import (
 )
 from .reduction import ReductionContext
 from .subspaces import (
-    Line,
-    LineCode,
     Matrix,
+    Subspace,
     SubspaceCode,
     Vector,
     canonical_line,
@@ -164,11 +163,11 @@ class GroupContext:
 
     # -- small helpers ------------------------------------------------------
 
-    def unit_line(self, i: int) -> Line:
-        """The canonical line spanned by the i-th unit vector, i in 1..s."""
+    def unit_line(self, i: int) -> Subspace:
+        """The line spanned by the i-th unit vector, i in 1..s."""
         if not 1 <= i <= self.params.s:
             raise IndexOutOfRange(f"unit index {i} not in 1..{self.params.s}")
-        return Line(self.tower, 2, tuple(int(j == i - 1) for j in range(self.params.s)))
+        return Subspace(Matrix(self.tower, 2, [[int(j == i - 1) for j in range(self.params.s)]]))
 
     def _check_exponent(self, x: int, name: str) -> None:
         if not 1 <= x <= self.params.max_exponent:
@@ -309,13 +308,13 @@ def full_group(ctx: GroupContext) -> Iterator[tuple[GroupExponents, Matrix]]:
 # -- stabilizers and orbit codes ----------------------------------------------
 
 
-def stabilizer_bruteforce(ctx: GroupContext, line: Line) -> frozenset[GroupExponents]:
+def stabilizer_bruteforce(ctx: GroupContext, line: Subspace) -> frozenset[GroupExponents]:
     """All (a, b) whose group element fixes the line, by full enumeration."""
     n = ctx.params.max_exponent
     if n * n > GROUP_ENUM_GUARD:
         raise GroupTooLarge(f"group has {n * n} elements, guard is {GROUP_ENUM_GUARD}")
     hits = []
-    va = line.generator
+    va = line.matrix.rows[0]
     for a in range(1, n + 1):
         va = vector_matrix(va, ctx.h1)
         vab = va
@@ -326,7 +325,7 @@ def stabilizer_bruteforce(ctx: GroupContext, line: Line) -> frozenset[GroupExpon
     return frozenset(hits)
 
 
-def _orbit(ctx: GroupContext, start: Vector, walk: tuple[tuple[Matrix, int], ...]) -> LineCode:
+def _orbit(ctx: GroupContext, start: Vector, walk: tuple[tuple[Matrix, int], ...]) -> SubspaceCode:
     """Lines of start * g_1^{a_1} * ... with a_x in 1..order_x, for (g_x, order_x) in walk.
 
     The caller's group is the direct product of the cyclic groups it names,
@@ -347,7 +346,7 @@ def _orbit(ctx: GroupContext, start: Vector, walk: tuple[tuple[Matrix, int], ...
     return lines
 
 
-def orbit_code(ctx: GroupContext, i: int) -> LineCode:
+def orbit_code(ctx: GroupContext, i: int) -> SubspaceCode:
     """The orbit of the i-th unit line (i in 1..t) under the transversal subgroup.
 
     The result has exactly (q^kt - 1)^2 / (q^k - 1) distinct lines; the
@@ -358,7 +357,7 @@ def orbit_code(ctx: GroupContext, i: int) -> LineCode:
     if not 1 <= i <= params.t:
         raise IndexOutOfRange(f"orbit index {i} not in 1..{params.t}")
     walk = ((ctx.h2_step, params.r), (ctx.h1, params.max_exponent))
-    return _orbit(ctx, ctx.unit_line(i).generator, walk)
+    return _orbit(ctx, ctx.unit_line(i).matrix.rows[0], walk)
 
 
 # -- completion ----------------------------------------------------------------
@@ -400,7 +399,7 @@ def default_completion(ctx: GroupContext) -> tuple[Matrix, ...]:
     return tuple(completion_block(ctx, m) for m in range(1, ctx.params.r + 1))
 
 
-def completion_code(ctx: GroupContext, i: int) -> LineCode:
+def completion_code(ctx: GroupContext, i: int) -> SubspaceCode:
     """The r lines spanned by the i-th rows of (c^m | B_m), m = 1..r.
 
     They form the orbit of row i of (I | -(alpha I - c)^{-1}) under
@@ -410,23 +409,25 @@ def completion_code(ctx: GroupContext, i: int) -> LineCode:
     params = ctx.params
     if not 1 <= i <= params.t:
         raise IndexOutOfRange(f"leading index {i} not in 1..{params.t}")
-    start = ctx.unit_line(i).generator[:params.t] + (-ctx.mixing_denominator).rows[i - 1]
+    start = ctx.unit_line(i).matrix.rows[0][:params.t] + (-ctx.mixing_denominator).rows[i - 1]
     diag_c = Matrix.block([[ctx.c, ctx._zero_block], [ctx._zero_block, ctx.c]])
     return _orbit(ctx, start, ((diag_c, params.r),))
 
 
-def tail_orbit(ctx: GroupContext, j: int) -> LineCode:
+def tail_orbit(ctx: GroupContext, j: int) -> SubspaceCode:
     """Orbit of the j-th unit line (j in t+1..s) under the order-r h2 subgroup."""
     params = ctx.params
     if not params.t + 1 <= j <= params.s:
         raise IndexOutOfRange(f"tail index {j} not in {params.t + 1}..{params.s}")
-    return _orbit(ctx, ctx.unit_line(j).generator, ((ctx.h2_step, params.r),))
+    return _orbit(ctx, ctx.unit_line(j).matrix.rows[0], ((ctx.h2_step, params.r),))
 
 
 # -- assembly -------------------------------------------------------------------
 
 
-def line_partition(ctx: GroupContext, i: int, j: int) -> tuple[LineCode, LineCode, LineCode]:
+def line_partition(
+    ctx: GroupContext, i: int, j: int
+) -> tuple[SubspaceCode, SubspaceCode, SubspaceCode]:
     """The three line codes that partition the full line Grassmannian."""
     return orbit_code(ctx, i), completion_code(ctx, i), tail_orbit(ctx, j)
 
@@ -440,11 +441,15 @@ def spread_components(
     return tuple(red.reduce_code(part) for part in parts)  # type: ignore[return-value]
 
 
-def assemble_spread(ctx: GroupContext, i: int, j: int) -> SubspaceCode:
-    """The k-spread of F_q^n: union of the three reduced partition parts."""
-    reduced = spread_components(ctx, i, j)
-    spread = frozenset().union(*reduced)
-    expected = (ctx.params.q**ctx.params.n - 1) // (ctx.params.qk - 1)
+def spread_union(params: CodeParams, parts: tuple[SubspaceCode, ...]) -> SubspaceCode:
+    """The union of the reduced partition parts, which must have a spread's size."""
+    spread = frozenset().union(*parts)
+    expected = (params.q**params.n - 1) // (params.qk - 1)
     if len(spread) != expected:
         raise InternalError(f"spread has {len(spread)} members, expected {expected}")
     return spread
+
+
+def assemble_spread(ctx: GroupContext, i: int, j: int) -> SubspaceCode:
+    """The k-spread of F_q^n: union of the three reduced partition parts."""
+    return spread_union(ctx.params, spread_components(ctx, i, j))

@@ -46,7 +46,7 @@ class NonMonicModulus(SpreadforgeError, ValueError):
 
 
 class AmbientMismatch(SpreadforgeError, ValueError):
-    """Subspaces or lines from different ambient spaces were combined."""
+    """Subspaces from different ambient spaces were combined."""
 
 
 class ZeroVector(SpreadforgeError, ValueError):
@@ -98,7 +98,7 @@ class TrivialOrbit(SpreadforgeError, ValueError):
 
 
 class KindMismatch(SpreadforgeError, ValueError):
-    """Codes of different kinds (lines vs subspaces) were compared."""
+    """Codes whose members differ in level or ambient dimension were compared."""
 
 
 # --- serialization -----------------------------------------------------------

@@ -490,18 +490,20 @@ class FieldTower:
         return prod[:degree]
 
 
+def _check_size(p: int, degree: int, name: str) -> None:
+    # as p >= 2, a degree past the guard's bit length is too large before p^degree is computed
+    if degree >= TABLE_GUARD.bit_length() or p**degree > TABLE_GUARD:
+        size = p**degree if degree <= 64 else f"{p}^{degree}"
+        raise FieldTooLarge(f"field {name} has {size} elements, guard is {TABLE_GUARD}")
+
+
 def check_field_size(p: int, e: int, k: int) -> None:
     """Refuse F_{q^k}, q = p^e, past TABLE_GUARD; call it before any modulus search.
 
     The search for the degree-k modulus grows with q^k, so an oversized field
-    would spin there long before its tables are refused.  As p >= 2, ek past
-    the guard's bit length is too large before q^k is computed.
+    would spin there long before its tables are refused.
     """
-    ek = e * k
-    if ek >= TABLE_GUARD.bit_length() or p**ek > TABLE_GUARD:
-        size = p**ek if ek <= 64 else f"{p}^{ek}"
-        raise FieldTooLarge(f"field F_{{q^k}} with p={p}, e={e}, k={k} "
-                            f"has {size} elements, guard is {TABLE_GUARD}")
+    _check_size(p, e * k, f"F_{{q^k}} with p={p}, e={e}, k={k}")
 
 
 def field_build(p: int, e: int, k: int, t: int) -> FieldTower:
@@ -509,9 +511,11 @@ def field_build(p: int, e: int, k: int, t: int) -> FieldTower:
 
     Levels: 0 = F_p, 1 = F_q with q = p^e, 2 = F_{q^k}, 3 = F_{q^kt}.
     The level-3 step exists to fix the degree-t modulus whose companion
-    matrix drives the group construction.
+    matrix drives the group construction.  Its search grows with q^kt too,
+    so F_{q^kt} is refused past TABLE_GUARD, after F_{q^k}, before any search.
     """
     check_field_size(p, e, k)
+    _check_size(p, e * k * t, f"F_{{q^kt}} with p={p}, e={e}, k={k}, t={t}")
     return FieldTower(p, (e, k, t))
 
 

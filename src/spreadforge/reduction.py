@@ -3,12 +3,14 @@
 Three maps share one context.  `matrix_rep` realizes F_{q^k} as k x k
 matrices over F_q: row l of the matrix of u is the base-q digits of
 alpha^l * u, the coordinates of alpha^l * u over the basis 1, alpha, ...,
-alpha^{k-1}.  `reduce_line` turns a line <g> of F_{q^k}^s into the
-k-dimensional subspace of F_q^n (n = ks) spanned by alpha^l g for l < k
-(Lavrauw and Van de Voorde, "Field reduction and linear sets in finite
-geometry", Contemp. Math. 632, 2015).  A canonical generator starts with
-a 1, whose block is I_k with zero blocks to its left, so the reduced
-matrix is already in reduced row echelon form and needs no elimination.
+alpha^{k-1}.  `reduce_line` turns a line <g> of F_{q^k}^s, a 1-dimensional
+Subspace whose one row is g, into the k-dimensional subspace of F_q^n
+(n = ks) spanned by alpha^l g for l < k (Lavrauw and Van de Voorde,
+"Field reduction and linear sets in finite geometry", Contemp. Math. 632,
+2015): row l is the base-q digits of alpha^l u, concatenated over the
+entries u of g.  The first nonzero entry of g is 1, whose block is I_k
+with zero blocks to its left, so the reduced matrix is already in reduced
+row echelon form and needs no elimination.
 `embed_matrix` blows an invertible s x s matrix over F_{q^k} up to an
 invertible n x n matrix over F_q, block by block.  The two group actions
 commute with these maps, which is what lets orbit codes be computed on
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from .errors import InternalError, LevelMismatch, SingularInput
 from .gftower import FieldTower, to_digits
-from .subspaces import Line, LineCode, Matrix, Subspace, SubspaceCode, rank
+from .subspaces import Matrix, Subspace, SubspaceCode, rank
 
 
 class ReductionContext:
@@ -37,13 +39,19 @@ class ReductionContext:
         mul, q, k = self.tower.mul, self.q, self.k
         return Matrix(self.tower, 1, [to_digits(mul(2, a, u), q, k) for a in self.alpha_powers])
 
-    def reduce_line(self, line: Line) -> Subspace:
+    def reduce_line(self, line: Subspace) -> Subspace:
         """Field reduction of a line: a k-dimensional subspace of F_q^{ks}."""
         if line.level != 2 or not line.tower.compatible_at(self.tower, 2):
             raise LevelMismatch("reduce_line expects a line over the middle field")
-        # the generator's leading 1 puts I_k in its block with zeros to its left,
+        if line.dim != 1:
+            raise ValueError(f"reduce_line expects a line, got dimension {line.dim}")
+        mul, q, k = self.tower.mul, self.q, self.k
+        g = line.matrix.rows[0]
+        # the leading 1 of g puts I_k in its block with zeros to its left,
         # so the matrix is already its own RREF
-        return Subspace(Matrix.block([[self.matrix_rep(u) for u in line.generator]]))
+        return Subspace(Matrix(self.tower, 1, [
+            [d for u in g for d in to_digits(mul(2, a, u), q, k)] for a in self.alpha_powers
+        ]))
 
     def embed_matrix(self, a: Matrix) -> Matrix:
         """Blockwise image of an invertible matrix over F_{q^k} in GL(n, F_q)."""
@@ -56,7 +64,7 @@ class ReductionContext:
         grid = [[self.matrix_rep(x) for x in row] for row in a.rows]
         return Matrix.block(grid)
 
-    def reduce_code(self, code: LineCode) -> SubspaceCode:
+    def reduce_code(self, code: SubspaceCode) -> SubspaceCode:
         """Image of a line code; cardinality is preserved (the map is injective)."""
         out = frozenset(self.reduce_line(line) for line in code)
         if len(out) != len(code):

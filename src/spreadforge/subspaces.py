@@ -1,12 +1,12 @@
 """Dense linear algebra over any tower level, plus canonical subspaces and lines.
 
-A Matrix, Line or Subspace holds its tower and level once and its entries
-as canonical element indexes (plain ints), and computes through the
-tower's index arithmetic.  Tower compatibility is checked once per
-operand, not per entry.  Subspaces are kept in reduced row echelon form
-so that set membership, equality and hashing are plain structural
-comparisons.  Lines carry a first-nonzero-monic generator, which is
-exactly the RREF of a 1-row matrix.  `rank`, `rref` and `Matrix.inverse`
+A Matrix or Subspace holds its tower and level once and its entries as
+canonical element indexes (plain ints), and computes through the tower's
+index arithmetic.  Tower compatibility is checked once per operand, not
+per entry.  Subspaces are kept in reduced row echelon form so that set
+membership, equality and hashing are plain structural comparisons.  A
+line is a 1-dimensional Subspace: its one row, scaled so that its first
+nonzero entry is 1, is its RREF.  `rank`, `rref` and `Matrix.inverse`
 share one forward-elimination loop.
 """
 
@@ -299,82 +299,33 @@ def canonical_subspace(m: Matrix) -> Subspace:
     return Subspace(reduced)
 
 
-class Line:
-    """A 1-dimensional subspace with first-nonzero-monic generator."""
-
-    __slots__ = ("tower", "level", "generator")
-
-    def __init__(self, tower: FieldTower, level: int, generator: Vector):
-        # trusted constructor: generator must already be normalized
-        self.tower = tower
-        self.level = level
-        self.generator = generator
-
-    @property
-    def ambient(self) -> int:
-        return len(self.generator)
-
-    def apply(self, a: Matrix) -> "Line":
-        a._check(self)
-        return canonical_line(self.tower, self.level, vector_matrix(self.generator, a))
-
-    def as_subspace(self) -> Subspace:
-        return Subspace(Matrix(self.tower, self.level, [self.generator]))
-
-    def key(self) -> tuple:
-        return (self.level, self.generator)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Line)
-            and self.generator == other.generator
-            and _compatible(self, other)
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __repr__(self) -> str:
-        return f"<Line in F^{self.ambient} L{self.level}>"
-
-
-def canonical_line(tower: FieldTower, level: int, v: Sequence[int]) -> Line:
-    """Scale a nonzero vector over `level` so its first nonzero coordinate is 1."""
+def canonical_line(tower: FieldTower, level: int, v: Sequence[int]) -> Subspace:
+    """The line spanned by a nonzero vector: v scaled so that its first nonzero entry is 1."""
     lead = next((a for a in v if a), 0)
     if not lead:
         raise ZeroVector("zero vector spans no line")
     inv = tower.inv(level, lead)
-    return Line(tower, level, tuple(tower.mul(level, inv, a) for a in v))
+    return Subspace(Matrix(tower, level, [[tower.mul(level, inv, a) for a in v]]))
 
 
-LineCode = frozenset  # frozenset[Line]
 SubspaceCode = frozenset  # frozenset[Subspace]
 
 
-def enumerate_lines(tower: FieldTower, level: int, s: int) -> LineCode:
-    """All (Q^s - 1)/(Q - 1) canonical lines of the s-space over level."""
+def enumerate_lines(tower: FieldTower, level: int, s: int) -> SubspaceCode:
+    """All (Q^s - 1)/(Q - 1) lines of the s-space over level."""
     if s < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {s}")
     card = tower.cardinality(level)
     return frozenset(
-        Line(tower, level, (0,) * pivot + (1,) + rest)
+        Subspace(Matrix(tower, level, [(0,) * pivot + (1,) + rest]))
         for pivot in range(s)
         for rest in itertools.product(range(card), repeat=s - pivot - 1)
     )
 
 
-def _as_subspace(x) -> Subspace:
-    if isinstance(x, Line):
-        return x.as_subspace()
-    if isinstance(x, Subspace):
-        return x
-    raise TypeError(f"expected Subspace or Line, got {type(x).__name__}")
-
-
-def subspace_distance(u, v) -> int:
+def subspace_distance(u: Subspace, v: Subspace) -> int:
     """dim(U+V) - dim(U cap V), computed as 2 rank(stack) - dim U - dim V."""
-    us, vs = _as_subspace(u), _as_subspace(v)
-    if us.ambient != vs.ambient or not _compatible(us, vs):
+    if u.ambient != v.ambient or not _compatible(u, v):
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    stacked = Matrix(us.tower, us.level, us.matrix.rows + vs.matrix.rows)
-    return 2 * rank(stacked) - us.dim - vs.dim
+    stacked = Matrix(u.tower, u.level, u.matrix.rows + v.matrix.rows)
+    return 2 * rank(stacked) - u.dim - v.dim

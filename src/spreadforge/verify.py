@@ -17,7 +17,6 @@ import enum
 import itertools
 from typing import Iterable, NamedTuple, Sequence
 
-from .construction import GroupContext, full_group
 from .errors import (
     AmbientMismatch,
     CodeTooSmall,
@@ -28,7 +27,6 @@ from .errors import (
 from .gftower import FieldTower, field_build
 from .reduction import ReductionContext
 from .subspaces import (
-    Line,
     Matrix,
     Subspace,
     SubspaceCode,
@@ -70,16 +68,9 @@ class VerificationReport(NamedTuple):
         return d
 
 
-def _members_as_subspaces(code: Iterable) -> list[Subspace]:
-    subs = []
-    kind = None
-    for member in code:
-        this = type(member)
-        if kind is None:
-            kind = this
-        elif this is not kind:
-            raise KindMismatch("code mixes lines and subspaces")
-        subs.append(member.as_subspace() if isinstance(member, Line) else member)
+def _members_as_subspaces(code: Iterable[Subspace]) -> list[Subspace]:
+    """The members as a list, refused unless they all live in one space."""
+    subs = list(code)
     for s in subs[1:]:
         if (
             s.ambient != subs[0].ambient
@@ -172,7 +163,7 @@ def _lines_over_next_level(subs: Sequence[Subspace]) -> bool:
 # -- orbit-formula distance ------------------------------------------------------
 
 
-def orbit_min_distance(generator, elements: Iterable) -> int:
+def orbit_min_distance(generator: Subspace, elements: Iterable[Matrix]) -> int:
     """min d(V, V.A) over elements A that move the generator V."""
     best = None
     moved = False
@@ -188,14 +179,6 @@ def orbit_min_distance(generator, elements: Iterable) -> int:
         raise TrivialOrbit("every element stabilizes the generator")
     assert best is not None
     return best
-
-
-def min_distance_orbit(ctx: GroupContext, generator: Line) -> int:
-    """Orbit-formula distance of the full-group orbit of a line.
-
-    The result equals the brute-force minimum distance of the orbit code.
-    """
-    return orbit_min_distance(generator, (g for _, g in full_group(ctx)))
 
 
 # -- classification ---------------------------------------------------------------
@@ -286,19 +269,9 @@ def desarguesian_oracle(params, tower: FieldTower | None = None) -> SubspaceCode
     return red.reduce_code(enumerate_lines(tower, 2, params.s))
 
 
-def codes_equal(code_a: Iterable, code_b: Iterable) -> bool:
-    """Set equality of canonical members; kind or ambient mismatch is an error."""
+def codes_equal(code_a: Iterable[Subspace], code_b: Iterable[Subspace]) -> bool:
+    """Set equality of canonical members; members at another level or ambient are an error."""
     set_a, set_b = frozenset(code_a), frozenset(code_b)
-    if not set_a and not set_b:
-        return True
-    kinds_a = {type(m) for m in set_a}
-    kinds_b = {type(m) for m in set_b}
-    if len(kinds_a) > 1 or len(kinds_b) > 1:
-        raise KindMismatch("a code mixes lines and subspaces")
-    if set_a and set_b:
-        if kinds_a != kinds_b:
-            raise KindMismatch("cannot compare a line code with a subspace code")
-        a, b = next(iter(set_a)), next(iter(set_b))
-        if a.ambient != b.ambient or a.level != b.level:
-            raise KindMismatch("codes live in different ambient spaces")
+    if len({(m.level, m.ambient) for m in set_a | set_b}) > 1:
+        raise KindMismatch("members differ in level or ambient dimension")
     return set_a == set_b

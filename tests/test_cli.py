@@ -147,6 +147,22 @@ def test_internal_self_check_failure_exits_5(tmp_path, capsys, monkeypatch):
     assert captured.err == "internal error: h1 does not have order q^kt - 1\n"
 
 
+def test_construct_checks_the_spread_size_before_writing(tmp_path, capsys, monkeypatch):
+    def overlapping_parts(ctx, i, j):
+        orbit, completion, _ = spread_components(ctx, i, j)
+        return orbit, completion, completion  # the tail repeats the completion part
+
+    spread_components = cli.spread_components
+    monkeypatch.setattr(cli, "spread_components", overlapping_parts)
+    out = tmp_path / "run"
+    rc = main(["construct", "--p", "2", "--e", "1", "--k", "2", "--t", "2", "--out", str(out)])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: spread has 80 members, expected 85\n"
+    assert not out.exists()
+
+
 def test_construct_io_failure_exits_4(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
@@ -314,7 +330,13 @@ def test_header_field_past_the_table_guard_exits_2_before_any_search(
     (("0", "1", "2"), "error: degrees must be >= 1, got e=0, k=1, t=2"),
     (("1", "-1", "2"), "error: degrees must be >= 1, got e=1, k=-1, t=2"),
     (("1", "1", "0"), "error: degrees must be >= 1, got e=1, k=1, t=0"),
-], ids=["k30", "e0", "k-1", "t0"])
+    (("1", "1", "31"), "error: field F_{q^kt} with p=2, e=1, k=1, t=31 has 2147483648 "
+                       "elements, guard is 1048576"),
+    (("1", "21", "2"), "error: field F_{q^k} with p=2, e=1, k=21 has 2097152 elements, "
+                       "guard is 1048576"),
+    (("1", "1", "65"), "error: field F_{q^kt} with p=2, e=1, k=1, t=65 has 2^65 elements, "
+                       "guard is 1048576"),
+], ids=["k30", "e0", "k-1", "t0", "t31", "k21t2", "t65"])
 def test_bad_degrees_and_oversized_fields_exit_2_before_any_search(
         tmp_path, capsys, monkeypatch, command, degrees, message):
     searched = _searched_degrees(monkeypatch)
@@ -360,6 +382,40 @@ def test_huge_header_degree_is_refused_before_any_power_of_it(
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def _line_code_file(tmp_path: Path, ctx_2122, body: str | None = None) -> str:
+    """A kind=lines file at (2,1,2,2); `body` replaces its one record when given."""
+    header = codecs.CodeHeader(p=2, e=1, k=2, t=2, kind=codecs.KIND_LINES, component="external")
+    text = codecs.write_code(frozenset([ctx_2122.unit_line(1)]), header)
+    assert text.endswith("\n10000000\n")  # e_1: entry 1 is the digits "10"
+    if body is not None:
+        text = text[:-len("10000000\n")] + body + "\n"
+    path = tmp_path / "lines.code"
+    path.write_text(text, encoding="ascii")
+    return str(path)
+
+
+@pytest.mark.parametrize("body", ["01000000", "00000000", "10000000;00100000"],
+                         ids=["leading-alpha", "all-zero", "two-rows"])
+def test_non_canonical_line_record_exits_4_with_one_line(tmp_path, capsys, ctx_2122, body):
+    path = _line_code_file(tmp_path, ctx_2122, body)
+    assert main(["verify", "--in", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
+def test_line_file_is_not_comparable_with_a_subspace_file(tmp_path, capsys, ctx_2122):
+    lines = _line_code_file(tmp_path, ctx_2122)
+    assert main(["verify", "--in", lines]) == 0
+    spread = str(_construct(tmp_path, "run") / "spread.code")
+    capsys.readouterr()
+    for pair in ((lines, spread), (spread, lines)):
+        assert main(["compare", *pair]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("not comparable: ") and captured.out.count("\n") == 1
+        assert captured.err == ""
 
 
 # --- oracle / compare ---------------------------------------------------------------

@@ -48,6 +48,16 @@ def test_roundtrip_line_code(ctx_2122):
     assert write_code(code2, header2) == text
 
 
+def test_member_kind_must_match_the_header_kind(ctx_2122, spreads):
+    lines = orbit_code(ctx_2122, 1)
+    with pytest.raises(ValueError):
+        write_code(lines, _spread_header((2, 1, 2, 2), component="Ci", j=None))
+    with pytest.raises(ValueError):
+        write_code(spreads[(2, 1, 2, 2)],
+                   CodeHeader(p=2, e=1, k=2, t=2, kind=codecs.KIND_LINES, component="spread",
+                              i=1, j=3))
+
+
 def test_read_back_equals_the_pipeline_code(spreads):
     # reading builds only F_p, F_q and F_{q^k}, which is all that members use
     pekt = (2, 1, 2, 2)

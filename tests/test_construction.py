@@ -467,7 +467,7 @@ def test_tail_orbit_is_all_zero_prefix_lines(ctx_2112):
     lines = tail_orbit(ctx_2112, 3)
     zero_prefix = frozenset(
         line for line in enumerate_lines(ctx_2112.tower, 2, 4)
-        if line.generator[0] == line.generator[1] == 0
+        if line.matrix.rows[0][0] == line.matrix.rows[0][1] == 0
     )
     assert lines == zero_prefix
     assert len(lines) == 3
@@ -479,7 +479,7 @@ def test_tail_orbit_zero_prefix_general(contexts, pekt):
     params = ctx.params
     for j in range(params.t + 1, params.s + 1):
         for line in tail_orbit(ctx, j):
-            assert not any(line.generator[:params.t])
+            assert not any(line.matrix.rows[0][:params.t])
 
 
 def test_tail_orbit_index_range(ctx_2122):
@@ -533,10 +533,7 @@ def test_degenerate_t1_parameters_still_work():
 
 def test_k1_spread_is_the_full_line_grassmannian(ctx_2112, spreads):
     # with k = 1 the spread covers every 1-dimensional subspace of F_2^4
-    all_lines_downstairs = frozenset(
-        line.as_subspace() for line in enumerate_lines(ctx_2112.tower, 1, 4)
-    )
-    assert spreads[(2, 1, 1, 2)] == all_lines_downstairs
+    assert spreads[(2, 1, 1, 2)] == enumerate_lines(ctx_2112.tower, 1, 4)
 
 
 @pytest.mark.parametrize(

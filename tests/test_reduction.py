@@ -88,7 +88,8 @@ def test_matrix_rep_and_reduce_line_match_the_companion_reference(pekt):
     for line in lines:
         m = red.reduce_line(line).matrix
         assert rref(m)[0] == m
-        assert m == canonical_subspace(Matrix.block([[reps[u] for u in line.generator]])).matrix
+        reference = Matrix.block([[reps[u] for u in line.matrix.rows[0]]])
+        assert m == canonical_subspace(reference).matrix
 
 
 @pytest.mark.parametrize("pekt", [(2, 1, 2, 2), (2, 2, 1, 2)])
@@ -123,7 +124,13 @@ def test_reduce_line_is_identity_embedding_for_k1(ctx_2212, red_2212):
     for line in rng.sample(lines, 10):
         sub = red_2212.reduce_line(line)
         assert sub.dim == 1
-        assert sub.matrix.rows[0] == line.generator  # one coefficient, the same index
+        assert sub.matrix.rows == line.matrix.rows  # one coefficient, the same index
+
+
+def test_reduce_line_refuses_a_member_that_is_not_a_line(red_2122):
+    plane = canonical_subspace(Matrix(red_2122.tower, 2, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+    with pytest.raises(ValueError, match="expects a line, got dimension 2"):
+        red_2122.reduce_line(plane)
 
 
 def test_distinct_lines_reduce_to_disjoint_subspaces(red_2122):

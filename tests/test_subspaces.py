@@ -18,7 +18,6 @@ from spreadforge.errors import (
 )
 from spreadforge.gftower import FieldTower, field_build
 from spreadforge.subspaces import (
-    Line,
     Matrix,
     canonical_line,
     canonical_subspace,
@@ -262,7 +261,7 @@ def test_int_entries_keep_towers_apart():
     assert default.step_modulus(1) != alt.step_modulus(1)
     rows = [[1, 2, 3], [4, 5, 6], [7, 0, 1]]
     a, b = Matrix(default, 1, rows), Matrix(alt, 1, rows)
-    la, lb = Line(default, 1, (1, 2, 3)), Line(alt, 1, (1, 2, 3))
+    la, lb = canonical_line(default, 1, (1, 2, 3)), canonical_line(alt, 1, (1, 2, 3))
     assert a != b and la != lb
     assert a == Matrix(FieldTower(2, (3,)), 1, rows)  # an independent equal build
     for mixed in (lambda: a * b, lambda: a + b, lambda: a - b, lambda: Matrix.block([[a, b]]),
@@ -362,14 +361,15 @@ def test_enumerate_lines_counts(pekt, level, s, count):
     card = tower.cardinality(level)
     assert len(lines) == count == (card**s - 1) // (card - 1)
     for line in lines:
-        assert next(a for a in line.generator if a) == 1
+        assert line.dim == 1 and next(a for a in line.matrix.rows[0] if a) == 1
 
 
 def test_canonical_line_scaling(gf4tower):
     alpha = 2  # the class of x in F_4
     line = canonical_line(gf4tower, 1, (0, alpha, alpha))
-    assert line.generator == (0, 1, 1)
-    assert canonical_line(gf4tower, 1, line.generator) == line  # idempotent
+    assert line.matrix.rows == ((0, 1, 1),)
+    assert canonical_line(gf4tower, 1, line.matrix.rows[0]) == line  # idempotent
+    assert line == canonical_subspace(Matrix(gf4tower, 1, [(0, alpha, alpha)]))
     with pytest.raises(ZeroVector):
         canonical_line(gf4tower, 1, (0, 0, 0))
 
@@ -379,14 +379,7 @@ def test_canonical_subspace_rejects_dependent_rows(gf2):
         canonical_subspace(Matrix(gf2, 0, [[1, 1], [1, 1]]))
 
 
-def test_line_as_subspace_roundtrip(gf4tower):
-    line = canonical_line(gf4tower, 1, (0, 2, 1))
-    sub = line.as_subspace()
-    assert sub.dim == 1 and sub.ambient == 3
-    assert sub.matrix.rows[0] == line.generator
-
-
 def test_line_action(gf2):
-    line = Line(gf2, 0, (1, 0))
+    line = canonical_line(gf2, 0, (1, 0))
     swap = Matrix(gf2, 0, [[0, 1], [1, 0]])
-    assert line.apply(swap) == Line(gf2, 0, (0, 1))
+    assert line.apply(swap) == canonical_line(gf2, 0, (0, 1))

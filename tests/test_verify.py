@@ -11,6 +11,7 @@ from spreadforge import verify
 from spreadforge.construction import (
     assemble_spread,
     build_group,
+    full_group,
     orbit_code,
     scalar_subgroup,
     spread_components,
@@ -21,7 +22,6 @@ from spreadforge.errors import CodeTooSmall, InternalError, KindMismatch, Trivia
 from spreadforge.gftower import FieldTower, field_build
 from spreadforge.reduction import ReductionContext
 from spreadforge.subspaces import (
-    Line,
     Matrix,
     canonical_subspace,
     enumerate_lines,
@@ -35,7 +35,6 @@ from spreadforge.verify import (
     desarguesian_oracle,
     min_distance,
     min_distance_bruteforce,
-    min_distance_orbit,
     orbit_min_distance,
 )
 
@@ -161,7 +160,7 @@ def test_bucketed_distance_of_a_singleton_is_zero(ctx_2112):
 
 def test_orbit_formula_matches_bruteforce_small(ctx_2112):
     gen = ctx_2112.unit_line(1)
-    via_formula = min_distance_orbit(ctx_2112, gen)
+    via_formula = orbit_min_distance(gen, (g for _, g in full_group(ctx_2112)))
     via_brute = min_distance_bruteforce(orbit_code(ctx_2112, 1))
     assert via_formula == via_brute == 2
 
@@ -182,7 +181,8 @@ def test_trivial_orbit_raises(ctx_2122):
 
 
 def test_orbit_formula_line_level(ctx_2122):
-    assert min_distance_orbit(ctx_2122, ctx_2122.unit_line(1)) == 2
+    whole_group = (g for _, g in full_group(ctx_2122))
+    assert orbit_min_distance(ctx_2122.unit_line(1), whole_group) == 2
 
 
 # --- classification ------------------------------------------------------------------
@@ -274,7 +274,7 @@ def test_components_satisfy_partial_spread_bound(contexts, pekt):
 
 def _reference_report(code):
     """(verdict, min distance, pairwise trivial, coverage) from every pairwise rank."""
-    subs = [m.as_subspace() if isinstance(m, Line) else m for m in code]
+    subs = list(code)
     q, n = subs[0].tower.cardinality(subs[0].level), subs[0].ambient
     dists = [subspace_distance(a, b) for a, b in itertools.combinations(subs, 2)]
     coverage = len({v for s in subs for v in s.nonzero_vectors()})
@@ -320,7 +320,7 @@ def test_classify_matches_reference_and_ranks_no_pair(certified_codes, monkeypat
 
 def _field_lines(tower, s, size, seed):
     """A seeded sample of the reduced lines of F_{q^2}^s: members the certificate accepts."""
-    lines = sorted(enumerate_lines(tower, 2, s), key=lambda line: line.generator)
+    lines = sorted(enumerate_lines(tower, 2, s), key=lambda line: line.key())
     spread = ReductionContext(tower).reduce_code(random.Random(seed).sample(lines, size))
     return list(spread)
 
@@ -492,7 +492,7 @@ def test_spread_depends_on_middle_step_modulus():
 def test_full_group_orbit_distance_equals_reduced(ctx_2112):
     # equivariance bridge: line-level orbit distance scales by k under reduction
     params = ctx_2112.params
-    line_d = min_distance_orbit(ctx_2112, ctx_2112.unit_line(1))
+    line_d = orbit_min_distance(ctx_2112.unit_line(1), (g for _, g in full_group(ctx_2112)))
     reduced_orbit, _, _ = spread_components(ctx_2112, 1, params.t + 1)
     assert params.k * line_d == min_distance_bruteforce(reduced_orbit)
 
@@ -503,7 +503,8 @@ def test_orbit_formula_agrees_on_every_orbit_code(contexts, pekt):
     ctx = contexts[pekt]
     params = ctx.params
     for i in range(1, params.t + 1):
-        assert min_distance_orbit(ctx, ctx.unit_line(i)) == \
+        whole_group = (g for _, g in full_group(ctx))
+        assert orbit_min_distance(ctx.unit_line(i), whole_group) == \
             min_distance_bruteforce(orbit_code(ctx, i))
     if params.r >= 2:
         from spreadforge.construction import h2_subgroup, tail_orbit
