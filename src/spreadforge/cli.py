@@ -18,14 +18,13 @@ from .construction import (
     CodeParams,
     build_group,
     default_completion,
-    full_group,
-    h2_subgroup,
+    orbit_lines,
     spread_components,
     spread_union,
     validate_params,
 )
 from .errors import CodecError, GcdConditionViolated, InternalError, SpreadforgeError
-from .gftower import DIGIT_ALPHABET, is_prime
+from .gftower import DIGIT_ALPHABET, TABLE_GUARD, is_prime
 from .verify import (
     Verdict,
     classify,
@@ -84,6 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="classify a code file and check its claim")
     p_verify.add_argument("--in", dest="infile", required=True)
+    p_verify.add_argument("--json", action="store_true",
+                          help="print the report as one JSON object instead of key=value lines")
     _add_workers_flag(p_verify)
 
     p_oracle = sub.add_parser("oracle", help="write the field-reduction spread directly")
@@ -106,6 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _iter_valid_params(max_order: int):
+    # a q^kt past TABLE_GUARD has no tower to build, so its row is not listed
+    max_order = min(max_order, TABLE_GUARD)
     p = 2
     while p <= min(max_order, len(DIGIT_ALPHABET)):
         if is_prime(p):
@@ -201,7 +204,7 @@ def cmd_verify(args) -> int:
         return EXIT_IO
     header, code = loaded
     report = classify(code)
-    sys.stdout.write(codecs.report_text(report))
+    sys.stdout.write(codecs.report_json(report) if args.json else codecs.report_text(report))
     expected = _EXPECTED_VERDICT.get(header.component)
     if expected is None:
         return EXIT_OK
@@ -274,16 +277,19 @@ def cmd_distance(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     params = validate_params(header.p, header.e, header.k, header.t)
-    if params.group_order > GROUP_ENUM_GUARD:
-        print(f"error: --orbit refused: the group has (q^kt - 1)^2 = {params.group_order} "
-              f"elements, GROUP_ENUM_GUARD is {GROUP_ENUM_GUARD}", file=sys.stderr)
+    # Ci walks <h2^{q^k-1}> x <h1>, Bj walks <h2^{q^k-1}>: the scalar subgroup that
+    # completes them to the group fixes every line, so the minimum is the group's
+    walked = params.r * (params.max_exponent if header.component == "Ci" else 1)
+    if walked > GROUP_ENUM_GUARD:
+        print(f"error: --orbit refused: the walk has {walked} group elements, "
+              f"GROUP_ENUM_GUARD is {GROUP_ENUM_GUARD}", file=sys.stderr)
         return EXIT_USAGE
     ctx = build_group(params)
     if header.component == "Ci":
-        line_distance = orbit_min_distance(ctx.unit_line(header.i),
-                                           (g for _, g in full_group(ctx)))
+        start, walk = ctx.unit_line(header.i), ctx.transversal_walk
     else:
-        line_distance = orbit_min_distance(ctx.unit_line(header.j), h2_subgroup(ctx))
+        start, walk = ctx.unit_line(header.j), ctx.tail_walk
+    line_distance = orbit_min_distance(start, orbit_lines(ctx, start, walk))
     orbit_value = params.k * line_distance
     agree = orbit_value == distance
     print(f"min distance (orbit formula): {orbit_value}")

@@ -4,14 +4,17 @@ A code file is line oriented and diff friendly: `#`-prefixed header lines
 carrying one key=value pair each, then one member per line.  Members are
 written as base-p digit strings, rows joined by `;`, and the body is sorted
 by those digit strings, so a given code has exactly one on-disk form.
-Entries are canonical element indexes (ints), whose little-endian base-p
-digits are the element flattened level-major, so writing and parsing an
-entry is one lookup in a per-level table of digit strings.
+A row's digit string is its entries' little-endian base-p digits in
+order, which are the lanes of its packed row (see
+:mod:`spreadforge.subspaces`) from the lowest up: the reversed string is
+the packed row written in base 2^w, w bits a lane.  So, once its length
+and digits are checked, a row is read by one `int(text[::-1], 2**w)`,
+and a member is canonical when its packed rows pass a structural reduced
+row echelon test.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -21,7 +24,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .gftower import DIGIT_ALPHABET, FieldTower, check_field_size, is_prime
-from .subspaces import Matrix, Subspace, Vector, canonical_subspace
+from .subspaces import Matrix, RowPacking, Subspace, row_packing
 from .verify import VerificationReport
 
 FORMAT_NAME = "spreadforge-code"
@@ -107,25 +110,14 @@ def completion_fingerprint(blocks: Sequence[Matrix]) -> str:
 # -- member records --------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _digit_strings(tower: FieldTower, level: int) -> tuple[tuple[str, ...], dict[str, int]]:
-    """Digit string of every element of a level by index, and its inverse."""
-    p, span = tower.p, tower.digit_length(level)
-    strings = tuple(
-        "".join(DIGIT_ALPHABET[index // p**d % p] for d in range(span))
-        for index in range(tower.cardinality(level))
-    )
-    return strings, {text: index for index, text in enumerate(strings)}
-
-
 def _matrix_record(m: Matrix) -> str:
-    strings = _digit_strings(m.tower, m.level)[0]
-    return ";".join("".join(strings[a] for a in row) for row in m.rows)
+    pack = row_packing(m.tower, m.level, m.ncols)
+    return ";".join(pack.text(pack.pack(row)) for row in m.rows)
 
 
 def member_record(member: Subspace) -> str:
     """Canonical one-line text form of a member (a line's record is its one row)."""
-    return _matrix_record(member.matrix)
+    return ";".join(member.pack.text(row) for row in member.rows)
 
 
 def _member_shape(header: CodeHeader) -> tuple[int, int, int]:
@@ -135,35 +127,25 @@ def _member_shape(header: CodeHeader) -> tuple[int, int, int]:
     return 1, header.k, header.n
 
 
-def _parse_row(tower: FieldTower, level: int, width: int, text: str, lineno: int) -> Vector:
-    span = tower.digit_length(level)
-    if len(text) != width * span:
-        raise MalformedHeader(
-            f"line {lineno}: row has {len(text)} digits, expected {width * span}"
-        )
-    index = _digit_strings(tower, level)[1]
-    entries = []
-    for pos in range(0, len(text), span):
-        entry = index.get(text[pos:pos + span])
-        if entry is None:
-            raise MalformedHeader(f"line {lineno}: invalid digits {text[pos:pos + span]!r}")
-        entries.append(entry)
-    return tuple(entries)
-
-
-def _parse_member(header: CodeHeader, tower: FieldTower, text: str, lineno: int) -> Subspace:
-    level, nrows, width = _member_shape(header)
+def _parse_member(pack: RowPacking, nrows: int, digits: frozenset, text: str,
+                  lineno: int) -> Subspace:
+    """A record's member; `digits` are the p valid digit symbols."""
     rows = text.split(";")
     if len(rows) != nrows:
         raise MalformedHeader(f"line {lineno}: expected {nrows} rows, found {len(rows)}")
-    matrix = Matrix(tower, level, [_parse_row(tower, level, width, row, lineno) for row in rows])
-    try:
-        sub = canonical_subspace(matrix)
-    except Exception as exc:
-        raise NonCanonicalMember(f"line {lineno}: {exc}") from exc
-    if sub.matrix != matrix:
+    for row in rows:
+        if len(row) != pack.lanes:
+            raise MalformedHeader(
+                f"line {lineno}: row has {len(row)} digits, expected {pack.lanes}"
+            )
+        if not digits.issuperset(row):
+            bad = next(i for i, ch in enumerate(row) if ch not in digits)
+            pos = bad - bad % pack.digits  # the first digit of its entry
+            raise MalformedHeader(f"line {lineno}: invalid digits {row[pos:pos + pack.digits]!r}")
+    packed = tuple(map(pack.from_text, rows))
+    if not pack.is_rref(packed):
         raise NonCanonicalMember(f"line {lineno}: basis is not in reduced echelon form")
-    return sub
+    return Subspace(pack, packed)
 
 
 # -- whole files -------------------------------------------------------------------
@@ -265,6 +247,9 @@ def read_code(text: str) -> tuple[CodeHeader, frozenset]:
         raise MalformedHeader(
             f"line {body_start + len(body) + 1}: body has {len(body)} records, header says {members}"
         )
+    level, nrows, width = _member_shape(header)
+    pack = row_packing(tower, level, width)
+    digits = frozenset(DIGIT_ALPHABET[:header.p])
     out = []
     seen: set[str] = set()
     prev: str | None = None
@@ -276,7 +261,7 @@ def read_code(text: str) -> tuple[CodeHeader, frozenset]:
         if prev is not None and record < prev:
             raise NonCanonicalMember(f"line {lineno}: members out of canonical order")
         prev = record
-        out.append(_parse_member(header, tower, record, lineno))
+        out.append(_parse_member(pack, nrows, digits, record, lineno))
     return header, frozenset(out)
 
 

@@ -26,7 +26,7 @@ them modulo the relevant element orders.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     CharacteristicTooLarge,
@@ -43,6 +43,7 @@ from .errors import (
 from .gftower import (
     DIGIT_ALPHABET,
     FieldTower,
+    check_tower_size,
     distinct_prime_factors,
     element_order,
     field_build,
@@ -53,10 +54,8 @@ from .subspaces import (
     Matrix,
     Subspace,
     SubspaceCode,
-    Vector,
-    canonical_line,
     companion_matrix,
-    vector_matrix,
+    row_packing,
 )
 
 # Exhaustive enumerations over the whole group refuse to run past this size.
@@ -85,7 +84,10 @@ class CodeParams(NamedTuple):
 
 
 def validate_params(p: int, e: int, k: int, t: int) -> CodeParams:
-    """Check the gcd condition and derive every parameter the pipeline needs."""
+    """Check the gcd condition and derive every parameter the pipeline needs.
+
+    A tower past TABLE_GUARD is refused (FieldTooLarge) before q^kt is formed.
+    """
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
     if p > len(DIGIT_ALPHABET):
@@ -94,6 +96,7 @@ def validate_params(p: int, e: int, k: int, t: int) -> CodeParams:
         )
     if min(e, k, t) < 1:
         raise DegreeOutOfRange(f"degrees must be >= 1, got e={e}, k={k}, t={t}")
+    check_tower_size(p, e, k, t)  # bounds q^kt, r and the group order by bit length first
     q = p**e
     qk = q**k
     if qk**t == 2:
@@ -154,6 +157,11 @@ class GroupContext:
         self._identity_s = Matrix.identity(tower, 2, params.s)
         self._reduction: ReductionContext | None = None
 
+        self.lines = row_packing(tower, 2, params.s)  # packed rows of F_{q^k}^s
+        # (generator, order) walks of <h2^{q^k-1}> x <h1> and of <h2^{q^k-1}>
+        self.transversal_walk = ((self.h2_step, r), (self.h1, params.max_exponent))
+        self.tail_walk = ((self.h2_step, r),)
+
     # -- lazy caches --------------------------------------------------------
 
     def reduction(self) -> ReductionContext:
@@ -167,7 +175,7 @@ class GroupContext:
         """The line spanned by the i-th unit vector, i in 1..s."""
         if not 1 <= i <= self.params.s:
             raise IndexOutOfRange(f"unit index {i} not in 1..{self.params.s}")
-        return Subspace(Matrix(self.tower, 2, [[int(j == i - 1) for j in range(self.params.s)]]))
+        return Subspace(self.lines, (1 << (i - 1) * self.lines.entry_bits,))
 
     def _check_exponent(self, x: int, name: str) -> None:
         if not 1 <= x <= self.params.max_exponent:
@@ -313,34 +321,40 @@ def stabilizer_bruteforce(ctx: GroupContext, line: Subspace) -> frozenset[GroupE
     n = ctx.params.max_exponent
     if n * n > GROUP_ENUM_GUARD:
         raise GroupTooLarge(f"group has {n * n} elements, guard is {GROUP_ENUM_GUARD}")
+    lines = ctx.lines
+    h1, h2 = lines.matrix_map(ctx.h1), lines.matrix_map(ctx.h2)
     hits = []
-    va = line.matrix.rows[0]
+    va = start = line.rows[0]
     for a in range(1, n + 1):
-        va = vector_matrix(va, ctx.h1)
+        va = h1(va)
         vab = va
         for b in range(1, n + 1):
-            vab = vector_matrix(vab, ctx.h2)
-            if canonical_line(ctx.tower, 2, vab) == line:
+            vab = h2(vab)
+            if lines.normalize(vab) == start:
                 hits.append(GroupExponents(a, b))
     return frozenset(hits)
 
 
-def _orbit(ctx: GroupContext, start: Vector, walk: tuple[tuple[Matrix, int], ...]) -> SubspaceCode:
-    """Lines of start * g_1^{a_1} * ... with a_x in 1..order_x, for (g_x, order_x) in walk.
+def orbit_lines(ctx: GroupContext, start: Subspace,
+                walk: Sequence[tuple[Matrix, int]]) -> SubspaceCode:
+    """Lines start * g_1^{a_1} * g_2^{a_2} ..., a_x in 1..order_x, for (g_x, order_x) in walk.
 
+    Rows are walked packed, each step one lookup-table map of its matrix.
     The caller's group is the direct product of the cyclic groups it names,
     and it acts on the start line with trivial stabilizer, so the orbit has
     the product of the orders as its size; anything else is a bug.
     """
-    rows = [start]
+    rows = list(start.rows)
     for step, order in walk:
+        apply = ctx.lines.matrix_map(step)
         walked = []
         for row in rows:
             for _ in range(order):
-                row = vector_matrix(row, step)
+                row = apply(row)
                 walked.append(row)
         rows = walked
-    lines = frozenset(canonical_line(ctx.tower, 2, row) for row in rows)
+    normalize = ctx.lines.normalize
+    lines = frozenset(Subspace(ctx.lines, (normalize(row),)) for row in rows)
     if len(lines) != len(rows):
         raise InternalError(f"orbit collapsed: {len(lines)} lines, expected {len(rows)}")
     return lines
@@ -356,8 +370,7 @@ def orbit_code(ctx: GroupContext, i: int) -> SubspaceCode:
     params = ctx.params
     if not 1 <= i <= params.t:
         raise IndexOutOfRange(f"orbit index {i} not in 1..{params.t}")
-    walk = ((ctx.h2_step, params.r), (ctx.h1, params.max_exponent))
-    return _orbit(ctx, ctx.unit_line(i).matrix.rows[0], walk)
+    return orbit_lines(ctx, ctx.unit_line(i), ctx.transversal_walk)
 
 
 # -- completion ----------------------------------------------------------------
@@ -409,9 +422,9 @@ def completion_code(ctx: GroupContext, i: int) -> SubspaceCode:
     params = ctx.params
     if not 1 <= i <= params.t:
         raise IndexOutOfRange(f"leading index {i} not in 1..{params.t}")
-    start = ctx.unit_line(i).matrix.rows[0][:params.t] + (-ctx.mixing_denominator).rows[i - 1]
+    start = tuple(int(j == i - 1) for j in range(params.t)) + (-ctx.mixing_denominator).rows[i - 1]
     diag_c = Matrix.block([[ctx.c, ctx._zero_block], [ctx._zero_block, ctx.c]])
-    return _orbit(ctx, start, ((diag_c, params.r),))
+    return orbit_lines(ctx, Subspace(ctx.lines, (ctx.lines.pack(start),)), ((diag_c, params.r),))
 
 
 def tail_orbit(ctx: GroupContext, j: int) -> SubspaceCode:
@@ -419,7 +432,7 @@ def tail_orbit(ctx: GroupContext, j: int) -> SubspaceCode:
     params = ctx.params
     if not params.t + 1 <= j <= params.s:
         raise IndexOutOfRange(f"tail index {j} not in {params.t + 1}..{params.s}")
-    return _orbit(ctx, ctx.unit_line(j).matrix.rows[0], ((ctx.h2_step, params.r),))
+    return orbit_lines(ctx, ctx.unit_line(j), ctx.tail_walk)
 
 
 # -- assembly -------------------------------------------------------------------

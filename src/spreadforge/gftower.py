@@ -506,6 +506,12 @@ def check_field_size(p: int, e: int, k: int) -> None:
     _check_size(p, e * k, f"F_{{q^k}} with p={p}, e={e}, k={k}")
 
 
+def check_tower_size(p: int, e: int, k: int, t: int) -> None:
+    """Refuse F_{q^k}, then F_{q^kt}, past TABLE_GUARD, before any power of t is formed."""
+    check_field_size(p, e, k)
+    _check_size(p, e * k * t, f"F_{{q^kt}} with p={p}, e={e}, k={k}, t={t}")
+
+
 def field_build(p: int, e: int, k: int, t: int) -> FieldTower:
     """Build the four-level tower for parameters (p, e, k, t).
 
@@ -514,8 +520,7 @@ def field_build(p: int, e: int, k: int, t: int) -> FieldTower:
     matrix drives the group construction.  Its search grows with q^kt too,
     so F_{q^kt} is refused past TABLE_GUARD, after F_{q^k}, before any search.
     """
-    check_field_size(p, e, k)
-    _check_size(p, e * k * t, f"F_{{q^kt}} with p={p}, e={e}, k={k}, t={t}")
+    check_tower_size(p, e, k, t)
     return FieldTower(p, (e, k, t))
 
 

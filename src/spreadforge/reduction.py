@@ -8,9 +8,11 @@ Subspace whose one row is g, into the k-dimensional subspace of F_q^n
 (n = ks) spanned by alpha^l g for l < k (Lavrauw and Van de Voorde,
 "Field reduction and linear sets in finite geometry", Contemp. Math. 632,
 2015): row l is the base-q digits of alpha^l u, concatenated over the
-entries u of g.  The first nonzero entry of g is 1, whose block is I_k
-with zero blocks to its left, so the reduced matrix is already in reduced
-row echelon form and needs no elimination.
+entries u of g.  Those are the base-p digits of alpha^l g, so the packed
+rows of the reduced space are the packed rows alpha^l g at the middle
+level, row 0 being g's own.  The first nonzero entry of g is 1, whose
+block is I_k with zero blocks to its left, so the reduced matrix is
+already in reduced row echelon form and needs no elimination.
 `embed_matrix` blows an invertible s x s matrix over F_{q^k} up to an
 invertible n x n matrix over F_q, block by block.  The two group actions
 commute with these maps, which is what lets orbit codes be computed on
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from .errors import InternalError, LevelMismatch, SingularInput
 from .gftower import FieldTower, to_digits
-from .subspaces import Matrix, Subspace, SubspaceCode, rank
+from .subspaces import Matrix, Subspace, SubspaceCode, rank, row_packing
 
 
 class ReductionContext:
@@ -31,8 +33,9 @@ class ReductionContext:
         self.tower = tower
         self.k = tower.steps[1].degree
         self.q = tower.cardinality(1)
-        alpha = tower.index_of(tower.alpha(2))
-        self.alpha_powers = tuple(tower.pow(2, alpha, ell) for ell in range(self.k))
+        self.alpha = tower.index_of(tower.alpha(2))
+        self.alpha_powers = tuple(tower.pow(2, self.alpha, ell) for ell in range(self.k))
+        self._line_maps: dict = {}  # line packing -> (reduced packing, times alpha)
 
     def matrix_rep(self, u: int) -> Matrix:
         """k x k matrix over F_q acting as multiplication by the F_{q^k} element of index u."""
@@ -41,17 +44,20 @@ class ReductionContext:
 
     def reduce_line(self, line: Subspace) -> Subspace:
         """Field reduction of a line: a k-dimensional subspace of F_q^{ks}."""
-        if line.level != 2 or not line.tower.compatible_at(self.tower, 2):
-            raise LevelMismatch("reduce_line expects a line over the middle field")
+        maps = self._line_maps.get(line.pack)
+        if maps is None:
+            if line.level != 2 or not line.tower.compatible_at(self.tower, 2):
+                raise LevelMismatch("reduce_line expects a line over the middle field")
+            lines = row_packing(self.tower, 2, line.ambient)
+            maps = (row_packing(self.tower, 1, self.k * line.ambient), lines.scalar_map(self.alpha))
+            self._line_maps[line.pack] = maps
         if line.dim != 1:
             raise ValueError(f"reduce_line expects a line, got dimension {line.dim}")
-        mul, q, k = self.tower.mul, self.q, self.k
-        g = line.matrix.rows[0]
-        # the leading 1 of g puts I_k in its block with zeros to its left,
-        # so the matrix is already its own RREF
-        return Subspace(Matrix(self.tower, 1, [
-            [d for u in g for d in to_digits(mul(2, a, u), q, k)] for a in self.alpha_powers
-        ]))
+        reduced, times_alpha = maps
+        rows = [line.rows[0]]
+        for _ in range(self.k - 1):
+            rows.append(times_alpha(rows[-1]))
+        return Subspace(reduced, tuple(rows))
 
     def embed_matrix(self, a: Matrix) -> Matrix:
         """Blockwise image of an invertible matrix over F_{q^k} in GL(n, F_q)."""

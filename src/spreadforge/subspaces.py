@@ -1,19 +1,35 @@
 """Dense linear algebra over any tower level, plus canonical subspaces and lines.
 
-A Matrix or Subspace holds its tower and level once and its entries as
-canonical element indexes (plain ints), and computes through the tower's
-index arithmetic.  Tower compatibility is checked once per operand, not
-per entry.  Subspaces are kept in reduced row echelon form so that set
-membership, equality and hashing are plain structural comparisons.  A
-line is a 1-dimensional Subspace: its one row, scaled so that its first
-nonzero entry is 1, is its RREF.  `rank`, `rref` and `Matrix.inverse`
-share one forward-elimination loop.
+A Matrix holds its tower and level once and its entries as canonical
+element indexes (plain ints), and carries the small group algebra:
+products, powers and inverses of s x s matrices through the tower's index
+arithmetic, `rref` and `Matrix.inverse` sharing one elimination loop.
+
+Every vector computation runs on packed rows.  A row of entries at one
+level is one int holding the entries' little-endian base-p digits, m per
+entry, entry j in lanes j m .. j m + m - 1, each lane w bits, lowest
+first.  At p = 2 a lane is one bit and addition is XOR.  For odd p,
+w = ceil(log2(2p - 1)): two digits add without a carry out of their lane,
+and the sum drops p from every lane that reached it, found as the top bit
+of lane + (h - p), h = 2^(w-1) >= p (SWAR arithmetic, Lamport, CACM 18(8),
+1975).  The F_Q-span of rows over a level of Q = p^m elements is the
+F_p-span of the rows times alpha^j, j < m, so spans and ranks are F_p
+loops over lanes, and a matrix acts on rows by one table lookup per chunk
+of lanes, after M4RI (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
+`row_packing` builds one (tower, level, ncols) layout on first use.
+
+A Subspace is the packed rows of its reduced row echelon basis, so set
+membership, equality and hashing are int comparisons.  A line is a
+1-dimensional Subspace: its one row, scaled so that its first nonzero
+entry is 1, is its RREF.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterator, Sequence
+from operator import xor
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -23,9 +39,14 @@ from .errors import (
     SingularInput,
     ZeroVector,
 )
-from .gftower import FieldTower
+from .gftower import DIGIT_ALPHABET, FieldTower
 
 Vector = tuple[int, ...]
+
+# A linear map's lookup table covers the c lanes of one chunk, p^c <= this many rows.
+_TABLE_ENTRIES = 1 << 8
+# The `format` spec that writes an int in base 2^w, for the lane widths it supports.
+_LANE_FORMATS = {1: "b", 3: "o", 4: "x"}
 
 
 def _compatible(x, y) -> bool:
@@ -178,8 +199,18 @@ def vector_matrix(v: Sequence[int], m: Matrix) -> Vector:
 # -- elimination ------------------------------------------------------------
 
 
-def _echelon(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Forward elimination: a row echelon form of m and its pivot columns."""
+def rank(m: Matrix) -> int:
+    """Rank over the matrix's level, by F_p elimination on its packed rows."""
+    pack = row_packing(m.tower, m.level, m.ncols)
+    return pack.rank([pack.pack(row) for row in m.rows])
+
+
+def rref(m: Matrix) -> tuple[Matrix, int]:
+    """Reduced row echelon form and rank.
+
+    Forward elimination, then, bottom-up, each pivot row is normalized and
+    its pivot column cleared in the rows above.
+    """
     tower, level = m.tower, m.level
     rows = [list(r) for r in m.rows]
     pivots: list[int] = []
@@ -198,22 +229,6 @@ def _echelon(m: Matrix) -> tuple[list[list[int]], list[int]]:
         pivots.append(col)
         if rk + 1 == m.nrows:
             break
-    return rows, pivots
-
-
-def rank(m: Matrix) -> int:
-    """Rank by forward elimination only (cheaper than full rref)."""
-    return len(_echelon(m)[1])
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank.
-
-    Forward elimination, then, bottom-up, each pivot row is normalized and
-    its pivot column cleared in the rows above.
-    """
-    tower, level = m.tower, m.level
-    rows, pivots = _echelon(m)
     for i in reversed(range(len(pivots))):
         col = pivots[i]
         top = rows[i] = [tower.mul(level, tower.inv(level, rows[i][col]), a) for a in rows[i]]
@@ -239,53 +254,284 @@ def companion_matrix(tower: FieldTower, level: int, modulus: Sequence[int]) -> M
     return Matrix(tower, level, rows)
 
 
+# -- packed rows ------------------------------------------------------------------
+
+
+class RowPacking:
+    """Lane layout and kernels for packed rows of `ncols` entries at one tower level."""
+
+    def __init__(self, tower: FieldTower, level: int, ncols: int):
+        p = tower.p
+        w = 1 if p == 2 else (2 * p - 2).bit_length()
+        m = tower.digit_length(level)
+        self.tower, self.level, self.ncols = tower, level, ncols
+        self.p, self.width, self.digits = p, w, m  # digits: base-p digits, so lanes, per entry
+        self.lanes = ncols * m
+        self.entry_bits = w * m
+        self.entry_mask = (1 << w * m) - 1
+        chunk = 1
+        while p ** (chunk + 1) <= _TABLE_ENTRIES:
+            chunk += 1
+        self.chunk = chunk
+        self._times_alpha: Callable[[int], int] | None = None  # built on first use
+        if p == 2:
+            self.add = xor
+            return
+        ones = ((1 << w * self.lanes) - 1) // ((1 << w) - 1)
+        self._bias = ((1 << w - 1) - p) * ones
+        self._tops = (1 << w - 1) * ones
+        self.add = self._add_mod_p
+
+    # -- lane arithmetic over F_p -------------------------------------------
+
+    def _add_mod_p(self, a: int, b: int) -> int:
+        s = a + b
+        return s - (((s + self._bias) & self._tops) >> (self.width - 1)) * self.p
+
+    def multiples(self, a: int) -> list[int]:
+        """[0, a, 2a, ..., (p - 1)a]."""
+        out = [0, a]
+        for _ in range(self.p - 2):
+            out.append(self.add(out[-1], a))
+        return out
+
+    # -- entries ------------------------------------------------------------------
+
+    def to_lanes(self, u: int) -> int:
+        """The lanes of one entry holding the element of index u."""
+        if self.p == 2:
+            return u
+        out = 0
+        for i in range(self.digits):
+            u, d = divmod(u, self.p)
+            out |= d << self.width * i
+        return out
+
+    def to_index(self, x: int) -> int:
+        """The element index held by the lanes of one entry."""
+        if self.p == 2:
+            return x
+        out, mask = 0, (1 << self.width) - 1
+        for i in reversed(range(self.digits)):
+            out = out * self.p + (x >> self.width * i & mask)
+        return out
+
+    def pack(self, entries: Sequence[int]) -> int:
+        eb, to_lanes = self.entry_bits, self.to_lanes
+        return sum(to_lanes(u) << j * eb for j, u in enumerate(entries))
+
+    def entries(self, row: int) -> Vector:
+        eb, em, to_index = self.entry_bits, self.entry_mask, self.to_index
+        return tuple(to_index(row >> j * eb & em) for j in range(self.ncols))
+
+    def normalize(self, row: int) -> int:
+        """The row scaled so that its first nonzero entry is 1."""
+        if not row:
+            raise ZeroVector("zero vector spans no line")
+        eb = self.entry_bits
+        col = ((row & -row).bit_length() - 1) // eb
+        lead = self.to_index(row >> col * eb & self.entry_mask)
+        if lead == 1:
+            return row
+        mul, level, inv = self.tower.mul, self.level, self.tower.inv(self.level, lead)
+        return self.pack([mul(level, inv, u) for u in self.entries(row)])
+
+    # -- linear maps ---------------------------------------------------------------
+
+    def linear_map(self, images: Sequence[int],
+                   target: "RowPacking | None" = None) -> Callable[[int], int]:
+        """The F_p-linear map sending lane i's unit digit to images[i], packed by `target`.
+
+        One table per chunk of lanes holds the image of every digit
+        combination in that chunk, and a row's image sums one entry per chunk.
+        """
+        target = target or self
+        w, p, add = self.width, self.p, target.add
+        tables = []
+        for start in range(0, len(images), self.chunk):
+            table = {0: 0}
+            for j, image in enumerate(images[start:start + self.chunk]):
+                mults = target.multiples(image)
+                table.update([(key | d << w * j, add(value, mults[d]))
+                              for key, value in table.items() for d in range(1, p)])
+            tables.append((w * start, table))
+        if len(tables) == 1:
+            return tables[0][1].__getitem__
+        mask = (1 << w * self.chunk) - 1
+
+        def apply(x: int) -> int:
+            acc = 0
+            for shift, table in tables:
+                acc = add(acc, table[x >> shift & mask])
+            return acc
+
+        return apply
+
+    def matrix_map(self, a: Matrix) -> Callable[[int], int]:
+        """Row vector times `a` (a.nrows == ncols, same level), on packed rows."""
+        target = self if a.ncols == self.ncols else row_packing(self.tower, self.level, a.ncols)
+        mul, level = self.tower.mul, self.level
+        units = [self.p**j for j in range(self.digits)]  # the elements with one unit digit
+        images = [target.pack([mul(level, u, x) for x in row]) for row in a.rows for u in units]
+        return self.linear_map(images, target)
+
+    def scalar_map(self, c: int) -> Callable[[int], int]:
+        """Every entry times the element of index c, on packed rows."""
+        mul, level, eb = self.tower.mul, self.level, self.entry_bits
+        units = [self.to_lanes(mul(level, self.p**j, c)) for j in range(self.digits)]
+        return self.linear_map([u << i * eb for i in range(self.ncols) for u in units])
+
+    # -- spans and ranks -------------------------------------------------------------
+
+    def expand(self, rows: Sequence[int]) -> list[int]:
+        """The rows times alpha^j for j < m: their F_p-span is the rows' F_Q-span."""
+        out = list(rows)
+        if self.digits > 1:
+            if self._times_alpha is None:
+                self._times_alpha = self.scalar_map(self.tower.alpha(self.level).raw)
+            times_alpha, cur = self._times_alpha, out
+            for _ in range(self.digits - 1):
+                cur = [times_alpha(r) for r in cur]
+                out += cur
+        return out
+
+    def span(self, rows: Sequence[int]) -> list[int]:
+        """Every vector of the rows' span, zero first; each once when the rows are independent."""
+        vecs = [0]
+        if self.p == 2:
+            for b in self.expand(rows):
+                vecs += [v ^ b for v in vecs]
+            return vecs
+        p, top, bias, tops = self.p, self.width - 1, self._bias, self._tops
+        for b in self.expand(rows):
+            vecs += [(s := v + mb) - (((s + bias) & tops) >> top) * p
+                     for mb in self.multiples(b)[1:] for v in vecs]
+        return vecs
+
+    def rank(self, rows: Sequence[int]) -> int:
+        """Rank over the level's field: the F_p rank of the expansion, over m.
+
+        Each row's lowest nonzero lane is eliminated against a kept basis
+        row with that lowest lane until it is zero or joins the basis.
+        """
+        rows = self.expand(rows)
+        basis: dict = {}
+        if self.p == 2:
+            for r in rows:
+                while r:
+                    low = r & -r
+                    b = basis.get(low)
+                    if b is None:
+                        basis[low] = r
+                        break
+                    r ^= b
+            return len(basis) // self.digits
+        p, w, add = self.p, self.width, self.add
+        lane = (1 << w) - 1
+        for r in rows:
+            while r:
+                shift = ((r & -r).bit_length() - 1) // w * w
+                v = r >> shift & lane
+                mults = basis.get(shift)
+                if mults is None:  # keep the multiples of r scaled to lane value 1
+                    own, inv = self.multiples(r), pow(v, p - 2, p)
+                    basis[shift] = [own[d * inv % p] for d in range(p)]
+                    break
+                r = add(r, mults[p - v])
+        return len(basis) // self.digits
+
+    # -- text and canonical form ------------------------------------------------------
+    # A row's digit string lists its lanes' digits from the lowest lane up, so
+    # the reversed string is the packed row written in base 2^w.
+
+    def text(self, row: int) -> str:
+        """The row's base-p digit string."""
+        spec = _LANE_FORMATS.get(self.width)
+        if spec is not None:
+            return format(row, f"0{self.lanes}{spec}")[::-1]
+        mask = (1 << self.width) - 1
+        return "".join(DIGIT_ALPHABET[row >> self.width * i & mask] for i in range(self.lanes))
+
+    def from_text(self, text: str) -> int:
+        """The packed row a string of `lanes` valid base-p digits spells."""
+        if self.width <= 5:  # int() reads bases up to 36
+            return int(text[::-1], 1 << self.width)
+        return sum(DIGIT_ALPHABET.index(ch) << self.width * i for i, ch in enumerate(text))
+
+    def is_rref(self, rows: Sequence[int]) -> bool:
+        """Each row's first nonzero entry is 1, in increasing columns, and 0 in the other rows."""
+        eb, em = self.entry_bits, self.entry_mask
+        leads, pivots, col = [], 0, -1
+        for row in rows:
+            if not row:
+                return False
+            previous, col = col, ((row & -row).bit_length() - 1) // eb
+            if col <= previous or row >> col * eb & em != 1:
+                return False
+            leads.append(1 << col * eb)
+            pivots |= em << col * eb
+        return all(row & pivots == lead for row, lead in zip(rows, leads))
+
+
+@functools.lru_cache(maxsize=64)
+def row_packing(tower: FieldTower, level: int, ncols: int) -> RowPacking:
+    """The packing of rows of `ncols` entries at `level`, built once per (tower, level, ncols)."""
+    return RowPacking(tower, level, ncols)
+
+
 # -- canonical subspaces and lines -------------------------------------------
 
 
 class Subspace:
-    """A k-dimensional subspace of F^n held as its RREF basis matrix."""
+    """A k-dimensional subspace of F^n held as the packed rows of its RREF basis."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("pack", "rows")
 
-    def __init__(self, matrix: Matrix):
-        # trusted constructor: `matrix` must already be canonical full-rank RREF
-        self.matrix = matrix
+    def __init__(self, pack: RowPacking, rows: tuple[int, ...]):
+        # trusted constructor: `rows` must already be a canonical full-rank RREF, packed
+        self.pack = pack
+        self.rows = rows
 
     @property
     def tower(self) -> FieldTower:
-        return self.matrix.tower
+        return self.pack.tower
 
     @property
     def level(self) -> int:
-        return self.matrix.level
+        return self.pack.level
 
     @property
     def ambient(self) -> int:
-        return self.matrix.ncols
+        return self.pack.ncols
 
     @property
     def dim(self) -> int:
-        return self.matrix.nrows
+        return len(self.rows)
+
+    @property
+    def matrix(self) -> Matrix:
+        """The RREF basis with element-index entries."""
+        return Matrix(self.tower, self.level, [self.pack.entries(r) for r in self.rows])
 
     def apply(self, a: Matrix) -> "Subspace":
         """Image under the right action V |-> rowsp(V A)."""
         return canonical_subspace(self.matrix * a)
 
-    def nonzero_vectors(self) -> Iterator[Vector]:
-        """All q^dim - 1 nonzero vectors, each exactly once."""
-        card = self.tower.cardinality(self.level)
-        for coeffs in itertools.product(range(card), repeat=self.dim):
-            if any(coeffs):
-                yield vector_matrix(coeffs, self.matrix)
+    def nonzero_vectors(self) -> Iterator[int]:
+        """All q^dim - 1 nonzero vectors, packed, each exactly once."""
+        return itertools.islice(self.pack.span(self.rows), 1, None)
 
     def key(self) -> tuple:
-        return self.matrix.key()
+        """Sort key: the level, then the basis rows' element indexes."""
+        return (self.level, self.matrix.rows)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Subspace) and self.matrix == other.matrix
+        return isinstance(other, Subspace) and self.rows == other.rows and (
+            self.pack is other.pack or (self.ambient == other.ambient and _compatible(self, other))
+        )
 
     def __hash__(self) -> int:
-        return hash(self.matrix.key())
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"<Subspace dim={self.dim} of F^{self.ambient} L{self.level}>"
@@ -296,16 +542,14 @@ def canonical_subspace(m: Matrix) -> Subspace:
     reduced, rk = rref(m)
     if rk < m.nrows:
         raise RankDeficient(f"rank {rk} < {m.nrows} rows")
-    return Subspace(reduced)
+    pack = row_packing(m.tower, m.level, m.ncols)
+    return Subspace(pack, tuple(pack.pack(row) for row in reduced.rows))
 
 
 def canonical_line(tower: FieldTower, level: int, v: Sequence[int]) -> Subspace:
     """The line spanned by a nonzero vector: v scaled so that its first nonzero entry is 1."""
-    lead = next((a for a in v if a), 0)
-    if not lead:
-        raise ZeroVector("zero vector spans no line")
-    inv = tower.inv(level, lead)
-    return Subspace(Matrix(tower, level, [[tower.mul(level, inv, a) for a in v]]))
+    pack = row_packing(tower, level, len(v))
+    return Subspace(pack, (pack.normalize(pack.pack(v)),))
 
 
 SubspaceCode = frozenset  # frozenset[Subspace]
@@ -315,17 +559,21 @@ def enumerate_lines(tower: FieldTower, level: int, s: int) -> SubspaceCode:
     """All (Q^s - 1)/(Q - 1) lines of the s-space over level."""
     if s < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {s}")
-    card = tower.cardinality(level)
-    return frozenset(
-        Subspace(Matrix(tower, level, [(0,) * pivot + (1,) + rest]))
-        for pivot in range(s)
-        for rest in itertools.product(range(card), repeat=s - pivot - 1)
-    )
+    pack = row_packing(tower, level, s)
+    p, w, eb, m = pack.p, pack.width, pack.entry_bits, pack.digits
+    rows: list[int] = []
+    tails = [0]  # every packed vector of the entries right of the pivot
+    for pivot in reversed(range(s)):
+        lead, shift = 1 << pivot * eb, (pivot + 1) * eb
+        rows += [lead | t << shift for t in tails]
+        if pivot:
+            for i in range((s - pivot - 1) * m, (s - pivot) * m):
+                tails = [t | d << w * i for d in range(p) for t in tails]
+    return frozenset(Subspace(pack, (row,)) for row in rows)
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:
     """dim(U+V) - dim(U cap V), computed as 2 rank(stack) - dim U - dim V."""
     if u.ambient != v.ambient or not _compatible(u, v):
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    stacked = Matrix(u.tower, u.level, u.matrix.rows + v.matrix.rows)
-    return 2 * rank(stacked) - u.dim - v.dim
+    return 2 * u.pack.rank(u.rows + v.rows) - u.dim - v.dim

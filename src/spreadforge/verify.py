@@ -32,7 +32,6 @@ from .subspaces import (
     SubspaceCode,
     companion_matrix,
     enumerate_lines,
-    rank,
     subspace_distance,
 )
 
@@ -99,19 +98,26 @@ def min_distance_bruteforce(code: Iterable) -> int:
 
 
 def _shared_vectors(subs: Sequence[Subspace]) -> tuple[int, set]:
-    """One pass over every member's nonzero vectors.
+    """One pass over every member's nonzero vectors, as packed rows.
 
     Returns the number of distinct nonzero vectors covered and the index
     pairs (i, j), i < j, of members that share at least one of them.
     """
-    holders: dict = {}
+    first: dict[int, int] = {}   # vector -> first member holding it
+    later: dict[int, list] = {}  # vector -> the other members holding it
     pairs: set = set()
     for idx, s in enumerate(subs):
-        for v in s.nonzero_vectors():
-            earlier = holders.setdefault(v, [])
-            pairs.update((h, idx) for h in earlier)
-            earlier.append(idx)
-    return len(holders), pairs
+        vectors = s.pack.span(s.rows)[1:]
+        if first.keys().isdisjoint(vectors):
+            first.update(dict.fromkeys(vectors, idx))
+            continue
+        for v in vectors:
+            holder = first.setdefault(v, idx)
+            if holder != idx:
+                others = later.setdefault(v, [])
+                pairs.update((h, idx) for h in (holder, *others))
+                others.append(idx)
+    return len(first), pairs
 
 
 def _ranked_min(subs: Sequence[Subspace], pairs: Iterable, k: int) -> int:
@@ -144,7 +150,8 @@ def _lines_over_next_level(subs: Sequence[Subspace]) -> bool:
     members' level, spans a copy of F_{Q^d} acting on F_Q^n.  A d-space U
     with rank [U; U D] = d is a line of F_{Q^d}^{n/d}, and distinct lines
     meet only in 0 (Lavrauw and Van de Voorde, "Field reduction and linear
-    sets in finite geometry", Contemp. Math. 632, 2015).
+    sets in finite geometry", Contemp. Math. 632, 2015).  The rank is an
+    F_p rank over the packed rows of [U; U D] and their expansion.
     """
     first = subs[0]
     tower, level, n = first.tower, first.level, first.ambient
@@ -156,28 +163,19 @@ def _lines_over_next_level(subs: Sequence[Subspace]) -> bool:
     m = companion_matrix(tower, level, tower.step_modulus(level + 1))
     zero, blocks = Matrix.zeros(tower, level, d, d), range(n // d)
     diag = Matrix.block([[m if a == b else zero for b in blocks] for a in blocks])
-    return all(rank(Matrix(tower, level, s.matrix.rows + (s.matrix * diag).rows)) == d
-               for s in subs)
+    pack = first.pack
+    times_d = pack.matrix_map(diag)
+    return all(pack.rank(s.rows + tuple(map(times_d, s.rows))) == d for s in subs)
 
 
 # -- orbit-formula distance ------------------------------------------------------
 
 
-def orbit_min_distance(generator: Subspace, elements: Iterable[Matrix]) -> int:
-    """min d(V, V.A) over elements A that move the generator V."""
-    best = None
-    moved = False
-    for g in elements:
-        image = generator.apply(g)
-        if image == generator:
-            continue
-        moved = True
-        d = subspace_distance(generator, image)
-        if best is None or d < best:
-            best = d
-    if not moved:
+def orbit_min_distance(generator: Subspace, images: Iterable[Subspace]) -> int:
+    """min d(V, W) over the images W of the generator V under group elements, W != V."""
+    best = min((subspace_distance(generator, w) for w in images if w != generator), default=None)
+    if best is None:
         raise TrivialOrbit("every element stabilizes the generator")
-    assert best is not None
     return best
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,15 @@ def test_params_lists_no_characteristic_past_the_digit_alphabet(capsys):
     assert main(["params", "--max-order", "64"]) == 0
     primes = {int(line.split()[0]) for line in capsys.readouterr().out.splitlines()[1:]}
     assert max(primes) == 31  # 37..61 are prime and small enough, but unwritable
+
+
+def test_params_lists_no_row_past_the_table_guard(capsys):
+    # a row past the guard has no tower to build, and validate_params refuses it
+    assert main(["params", "--max-order", str(4 * TABLE_GUARD)]) == 0
+    rows = [list(map(int, line.split()[:5])) for line in capsys.readouterr().out.splitlines()[1:]]
+    orders = {(p, e, k, t): q ** (k * t) for p, e, k, t, q in rows}
+    assert orders[(2, 1, 1, 20)] == TABLE_GUARD
+    assert max(orders.values()) == TABLE_GUARD
 
 
 # --- construct -----------------------------------------------------------------
@@ -216,6 +227,32 @@ def test_verify_detects_missing_member(tmp_path, capsys):
     assert "expected Spread" in captured.err
 
 
+def _report_runs(path: str, capsys) -> tuple[tuple[int, str], tuple[int, str]]:
+    """(exit code, stdout) of verify on a file, with and without --json."""
+    runs = []
+    for extra in ([], ["--json"]):
+        code = main(["verify", "--in", path, *extra])
+        runs.append((code, capsys.readouterr().out))
+    return runs[0], runs[1]
+
+
+def test_verify_json_is_the_key_value_report(tmp_path, capsys):
+    out = _construct(tmp_path, "run")
+    capsys.readouterr()  # drop the construct summary
+    path = out / "spread.code"
+    for name in ("spread.code", "ci.code", "missing.code"):
+        if name == "missing.code":  # the spread less one member: exit 5 both ways
+            lines = path.read_text().splitlines()
+            lines.remove(next(l for l in lines if not l.startswith("#")))
+            (out / name).write_text("\n".join(l.replace("members=85", "members=84")
+                                              for l in lines) + "\n")
+        (code, text), (json_code, json_text) = _report_runs(str(out / name), capsys)
+        assert json_code == code == (5 if name == "missing.code" else 0)
+        report = json.loads(json_text)
+        assert {key: str(value) for key, value in report.items()} == \
+            dict(line.split("=", 1) for line in text.splitlines())
+
+
 def test_verify_duplicate_member_is_io_error(tmp_path, capsys):
     out = _construct(tmp_path, "run")
     path = out / "spread.code"
@@ -347,6 +384,20 @@ def test_bad_degrees_and_oversized_fields_exit_2_before_any_search(
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == message + "\n"
     assert searched == []
+
+
+@pytest.mark.parametrize("t", [3_000_000, 10_000_000])
+def test_huge_t_is_refused_before_any_power_of_it(tmp_path, capsys, t):
+    # q^kt, r and the group order have about 5t bits; the bit length of e k t bounds them first
+    start = time.perf_counter()
+    flags = ["--p", "2", "--e", "1", "--k", "5", "--t", str(t)]
+    assert main(["construct", *flags, "--out", str(tmp_path / "run")]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: field F_{{q^kt}} with p=2, e=1, k=5, t={t} has 2^{5 * t} "
+                            "elements, guard is 1048576\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _huge_header_file(tmp_path: Path, p, e, k, t, q, r) -> str:
@@ -481,8 +532,9 @@ def test_distance_singleton_exits_2(tmp_path, capsys, ctx_2112):
 
 
 def test_distance_orbit_refused_past_the_group_guard(tmp_path, capsys, monkeypatch):
-    # (2,1,1,11): (q^kt - 1)^2 = 2047^2 > GROUP_ENUM_GUARD = 2^20, and building
-    # the group would start a degree-11 modulus search
+    # (2,1,1,11): Ci's walk over <h2^{q^k-1}> x <h1> has r (q^kt - 1) = 2047^2 elements,
+    # past GROUP_ENUM_GUARD = 2^20, and building the group would start a degree-11
+    # modulus search.  (Bj's walk has r = 2047 elements, inside the guard.)
     def no_group(*args):
         raise AssertionError("build_group called")
 
@@ -493,16 +545,15 @@ def test_distance_orbit_refused_past_the_group_guard(tmp_path, capsys, monkeypat
         canonical_subspace(Matrix(tower, 1, [[int(col == row) for col in range(22)]]))
         for row in (0, 1)
     )
-    for component, tag in (("Ci", {"i": 1}), ("Bj", {"j": 12})):
-        header = codecs.CodeHeader(p=2, e=1, k=1, t=11, kind=codecs.KIND_SUBSPACES,
-                                   component=component, **tag)
-        path = tmp_path / f"{component}.code"
-        path.write_text(codecs.write_code(members, header), encoding="ascii")
-        assert main(["distance", "--in", str(path), "--orbit"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "min distance: 2\n"
-        assert captured.err == ("error: --orbit refused: the group has (q^kt - 1)^2 = 4190209 "
-                                "elements, GROUP_ENUM_GUARD is 1048576\n")
+    header = codecs.CodeHeader(p=2, e=1, k=1, t=11, kind=codecs.KIND_SUBSPACES,
+                               component="Ci", i=1)
+    path = tmp_path / "Ci.code"
+    path.write_text(codecs.write_code(members, header), encoding="ascii")
+    assert main(["distance", "--in", str(path), "--orbit"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "min distance: 2\n"
+    assert captured.err == ("error: --orbit refused: the walk has 4190209 group elements, "
+                            "GROUP_ENUM_GUARD is 1048576\n")
     assert max(searched) <= 1
 
 

@@ -1,0 +1,282 @@
+"""Differential tests: the packed-row paths against int-list reference paths.
+
+Every vector computation in the library runs on packed rows (see
+:mod:`spreadforge.subspaces`).  The references below compute on rows of
+element indexes through the tower's scalar arithmetic, entry by entry, the
+way the library did before rows were packed.  Both must agree exactly.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+from spreadforge import codecs, verify
+from spreadforge.construction import build_group, line_partition, spread_components, validate_params
+from spreadforge.errors import MalformedHeader, NonCanonicalMember, SpreadforgeError
+from spreadforge.gftower import DIGIT_ALPHABET, to_digits
+from spreadforge.reduction import ReductionContext
+from spreadforge.subspaces import (
+    Matrix,
+    canonical_subspace,
+    companion_matrix,
+    enumerate_lines,
+    rank,
+    rref,
+    subspace_distance,
+    vector_matrix,
+)
+
+from conftest import PARAM_SETS
+
+POINTS = [*PARAM_SETS, (3, 1, 1, 3), (2, 2, 2, 2)]
+SAMPLE = 150  # members per code that the slower references visit
+
+
+# -- int-list references ------------------------------------------------------------
+
+
+def ref_vectors(sub) -> list[tuple[int, ...]]:
+    """Every nonzero coefficient combination times the basis, as index tuples."""
+    card = sub.tower.cardinality(sub.level)
+    m = sub.matrix
+    return [vector_matrix(c, m) for c in itertools.product(range(card), repeat=sub.dim) if any(c)]
+
+
+def ref_rank(m: Matrix) -> int:
+    return rref(m)[1]
+
+
+def ref_distance(u, v) -> int:
+    stacked = Matrix(u.tower, u.level, u.matrix.rows + v.matrix.rows)
+    return 2 * ref_rank(stacked) - u.dim - v.dim
+
+
+def ref_shared_vectors(subs) -> tuple[int, set]:
+    holders: dict = {}
+    pairs: set = set()
+    for idx, s in enumerate(subs):
+        for v in ref_vectors(s):
+            earlier = holders.setdefault(v, [])
+            pairs.update((h, idx) for h in earlier)
+            earlier.append(idx)
+    return len(holders), pairs
+
+
+def ref_lines_over_next_level(subs) -> bool:
+    first = subs[0]
+    tower, level, n = first.tower, first.level, first.ambient
+    if level + 1 >= tower.nlevels:
+        return False
+    d = tower.steps[level].degree
+    if n % d or any(s.dim != d for s in subs) or len(set(subs)) != len(subs):
+        return False
+    m = companion_matrix(tower, level, tower.step_modulus(level + 1))
+    zero, blocks = Matrix.zeros(tower, level, d, d), range(n // d)
+    diag = Matrix.block([[m if a == b else zero for b in blocks] for a in blocks])
+    return all(ref_rank(Matrix(tower, level, s.matrix.rows + (s.matrix * diag).rows)) == d
+               for s in subs)
+
+
+def ref_reduced_rows(red: ReductionContext, line) -> tuple[tuple[int, ...], ...]:
+    """Row l: the base-q digits of alpha^l u, over the entries u of the line's row."""
+    g = line.matrix.rows[0]
+    return tuple(
+        tuple(d for u in g for d in to_digits(red.tower.mul(2, a, u), red.q, red.k))
+        for a in red.alpha_powers
+    )
+
+
+def ref_parse_member(tower, level, nrows, width, record):
+    """The exception type the element-index parser raised on a record, or None."""
+    span = tower.digit_length(level)
+    strings = ["".join(DIGIT_ALPHABET[d] for d in to_digits(i, tower.p, span))
+               for i in range(tower.cardinality(level))]
+    index = {text: i for i, text in enumerate(strings)}
+    rows = record.split(";")
+    if len(rows) != nrows:
+        return MalformedHeader
+    parsed = []
+    for row in rows:
+        if len(row) != width * span:
+            return MalformedHeader
+        entries = [index.get(row[pos:pos + span]) for pos in range(0, len(row), span)]
+        if None in entries:
+            return MalformedHeader
+        parsed.append(entries)
+    matrix = Matrix(tower, level, parsed)
+    try:
+        sub = canonical_subspace(matrix)
+    except SpreadforgeError:
+        return NonCanonicalMember
+    return None if sub.matrix == matrix else NonCanonicalMember
+
+
+# -- codes under test -------------------------------------------------------------------
+
+
+def _random_subspaces(tower, n, dims, size, rng, pool=None):
+    """Up to `size` distinct seeded random subspaces of F_q^n with dimensions from `dims`;
+    with a `pool` of vectors, each one's first basis vector is drawn from it."""
+    card = tower.cardinality(1)
+    out = set()
+    for _ in range(20 * size):
+        if len(out) == size:
+            break
+        k = rng.choice(dims)
+        rows = [[rng.randrange(card) for _ in range(n)] for _ in range(k)]
+        if pool:
+            rows[0] = rng.choice(pool)
+        m = Matrix(tower, 1, rows)
+        if ref_rank(m) == k:
+            out.add(canonical_subspace(m))
+    return sorted(out, key=lambda s: s.key())
+
+
+@pytest.fixture(scope="module")
+def codes(contexts):
+    """pekt -> (context, named codes): the spread, its parts, the line parts,
+    a seeded code whose members collide and a seeded code of mixed dimensions."""
+    out = {}
+    for pekt in POINTS:
+        ctx = contexts.get(pekt) or build_group(validate_params(*pekt))
+        params, rng = ctx.params, random.Random(f"packed/{pekt}")
+        pool = [[rng.randrange(params.q) for _ in range(params.n)] for _ in range(4)]
+        parts = spread_components(ctx, 1, params.t + 1)
+        named = {
+            "spread": frozenset().union(*parts),
+            "Ci": parts[0], "Ai": parts[1], "Bj": parts[2],
+            "Ci-lines": line_partition(ctx, 1, params.t + 1)[0],
+            "colliding": _random_subspaces(ctx.tower, params.n, [params.k, params.k + 1], 40, rng,
+                                           pool),
+            "mixed": _random_subspaces(ctx.tower, params.n, [1, 2, 3], 40, rng, pool),
+        }
+        out[pekt] = ctx, {name: sorted(code, key=lambda s: s.key()) for name, code in named.items()}
+    return out
+
+
+def _sample(members, seed):
+    if len(members) <= SAMPLE:
+        return members
+    return random.Random(seed).sample(members, SAMPLE)
+
+
+# -- the differential tests ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pekt", POINTS)
+def test_nonzero_vectors_match_reference(codes, pekt):
+    _, named = codes[pekt]
+    for name, members in named.items():
+        for sub in _sample(members, name):
+            packed = [sub.pack.entries(v) for v in sub.nonzero_vectors()]
+            reference = ref_vectors(sub)
+            assert len(packed) == len(set(packed)) == len(reference)
+            assert set(packed) == set(reference)
+
+
+@pytest.mark.parametrize("pekt", POINTS)
+def test_rank_matches_reference(codes, pekt):
+    ctx, _ = codes[pekt]
+    rng = random.Random(f"rank/{pekt}")
+    for level in (0, 1, 2):
+        card = ctx.tower.cardinality(level)
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+            rows = [[rng.randrange(card) for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:  # a dependent row: a sum of two others
+                a, b = rng.sample(range(nrows), 2)
+                rows[rng.randrange(nrows)] = [ctx.tower.add(level, x, y)
+                                              for x, y in zip(rows[a], rows[b])]
+            m = Matrix(ctx.tower, level, rows)
+            assert rank(m) == ref_rank(m)
+
+
+@pytest.mark.parametrize("pekt", POINTS)
+def test_subspace_distance_matches_reference(codes, pekt):
+    _, named = codes[pekt]
+    rng = random.Random(f"distance/{pekt}")
+    for members in named.values():
+        for _ in range(40):
+            u, v = rng.choice(members), rng.choice(members)
+            if u.ambient == v.ambient:
+                assert subspace_distance(u, v) == ref_distance(u, v)
+
+
+@pytest.mark.parametrize("pekt", POINTS)
+def test_shared_vectors_match_reference(codes, pekt):
+    _, named = codes[pekt]
+    for name, members in named.items():
+        subs = _sample(members, name)
+        coverage, pairs = verify._shared_vectors(subs)
+        assert (coverage, pairs) == ref_shared_vectors(subs)
+        assert bool(pairs) == (name in ("colliding", "mixed"))
+
+
+@pytest.mark.parametrize("pekt", POINTS)
+def test_certificate_matches_reference(codes, pekt):
+    _, named = codes[pekt]
+    for name, members in named.items():
+        subs = _sample(members, name)
+        expected = ref_lines_over_next_level(subs)
+        assert verify._lines_over_next_level(subs) == expected
+        if name in ("spread", "Ci", "Ai", "Bj"):
+            assert expected
+
+
+@pytest.mark.parametrize("pekt", POINTS)
+def test_reduce_line_matches_reference(codes, pekt):
+    ctx, named = codes[pekt]
+    red = ctx.reduction()
+    lines = named["Ci-lines"] + sorted(enumerate_lines(ctx.tower, 2, ctx.params.s),
+                                       key=lambda line: line.key())
+    for line in _sample(lines, "reduce"):
+        reduced = red.reduce_line(line)
+        reference = ref_reduced_rows(red, line)
+        assert reduced.matrix.rows == reference
+        assert reduced == canonical_subspace(Matrix(ctx.tower, 1, reference))
+
+
+# -- the codec refuses every corrupted record as before ----------------------------------
+
+
+def _corruptions(record: str, p: int):
+    """Every single-symbol change, deletion and insertion, each row zeroed, rows swapped."""
+    symbols = DIGIT_ALPHABET[:p + 1] + "A _-+"
+    for pos, old in enumerate(record):
+        for sym in symbols:
+            if sym != old:
+                yield record[:pos] + sym + record[pos + 1:]
+        yield record[:pos] + record[pos + 1:]
+        yield record[:pos] + "0" + record[pos:]
+    rows = record.split(";")
+    for i, row in enumerate(rows):
+        yield ";".join(rows[:i] + ["0" * len(row)] + rows[i + 1:])
+    if len(rows) > 1:
+        yield ";".join(rows[::-1])
+
+
+@pytest.mark.parametrize("pekt", [(2, 1, 2, 2), (3, 1, 1, 3), (2, 2, 2, 2)])
+@pytest.mark.parametrize("kind", [codecs.KIND_SUBSPACES, codecs.KIND_LINES])
+def test_every_corrupted_record_is_refused_as_before(codes, pekt, kind):
+    ctx, named = codes[pekt]
+    p, e, k, t = pekt
+    header = codecs.CodeHeader(p=p, e=e, k=k, t=t, kind=kind, component="external")
+    members = named["Ci" if kind == codecs.KIND_SUBSPACES else "Ci-lines"]
+    tower = header.tower()
+    level, nrows, width = (1, k, 2 * k * t) if kind == codecs.KIND_SUBSPACES else (2, 1, 2 * t)
+    for member in _sample(members, "codec")[:5]:
+        text = codecs.write_code(frozenset([member]), header)
+        record = text.splitlines()[-1]
+        for corrupted in _corruptions(record, p):
+            expected = ref_parse_member(tower, level, nrows, width, corrupted)
+            try:
+                _, code = codecs.read_code(text[:-len(record) - 1] + corrupted + "\n")
+            except (MalformedHeader, NonCanonicalMember) as exc:
+                assert type(exc) is expected, corrupted
+            else:
+                assert expected is None, corrupted
+                (parsed,) = code
+                assert codecs.member_record(parsed) == corrupted

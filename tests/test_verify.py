@@ -158,9 +158,14 @@ def test_bucketed_distance_of_a_singleton_is_zero(ctx_2112):
 # --- orbit-formula distance ------------------------------------------------------
 
 
+def _images(generator, elements):
+    """The generator's image under each group element, by the s x s matrix product."""
+    return (generator.apply(g) for g in elements)
+
+
 def test_orbit_formula_matches_bruteforce_small(ctx_2112):
     gen = ctx_2112.unit_line(1)
-    via_formula = orbit_min_distance(gen, (g for _, g in full_group(ctx_2112)))
+    via_formula = orbit_min_distance(gen, _images(gen, (g for _, g in full_group(ctx_2112))))
     via_brute = min_distance_bruteforce(orbit_code(ctx_2112, 1))
     assert via_formula == via_brute == 2
 
@@ -171,18 +176,21 @@ def test_orbit_formula_on_reduced_side(ctx_2122):
     base = red.reduce_line(ctx_2122.unit_line(1))
     embedded = [red.embed_matrix(g) for g in transversal_subgroup(ctx_2122)]
     reduced_orbit, _, _ = spread_components(ctx_2122, 1, 3)
-    assert orbit_min_distance(base, embedded) == min_distance_bruteforce(reduced_orbit) == 4
+    assert orbit_min_distance(base, _images(base, embedded)) == \
+        min_distance_bruteforce(reduced_orbit) == 4
 
 
 def test_trivial_orbit_raises(ctx_2122):
     # scalar matrices stabilize every line
     with pytest.raises(TrivialOrbit):
-        orbit_min_distance(ctx_2122.unit_line(1), scalar_subgroup(ctx_2122))
+        gen = ctx_2122.unit_line(1)
+        orbit_min_distance(gen, _images(gen, scalar_subgroup(ctx_2122)))
 
 
 def test_orbit_formula_line_level(ctx_2122):
+    gen = ctx_2122.unit_line(1)
     whole_group = (g for _, g in full_group(ctx_2122))
-    assert orbit_min_distance(ctx_2122.unit_line(1), whole_group) == 2
+    assert orbit_min_distance(gen, _images(gen, whole_group)) == 2
 
 
 # --- classification ------------------------------------------------------------------
@@ -492,7 +500,8 @@ def test_spread_depends_on_middle_step_modulus():
 def test_full_group_orbit_distance_equals_reduced(ctx_2112):
     # equivariance bridge: line-level orbit distance scales by k under reduction
     params = ctx_2112.params
-    line_d = orbit_min_distance(ctx_2112.unit_line(1), (g for _, g in full_group(ctx_2112)))
+    gen = ctx_2112.unit_line(1)
+    line_d = orbit_min_distance(gen, _images(gen, (g for _, g in full_group(ctx_2112))))
     reduced_orbit, _, _ = spread_components(ctx_2112, 1, params.t + 1)
     assert params.k * line_d == min_distance_bruteforce(reduced_orbit)
 
@@ -504,11 +513,12 @@ def test_orbit_formula_agrees_on_every_orbit_code(contexts, pekt):
     params = ctx.params
     for i in range(1, params.t + 1):
         whole_group = (g for _, g in full_group(ctx))
-        assert orbit_min_distance(ctx.unit_line(i), whole_group) == \
+        assert orbit_min_distance(ctx.unit_line(i), _images(ctx.unit_line(i), whole_group)) == \
             min_distance_bruteforce(orbit_code(ctx, i))
     if params.r >= 2:
         from spreadforge.construction import h2_subgroup, tail_orbit
 
         for j in range(params.t + 1, params.s + 1):
-            via_formula = orbit_min_distance(ctx.unit_line(j), h2_subgroup(ctx))
+            gen = ctx.unit_line(j)
+            via_formula = orbit_min_distance(gen, _images(gen, h2_subgroup(ctx)))
             assert via_formula == min_distance_bruteforce(tail_orbit(ctx, j))
