@@ -290,7 +290,8 @@ def cmd_distance(args) -> int:
     else:
         start, walk = ctx.unit_line(header.j), ctx.tail_walk
     line_distance = orbit_min_distance(start, orbit_lines(ctx, start, walk))
-    orbit_value = params.k * line_distance
+    # field reduction multiplies distances by k; a lines file holds the lines themselves
+    orbit_value = line_distance * (params.k if header.kind == codecs.KIND_SUBSPACES else 1)
     agree = orbit_value == distance
     print(f"min distance (orbit formula): {orbit_value}")
     print(f"agreement: {'yes' if agree else 'NO'}")

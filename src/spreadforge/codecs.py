@@ -251,14 +251,12 @@ def read_code(text: str) -> tuple[CodeHeader, frozenset]:
     pack = row_packing(tower, level, width)
     digits = frozenset(DIGIT_ALPHABET[:header.p])
     out = []
-    seen: set[str] = set()
     prev: str | None = None
     for offset, record in enumerate(body):
         lineno = body_start + offset + 1
-        if record in seen:
-            raise DuplicateMember(f"line {lineno}: duplicate member")
-        seen.add(record)
-        if prev is not None and record < prev:
+        if prev is not None and record <= prev:  # sorted, so a repeat follows its twin
+            if record == prev:
+                raise DuplicateMember(f"line {lineno}: duplicate member")
             raise NonCanonicalMember(f"line {lineno}: members out of canonical order")
         prev = record
         out.append(_parse_member(pack, nrows, digits, record, lineno))

@@ -35,7 +35,7 @@ class ReductionContext:
         self.q = tower.cardinality(1)
         self.alpha = tower.index_of(tower.alpha(2))
         self.alpha_powers = tuple(tower.pow(2, self.alpha, ell) for ell in range(self.k))
-        self._line_maps: dict = {}  # line packing -> (reduced packing, times alpha)
+        self._reduced_packs: dict = {}  # line packing -> packing of the reduced rows
 
     def matrix_rep(self, u: int) -> Matrix:
         """k x k matrix over F_q acting as multiplication by the F_{q^k} element of index u."""
@@ -44,16 +44,15 @@ class ReductionContext:
 
     def reduce_line(self, line: Subspace) -> Subspace:
         """Field reduction of a line: a k-dimensional subspace of F_q^{ks}."""
-        maps = self._line_maps.get(line.pack)
-        if maps is None:
+        reduced = self._reduced_packs.get(line.pack)
+        if reduced is None:
             if line.level != 2 or not line.tower.compatible_at(self.tower, 2):
                 raise LevelMismatch("reduce_line expects a line over the middle field")
-            lines = row_packing(self.tower, 2, line.ambient)
-            maps = (row_packing(self.tower, 1, self.k * line.ambient), lines.scalar_map(self.alpha))
-            self._line_maps[line.pack] = maps
+            reduced = row_packing(self.tower, 1, self.k * line.ambient)
+            self._reduced_packs[line.pack] = reduced
         if line.dim != 1:
             raise ValueError(f"reduce_line expects a line, got dimension {line.dim}")
-        reduced, times_alpha = maps
+        times_alpha = line.pack.times_alpha
         rows = [line.rows[0]]
         for _ in range(self.k - 1):
             rows.append(times_alpha(rows[-1]))

@@ -1,9 +1,10 @@
 """Dense linear algebra over any tower level, plus canonical subspaces and lines.
 
 A Matrix holds its tower and level once and its entries as canonical
-element indexes (plain ints), and carries the small group algebra:
-products, powers and inverses of s x s matrices through the tower's index
-arithmetic, `rref` and `Matrix.inverse` sharing one elimination loop.
+element indexes (plain ints), and carries the small group algebra through
+the tower's index arithmetic: products, powers and blocks of s x s
+matrices.  `rank`, `rref`, `Matrix.inverse` (on (A | I)) and
+`canonical_subspace` eliminate by packing their rows and reducing them.
 
 Every vector computation runs on packed rows.  A row of entries at one
 level is one int holding the entries' little-endian base-p digits, m per
@@ -13,9 +14,9 @@ w = ceil(log2(2p - 1)): two digits add without a carry out of their lane,
 and the sum drops p from every lane that reached it, found as the top bit
 of lane + (h - p), h = 2^(w-1) >= p (SWAR arithmetic, Lamport, CACM 18(8),
 1975).  The F_Q-span of rows over a level of Q = p^m elements is the
-F_p-span of the rows times alpha^j, j < m, so spans and ranks are F_p
-loops over lanes, and a matrix acts on rows by one table lookup per chunk
-of lanes, after M4RI (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
+F_p-span of the rows times alpha^j, j < m, so spans, ranks and RREFs are
+F_p loops over lanes, and a matrix acts on rows by one table lookup per
+chunk of lanes, after M4RI (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
 `row_packing` builds one (tower, level, ncols) layout on first use.
 
 A Subspace is the packed rows of its reduced row echelon basis, so set
@@ -54,13 +55,6 @@ def _compatible(x, y) -> bool:
     return x.level == y.level and (
         x.tower is y.tower or x.tower.compatible_at(y.tower, x.level)
     )
-
-
-def _add_multiple(tower: FieldTower, level: int, row: Sequence[int], c: int,
-                  other: Sequence[int]) -> list[int]:
-    """row + c * other, entrywise."""
-    add, mul = tower.add, tower.mul
-    return [add(level, a, mul(level, c, b)) for a, b in zip(row, other)]
 
 
 class Matrix:
@@ -116,9 +110,9 @@ class Matrix:
         self._check(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix addition")
-        tower, level = self.tower, self.level
-        return Matrix(tower, level, [
-            _add_multiple(tower, level, ra, 1, rb) for ra, rb in zip(self.rows, other.rows)
+        add, level = self.tower.add, self.level
+        return Matrix(self.tower, level, [
+            [add(level, a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
         ])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -154,7 +148,7 @@ class Matrix:
         return result
 
     def inverse(self) -> "Matrix":
-        """Inverse via Gauss-Jordan on (self | I); SingularInput if not square/regular."""
+        """Inverse read off the RREF of (self | I); SingularInput if not square/regular."""
         if self.nrows != self.ncols:
             raise SingularInput("only square matrices are invertible")
         n = self.nrows
@@ -188,11 +182,11 @@ def vector_matrix(v: Sequence[int], m: Matrix) -> Vector:
     """Row vector times matrix."""
     if len(v) != m.nrows:
         raise ValueError(f"vector length {len(v)} does not match {m.nrows} rows")
-    tower, level = m.tower, m.level
+    add, mul, level = m.tower.add, m.tower.mul, m.level
     out = [0] * m.ncols
     for c, row in zip(v, m.rows):
         if c:
-            out = _add_multiple(tower, level, out, c, row)
+            out = [add(level, a, mul(level, c, b)) for a, b in zip(out, row)]
     return tuple(out)
 
 
@@ -206,36 +200,10 @@ def rank(m: Matrix) -> int:
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank.
-
-    Forward elimination, then, bottom-up, each pivot row is normalized and
-    its pivot column cleared in the rows above.
-    """
-    tower, level = m.tower, m.level
-    rows = [list(r) for r in m.rows]
-    pivots: list[int] = []
-    for col in range(m.ncols):
-        rk = len(pivots)
-        pivot = next((r for r in range(rk, m.nrows) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        top = rows[rk]
-        factor = tower.neg(level, tower.inv(level, top[col]))
-        for r in range(rk + 1, m.nrows):
-            if rows[r][col]:
-                c = tower.mul(level, rows[r][col], factor)
-                rows[r][col:] = _add_multiple(tower, level, rows[r][col:], c, top[col:])
-        pivots.append(col)
-        if rk + 1 == m.nrows:
-            break
-    for i in reversed(range(len(pivots))):
-        col = pivots[i]
-        top = rows[i] = [tower.mul(level, tower.inv(level, rows[i][col]), a) for a in rows[i]]
-        for r in range(i):
-            if rows[r][col]:
-                rows[r] = _add_multiple(tower, level, rows[r], tower.neg(level, rows[r][col]), top)
-    return Matrix(tower, level, rows), len(pivots)
+    """Reduced row echelon form and rank, zero rows last, from `RowPacking.reduce`."""
+    pack = row_packing(m.tower, m.level, m.ncols)
+    rows = [pack.entries(r) for r in pack.reduce([pack.pack(row) for row in m.rows])]
+    return Matrix(m.tower, m.level, rows + [(0,) * m.ncols] * (m.nrows - len(rows))), len(rows)
 
 
 def companion_matrix(tower: FieldTower, level: int, modulus: Sequence[int]) -> Matrix:
@@ -273,7 +241,6 @@ class RowPacking:
         while p ** (chunk + 1) <= _TABLE_ENTRIES:
             chunk += 1
         self.chunk = chunk
-        self._times_alpha: Callable[[int], int] | None = None  # built on first use
         if p == 2:
             self.add = xor
             return
@@ -381,15 +348,18 @@ class RowPacking:
         units = [self.to_lanes(mul(level, self.p**j, c)) for j in range(self.digits)]
         return self.linear_map([u << i * eb for i in range(self.ncols) for u in units])
 
+    @functools.cached_property
+    def times_alpha(self) -> Callable[[int], int]:
+        """Every entry times alpha, the generator of the level, on packed rows."""
+        return self.scalar_map(self.tower.alpha(self.level).raw)
+
     # -- spans and ranks -------------------------------------------------------------
 
     def expand(self, rows: Sequence[int]) -> list[int]:
         """The rows times alpha^j for j < m: their F_p-span is the rows' F_Q-span."""
         out = list(rows)
         if self.digits > 1:
-            if self._times_alpha is None:
-                self._times_alpha = self.scalar_map(self.tower.alpha(self.level).raw)
-            times_alpha, cur = self._times_alpha, out
+            times_alpha, cur = self.times_alpha, out
             for _ in range(self.digits - 1):
                 cur = [times_alpha(r) for r in cur]
                 out += cur
@@ -408,11 +378,13 @@ class RowPacking:
                      for mb in self.multiples(b)[1:] for v in vecs]
         return vecs
 
-    def rank(self, rows: Sequence[int]) -> int:
-        """Rank over the level's field: the F_p rank of the expansion, over m.
+    def _echelon(self, rows: Sequence[int]) -> dict:
+        """F_p echelon basis of the rows' expansion, keyed by pivot lane.
 
         Each row's lowest nonzero lane is eliminated against a kept basis
-        row with that lowest lane until it is zero or joins the basis.
+        row with that lowest lane until it is zero or joins the basis.  Keys
+        and values: at p = 2 the lane's bit and the row; for odd p the lane's
+        shift and the multiples of the row scaled to lane value 1.
         """
         rows = self.expand(rows)
         basis: dict = {}
@@ -425,7 +397,7 @@ class RowPacking:
                         basis[low] = r
                         break
                     r ^= b
-            return len(basis) // self.digits
+            return basis
         p, w, add = self.p, self.width, self.add
         lane = (1 << w) - 1
         for r in rows:
@@ -438,7 +410,33 @@ class RowPacking:
                     basis[shift] = [own[d * inv % p] for d in range(p)]
                     break
                 r = add(r, mults[p - v])
-        return len(basis) // self.digits
+        return basis
+
+    def rank(self, rows: Sequence[int]) -> int:
+        """Rank over the level's field: the F_p rank of the expansion, over m."""
+        return len(self._echelon(rows)) // self.digits
+
+    def reduce(self, rows: Sequence[int]) -> list[int]:
+        """The RREF basis of the rows' span over the level's field, in pivot order.
+
+        Each row of the F_p echelon basis is cleared at the pivot lanes after
+        its own, last pivot first.  Every lane of a pivot entry is a pivot
+        lane of the expansion, so a row whose pivot is an entry's lowest lane
+        holds 1 there and 0 in every other pivot entry: it is an RREF row.
+        """
+        basis = self._echelon(rows)
+        if self.p == 2:  # key the rows by their pivot lane's shift, as for odd p
+            basis = {low.bit_length() - 1: [0, r] for low, r in basis.items()}
+        p, lane, add = self.p, (1 << self.width) - 1, self.add
+        done: dict = {}  # pivot shift -> multiples of the cleared row
+        for shift in sorted(basis, reverse=True):
+            r = basis[shift][1]
+            for later, mults in done.items():
+                v = r >> later & lane
+                if v:
+                    r = add(r, mults[p - v])
+            done[shift] = self.multiples(r)
+        return [done[shift][1] for shift in sorted(done) if shift % self.entry_bits == 0]
 
     # -- text and canonical form ------------------------------------------------------
     # A row's digit string lists its lanes' digits from the lowest lane up, so
@@ -539,11 +537,11 @@ class Subspace:
 
 def canonical_subspace(m: Matrix) -> Subspace:
     """Unique RREF representative of rowsp(m); rows must be independent."""
-    reduced, rk = rref(m)
-    if rk < m.nrows:
-        raise RankDeficient(f"rank {rk} < {m.nrows} rows")
     pack = row_packing(m.tower, m.level, m.ncols)
-    return Subspace(pack, tuple(pack.pack(row) for row in reduced.rows))
+    rows = pack.reduce([pack.pack(row) for row in m.rows])
+    if len(rows) < m.nrows:
+        raise RankDeficient(f"rank {len(rows)} < {m.nrows} rows")
+    return Subspace(pack, tuple(rows))
 
 
 def canonical_line(tower: FieldTower, level: int, v: Sequence[int]) -> Subspace:

@@ -35,7 +35,7 @@ from .subspaces import (
     subspace_distance,
 )
 
-# Coverage counting materializes every nonzero vector; skip it past this bound.
+# The vector pass holds every member's nonzero vectors at once; skip it past this many.
 COVERAGE_GUARD = 1 << 26
 
 
@@ -97,12 +97,16 @@ def min_distance_bruteforce(code: Iterable) -> int:
     return pairwise_min_distance(_members_as_subspaces(code)) or 0
 
 
-def _shared_vectors(subs: Sequence[Subspace]) -> tuple[int, set]:
+def _shared_vectors(subs: Sequence[Subspace]) -> tuple[int, set] | None:
     """One pass over every member's nonzero vectors, as packed rows.
 
     Returns the number of distinct nonzero vectors covered and the index
-    pairs (i, j), i < j, of members that share at least one of them.
+    pairs (i, j), i < j, of members that share at least one of them; None,
+    with no pass, when the members hold more than COVERAGE_GUARD vectors.
     """
+    q = subs[0].tower.cardinality(subs[0].level)
+    if sum(q**s.dim for s in subs) - len(subs) > COVERAGE_GUARD:
+        return None
     first: dict[int, int] = {}   # vector -> first member holding it
     later: dict[int, list] = {}  # vector -> the other members holding it
     pairs: set = set()
@@ -131,16 +135,16 @@ def _ranked_min(subs: Sequence[Subspace], pairs: Iterable, k: int) -> int:
 def min_distance(code: Iterable) -> int:
     """Exact minimum subspace distance, ranking only pairs that share a vector.
 
-    Mixed dimensions, or an ambient space past COVERAGE_GUARD, fall back to
+    Mixed dimensions, or more vectors than COVERAGE_GUARD, fall back to
     `min_distance_bruteforce`.  0 for a singleton.
     """
     subs = _members_as_subspaces(code)
     if len(subs) < 2:
         return 0
-    q = subs[0].tower.cardinality(subs[0].level)
-    if len({s.dim for s in subs}) > 1 or q ** subs[0].ambient > COVERAGE_GUARD:
+    shared = len({s.dim for s in subs}) == 1 and _shared_vectors(subs)
+    if not shared:
         return min_distance_bruteforce(subs)
-    return _ranked_min(subs, _shared_vectors(subs)[1], subs[0].dim)
+    return _ranked_min(subs, shared[1], subs[0].dim)
 
 
 def _lines_over_next_level(subs: Sequence[Subspace]) -> bool:
@@ -193,7 +197,7 @@ def classify(code: Iterable) -> VerificationReport:
     """Measure a code and decide Spread / PartialSpread / weaker verdicts.
 
     The minimum distance comes from the line certificate or, where it does
-    not hold, every pairwise rank; within COVERAGE_GUARD one vector pass
+    not hold, every pairwise rank; within COVERAGE_GUARD vectors one pass
     counts coverage and, for constant dimension, must give the same
     distance.  The spread decision is checked against cardinality and
     coverage too.  Any disagreement raises InternalError.
@@ -209,9 +213,7 @@ def classify(code: Iterable) -> VerificationReport:
     constant = len(dims) == 1
     k = dims.pop() if constant else None
 
-    coverage = pairs = None
-    if q**ambient <= COVERAGE_GUARD:
-        coverage, pairs = _shared_vectors(subs)
+    coverage, pairs = _shared_vectors(subs) or (None, None)
 
     min_distance = 0
     if cardinality >= 2:

@@ -12,6 +12,7 @@ import pytest
 
 from spreadforge import cli, codecs, verify
 from spreadforge.cli import main
+from spreadforge.construction import orbit_code, tail_orbit
 from spreadforge.errors import InternalOrderCheckFailed
 from spreadforge.gftower import TABLE_GUARD, FieldTower
 from spreadforge.subspaces import Matrix, canonical_subspace
@@ -513,7 +514,26 @@ def test_distance_orbit_formula_agreement(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "orbit formula): 4" in text and "agreement: yes" in text
     assert main(["distance", "--in", str(out / "bj.code"), "--orbit"]) == 0
-    assert "agreement: yes" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        "min distance: 4", "min distance (orbit formula): 4", "agreement: yes"]
+
+
+@pytest.mark.parametrize("component", ["Ci", "Bj"])
+def test_distance_orbit_on_a_lines_file_takes_the_line_distance(tmp_path, capsys, ctx_2122,
+                                                                component):
+    # a lines file holds the unreduced orbit: its distance is the line distance, 2
+    if component == "Ci":
+        code, tags = orbit_code(ctx_2122, 1), {"i": 1}
+    else:
+        code, tags = tail_orbit(ctx_2122, 3), {"j": 3}
+    header = codecs.CodeHeader(p=2, e=1, k=2, t=2, kind=codecs.KIND_LINES,
+                               component=component, **tags)
+    path = tmp_path / f"{component}-lines.code"
+    path.write_text(codecs.write_code(code, header))
+    assert main(["distance", "--in", str(path), "--orbit"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["min distance: 2", "min distance (orbit formula): 2",
+                                "agreement: yes"]
 
 
 def test_distance_orbit_rejected_for_non_orbit_component(tmp_path):

@@ -128,6 +128,14 @@ def test_duplicate_member_rejected(spreads):
         read_code("\n".join(lines) + "\n")
 
 
+def test_non_adjacent_repeat_is_refused_as_out_of_order(spreads):
+    lines = _valid_text(spreads).splitlines()
+    lines.append(lines[-2])  # a, b, a: the repeat sorts before its predecessor
+    lines = [l.replace("members=15", "members=16") for l in lines]
+    with pytest.raises(NonCanonicalMember, match="out of canonical order"):
+        read_code("\n".join(lines) + "\n")
+
+
 def test_unsorted_body_rejected(spreads):
     lines = _valid_text(spreads).splitlines()
     lines[-1], lines[-2] = lines[-2], lines[-1]

@@ -1,9 +1,10 @@
 """Differential tests: the packed-row paths against int-list reference paths.
 
 Every vector computation in the library runs on packed rows (see
-:mod:`spreadforge.subspaces`).  The references below compute on rows of
-element indexes through the tower's scalar arithmetic, entry by entry, the
-way the library did before rows were packed.  Both must agree exactly.
+:mod:`spreadforge.subspaces`), and so does every elimination: rank, RREF,
+inverse and canonical subspaces.  The references below compute on rows of
+element indexes through the tower's scalar arithmetic, entry by entry, and
+eliminate by a Gauss-Jordan of their own.  Both must agree exactly.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import pytest
 
 from spreadforge import codecs, verify
 from spreadforge.construction import build_group, line_partition, spread_components, validate_params
-from spreadforge.errors import MalformedHeader, NonCanonicalMember, SpreadforgeError
-from spreadforge.gftower import DIGIT_ALPHABET, to_digits
+from spreadforge.errors import MalformedHeader, NonCanonicalMember, RankDeficient, SingularInput
+from spreadforge.gftower import DIGIT_ALPHABET, field_build, to_digits
 from spreadforge.reduction import ReductionContext
 from spreadforge.subspaces import (
     Matrix,
@@ -45,8 +46,39 @@ def ref_vectors(sub) -> list[tuple[int, ...]]:
     return [vector_matrix(c, m) for c in itertools.product(range(card), repeat=sub.dim) if any(c)]
 
 
+def ref_rref(m: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """RREF (zero rows last) and rank: each pivot row is scaled to 1 and its
+    column cleared in every other row as soon as the pivot is found."""
+    tower, level = m.tower, m.level
+    rows = [list(r) for r in m.rows]
+    rk = 0
+    for col in range(m.ncols):
+        pivot = next((r for r in range(rk, m.nrows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        inv = tower.inv(level, rows[rk][col])
+        top = rows[rk] = [tower.mul(level, inv, a) for a in rows[rk]]
+        for r, row in enumerate(rows):
+            if r != rk and row[col]:
+                c = tower.neg(level, row[col])
+                rows[r] = [tower.add(level, a, tower.mul(level, c, b)) for a, b in zip(row, top)]
+        rk += 1
+    return tuple(map(tuple, rows)), rk
+
+
 def ref_rank(m: Matrix) -> int:
-    return rref(m)[1]
+    return ref_rref(m)[1]
+
+
+def ref_inverse(m: Matrix) -> tuple[tuple[int, ...], ...] | None:
+    """The inverse's rows, read off the RREF of (m | I); None when m is singular."""
+    n = m.nrows
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    reduced, _ = ref_rref(Matrix(m.tower, m.level, [a + b for a, b in zip(m.rows, ident)]))
+    if tuple(row[:n] for row in reduced) != ident:
+        return None
+    return tuple(row[n:] for row in reduced)
 
 
 def ref_distance(u, v) -> int:
@@ -107,11 +139,7 @@ def ref_parse_member(tower, level, nrows, width, record):
             return MalformedHeader
         parsed.append(entries)
     matrix = Matrix(tower, level, parsed)
-    try:
-        sub = canonical_subspace(matrix)
-    except SpreadforgeError:
-        return NonCanonicalMember
-    return None if sub.matrix == matrix else NonCanonicalMember
+    return None if ref_rref(matrix) == (matrix.rows, nrows) else NonCanonicalMember
 
 
 # -- codes under test -------------------------------------------------------------------
@@ -192,6 +220,53 @@ def test_rank_matches_reference(codes, pekt):
                                               for x, y in zip(rows[a], rows[b])]
             m = Matrix(ctx.tower, level, rows)
             assert rank(m) == ref_rank(m)
+
+
+def _elimination_inputs(tower, level, rng):
+    """Seeded matrices at one level: random ones, and ones with a zero row, a
+    repeated row or a dependent row; every third one square, so singular too."""
+    card, add, mul = tower.cardinality(level), tower.add, tower.mul
+    yield Matrix.zeros(tower, level, 2, 3)
+    for trial in range(45):
+        nrows = rng.randint(1, 5)
+        ncols = nrows if trial % 3 == 0 else rng.randint(1, 6)
+        rows = [[rng.randrange(card) for _ in range(ncols)] for _ in range(nrows)]
+        target = rng.randrange(nrows)
+        shape = trial % 4
+        if shape == 1:
+            rows[target] = [0] * ncols
+        elif shape == 2 and nrows > 1:
+            rows[target] = list(rows[target - 1])
+        elif shape == 3 and nrows > 2:  # c a + d b for two other rows a, b
+            a, b = (rows[i] for i in rng.sample([i for i in range(nrows) if i != target], 2))
+            c, d = rng.randrange(card), rng.randrange(card)
+            rows[target] = [add(level, mul(level, c, x), mul(level, d, y)) for x, y in zip(a, b)]
+        yield Matrix(tower, level, rows)
+
+
+@pytest.mark.parametrize("pekt", [(2, 1, 2, 2), (3, 1, 2, 1), (2, 2, 2, 2), (5, 1, 1, 2),
+                                  (11, 1, 2, 1)])
+def test_elimination_matches_reference(pekt):
+    # lane widths 1, 3, 4 and 5, and up to m = 4 digits an entry at level 2 of (2,2,2,2)
+    tower = field_build(*pekt)
+    rng = random.Random(f"elimination/{pekt}")
+    for level in (0, 1, 2):
+        for m in _elimination_inputs(tower, level, rng):
+            rows, rk = ref_rref(m)
+            assert rref(m) == (Matrix(tower, level, rows), rk)
+            assert rank(m) == rk
+            if rk == m.nrows:
+                assert canonical_subspace(m).matrix.rows == rows
+            else:
+                with pytest.raises(RankDeficient):
+                    canonical_subspace(m)
+            if m.nrows == m.ncols:
+                inverse = ref_inverse(m)
+                if inverse is None:
+                    with pytest.raises(SingularInput):
+                        m.inverse()
+                else:
+                    assert m.inverse().rows == inverse
 
 
 @pytest.mark.parametrize("pekt", POINTS)

@@ -145,10 +145,21 @@ def test_bucketed_distance_falls_back_on_mixed_dimensions(ctx_2122, monkeypatch)
 def test_bucketed_distance_falls_back_past_the_coverage_guard(spreads, monkeypatch):
     code = spreads[(2, 1, 1, 2)]  # the 15 points of F_2^4
     reference = min_distance_bruteforce(code)
-    monkeypatch.setattr(verify, "COVERAGE_GUARD", 15)
+    monkeypatch.setattr(verify, "COVERAGE_GUARD", 14)
     calls = count_calls(monkeypatch, verify, "min_distance_bruteforce")
     assert min_distance(code) == reference == 2
     assert len(calls) == 1
+
+
+def test_vector_pass_is_gated_on_the_vectors_it_holds(ctx_2122, monkeypatch):
+    # the reduced Bj part holds 5 * 3 = 15 vectors of a space of q^n = 256
+    code = spread_components(ctx_2122, 1, 3)[2]
+    reference = min_distance_bruteforce(code)
+    monkeypatch.setattr(verify, "COVERAGE_GUARD", 100)
+    calls = count_calls(monkeypatch, verify, "min_distance_bruteforce")
+    assert min_distance(code) == reference == 4
+    assert not calls
+    assert classify(code).coverage_count == 15
 
 
 def test_bucketed_distance_of_a_singleton_is_zero(ctx_2112):
