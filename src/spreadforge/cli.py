@@ -8,7 +8,6 @@ failed internal self-check (an ``InternalError``).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -18,13 +17,21 @@ from .construction import (
     CodeParams,
     build_group,
     default_completion,
-    orbit_lines,
+    orbit_code,
     spread_components,
     spread_union,
+    tail_orbit,
     validate_params,
 )
-from .errors import CodecError, GcdConditionViolated, InternalError, SpreadforgeError
-from .gftower import DIGIT_ALPHABET, TABLE_GUARD, is_prime
+from .errors import (
+    CodecError,
+    GcdConditionViolated,
+    InternalError,
+    NonPrimeCharacteristic,
+    SpreadforgeError,
+    TrivialGroup,
+)
+from .gftower import DIGIT_ALPHABET, TABLE_GUARD
 from .verify import (
     Verdict,
     classify,
@@ -107,25 +114,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _iter_valid_params(max_order: int):
+    """Every (p, e, k, t) with q^kt <= max_order that validate_params accepts."""
     # a q^kt past TABLE_GUARD has no tower to build, so its row is not listed
     max_order = min(max_order, TABLE_GUARD)
-    p = 2
-    while p <= min(max_order, len(DIGIT_ALPHABET)):
-        if is_prime(p):
-            e = 1
-            while p**e <= max_order:
-                q = p**e
-                k = 1
-                while q**k <= max_order:
-                    qk = q**k
-                    t = 1
-                    while qk**t <= max_order:
-                        if qk**t > 2 and math.gcd(t, qk - 1) == 1:
-                            yield validate_params(p, e, k, t)
-                        t += 1
-                    k += 1
-                e += 1
-        p += 1
+    for p in range(2, len(DIGIT_ALPHABET) + 1):
+        top = 0  # the largest e k t with p^(e k t) <= max_order
+        while p ** (top + 1) <= max_order:
+            top += 1
+        for e in range(1, top + 1):
+            for k in range(1, top // e + 1):
+                for t in range(1, top // (e * k) + 1):
+                    try:
+                        params = validate_params(p, e, k, t)
+                    except (NonPrimeCharacteristic, TrivialGroup, GcdConditionViolated):
+                        continue
+                    yield params
 
 
 def cmd_params(args) -> int:
@@ -285,11 +288,8 @@ def cmd_distance(args) -> int:
               f"GROUP_ENUM_GUARD is {GROUP_ENUM_GUARD}", file=sys.stderr)
         return EXIT_USAGE
     ctx = build_group(params)
-    if header.component == "Ci":
-        start, walk = ctx.unit_line(header.i), ctx.transversal_walk
-    else:
-        start, walk = ctx.unit_line(header.j), ctx.tail_walk
-    line_distance = orbit_min_distance(start, orbit_lines(ctx, start, walk))
+    index, orbit = (header.i, orbit_code) if header.component == "Ci" else (header.j, tail_orbit)
+    line_distance = orbit_min_distance(ctx.unit_line(index), orbit(ctx, index))
     # field reduction multiplies distances by k; a lines file holds the lines themselves
     orbit_value = line_distance * (params.k if header.kind == codecs.KIND_SUBSPACES else 1)
     agree = orbit_value == distance

@@ -23,7 +23,7 @@ from .errors import (
     NonCanonicalMember,
     VersionUnsupported,
 )
-from .gftower import DIGIT_ALPHABET, FieldTower, check_field_size, is_prime
+from .gftower import DIGIT_ALPHABET, FieldTower, check_field_size, check_tower_params
 from .subspaces import Matrix, RowPacking, Subspace, row_packing
 from .verify import VerificationReport
 
@@ -60,12 +60,7 @@ class CodeHeader(_HeaderFields):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.component not in COMPONENTS:
             raise ValueError(f"unknown component {self.component!r}")
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic {self.p} is not prime")
-        if self.p > len(DIGIT_ALPHABET):
-            raise ValueError(f"characteristic {self.p} exceeds the digit alphabet")
-        if min(self.e, self.k, self.t) < 1:
-            raise ValueError(f"degrees must be >= 1, got e={self.e}, k={self.k}, t={self.t}")
+        check_tower_params(self.p, self.e, self.k, self.t)
         if self.i is not None and not 1 <= self.i <= self.t:
             raise ValueError(f"tag i={self.i} not in 1..{self.t}")
         if self.j is not None and not self.t + 1 <= self.j <= self.s:
@@ -160,18 +155,10 @@ def write_code(code, header: CodeHeader) -> str:
         break
     records = sorted(member_record(m) for m in code)
     lines = [f"# {FORMAT_NAME} v{FORMAT_VERSION}"]
-    for key in ("p", "e", "k", "t"):
-        lines.append(f"# {key}={getattr(header, key)}")
-    for key in ("q", "s", "n", "r"):
-        lines.append(f"# {key}={getattr(header, key)}")
-    lines.append(f"# kind={header.kind}")
-    lines.append(f"# component={header.component}")
-    if header.i is not None:
-        lines.append(f"# i={header.i}")
-    if header.j is not None:
-        lines.append(f"# j={header.j}")
-    if header.bm is not None:
-        lines.append(f"# bm={header.bm}")
+    for key in ("p", "e", "k", "t", "q", "s", "n", "r", "kind", "component", "i", "j", "bm"):
+        value = getattr(header, key)
+        if value is not None:
+            lines.append(f"# {key}={value}")
     lines.append(f"# members={len(records)}")
     lines.extend(records)
     return "\n".join(lines) + "\n"

@@ -29,25 +29,22 @@ import math
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
-    CharacteristicTooLarge,
-    DegreeOutOfRange,
     ExponentOutOfRange,
     GcdConditionViolated,
     GroupTooLarge,
     IndexOutOfRange,
     InternalError,
     InternalOrderCheckFailed,
-    NonPrimeCharacteristic,
     TrivialGroup,
 )
 from .gftower import (
-    DIGIT_ALPHABET,
     FieldTower,
+    check_tower_params,
     check_tower_size,
     distinct_prime_factors,
     element_order,
     field_build,
-    is_prime,
+    has_order,
 )
 from .reduction import ReductionContext
 from .subspaces import (
@@ -60,8 +57,6 @@ from .subspaces import (
 
 # Exhaustive enumerations over the whole group refuse to run past this size.
 GROUP_ENUM_GUARD = 1 << 20
-# Generator orders are re-verified at build time up to this bound.
-ORDER_CHECK_BOUND = 1 << 16
 
 
 class CodeParams(NamedTuple):
@@ -88,14 +83,7 @@ def validate_params(p: int, e: int, k: int, t: int) -> CodeParams:
 
     A tower past TABLE_GUARD is refused (FieldTooLarge) before q^kt is formed.
     """
-    if not is_prime(p):
-        raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
-    if p > len(DIGIT_ALPHABET):
-        raise CharacteristicTooLarge(
-            f"characteristic {p} exceeds the {len(DIGIT_ALPHABET)}-symbol digit alphabet"
-        )
-    if min(e, k, t) < 1:
-        raise DegreeOutOfRange(f"degrees must be >= 1, got e={e}, k={k}, t={t}")
+    check_tower_params(p, e, k, t)
     check_tower_size(p, e, k, t)  # bounds q^kt, r and the group order by bit length first
     q = p**e
     qk = q**k
@@ -158,9 +146,6 @@ class GroupContext:
         self._reduction: ReductionContext | None = None
 
         self.lines = row_packing(tower, 2, params.s)  # packed rows of F_{q^k}^s
-        # (generator, order) walks of <h2^{q^k-1}> x <h1> and of <h2^{q^k-1}>
-        self.transversal_walk = ((self.h2_step, r), (self.h1, params.max_exponent))
-        self.tail_walk = ((self.h2_step, r),)
 
     # -- lazy caches --------------------------------------------------------
 
@@ -184,18 +169,12 @@ class GroupContext:
             )
 
 
-def _matrix_order_is(m: Matrix, n: int, ident: Matrix) -> bool:
-    if m**n != ident:
-        return False
-    return all(m ** (n // ell) != ident for ell in distinct_prime_factors(n))
-
-
 def build_group(params: CodeParams, tower: FieldTower | None = None) -> GroupContext:
     """Construct the group context and verify the orders it relies on.
 
-    Commutativity of the generators is checked unconditionally; the order
-    checks (all of them exhaustive-descent exact) are gated on
-    q^kt - 1 <= ORDER_CHECK_BOUND to keep large builds fast.
+    Every check runs on every build: the generators commute, alpha has
+    order q^k - 1, and the companion matrix, h1 and h2 have order exactly
+    q^kt - 1 and c order exactly r, each by has_order's prime descent.
     """
     if tower is None:
         tower = field_build(params.p, params.e, params.k, params.t)
@@ -204,16 +183,16 @@ def build_group(params: CodeParams, tower: FieldTower | None = None) -> GroupCon
         raise InternalOrderCheckFailed("generators do not commute")
     if element_order(tower.alpha(2)) != params.qk - 1:
         raise InternalOrderCheckFailed("middle-field generator has wrong order")
-    n = params.max_exponent
-    if n <= ORDER_CHECK_BOUND:
-        ident_t = Matrix.identity(tower, 2, params.t)
-        if not _matrix_order_is(ctx.m_t, n, ident_t):
-            raise InternalOrderCheckFailed("companion matrix order is not q^kt - 1")
-        if not _matrix_order_is(ctx.c, params.r, ident_t):
-            raise InternalOrderCheckFailed("reduced companion power does not have order r")
-        for name, gen in (("h1", ctx.h1), ("h2", ctx.h2)):
-            if not _matrix_order_is(gen, n, ctx._identity_s):
-                raise InternalOrderCheckFailed(f"{name} does not have order q^kt - 1")
+    n, r = params.max_exponent, params.r
+    n_primes, r_primes = distinct_prime_factors(n), distinct_prime_factors(r)
+    ident_t = Matrix.identity(tower, 2, params.t)
+    if not has_order(ctx.m_t.__pow__, ident_t, n, n_primes):
+        raise InternalOrderCheckFailed("companion matrix order is not q^kt - 1")
+    if not has_order(ctx.c.__pow__, ident_t, r, r_primes):
+        raise InternalOrderCheckFailed("reduced companion power does not have order r")
+    for name, gen in (("h1", ctx.h1), ("h2", ctx.h2)):
+        if not has_order(gen.__pow__, ctx._identity_s, n, n_primes):
+            raise InternalOrderCheckFailed(f"{name} does not have order q^kt - 1")
     return ctx
 
 
@@ -370,7 +349,8 @@ def orbit_code(ctx: GroupContext, i: int) -> SubspaceCode:
     params = ctx.params
     if not 1 <= i <= params.t:
         raise IndexOutOfRange(f"orbit index {i} not in 1..{params.t}")
-    return orbit_lines(ctx, ctx.unit_line(i), ctx.transversal_walk)
+    return orbit_lines(ctx, ctx.unit_line(i),
+                       ((ctx.h2_step, params.r), (ctx.h1, params.max_exponent)))
 
 
 # -- completion ----------------------------------------------------------------
@@ -432,7 +412,7 @@ def tail_orbit(ctx: GroupContext, j: int) -> SubspaceCode:
     params = ctx.params
     if not params.t + 1 <= j <= params.s:
         raise IndexOutOfRange(f"tail index {j} not in {params.t + 1}..{params.s}")
-    return orbit_lines(ctx, ctx.unit_line(j), ctx.tail_walk)
+    return orbit_lines(ctx, ctx.unit_line(j), ((ctx.h2_step, params.r),))
 
 
 # -- assembly -------------------------------------------------------------------

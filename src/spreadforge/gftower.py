@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
+    CharacteristicTooLarge,
     DegreeOutOfRange,
     DivisionByZero,
     FieldTooLarge,
@@ -54,6 +55,32 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def check_tower_params(p: int, e: int, k: int, t: int) -> None:
+    """Refuse a characteristic past the digit alphabet, then a composite one, then a degree below 1.
+
+    The alphabet bound comes first: it caps p at 36, so the trial division
+    in is_prime never runs on a huge p.
+    """
+    if p > len(DIGIT_ALPHABET):
+        raise CharacteristicTooLarge(
+            f"characteristic {p} exceeds the {len(DIGIT_ALPHABET)}-symbol digit alphabet"
+        )
+    if not is_prime(p):
+        raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
+    if min(e, k, t) < 1:
+        raise DegreeOutOfRange(f"degrees must be >= 1, got e={e}, k={k}, t={t}")
+
+
+def has_order(power: Callable[[int], object], one: object, n: int,
+              primes: Sequence[int]) -> bool:
+    """True when power(n) == one and power(n // ell) != one for every ell in `primes`.
+
+    With `primes` the distinct prime factors of n, this is "the element whose
+    powers `power` computes has order exactly n".
+    """
+    return power(n) == one and all(power(n // ell) != one for ell in primes)
 
 
 def distinct_prime_factors(n: int) -> list[int]:
@@ -465,9 +492,7 @@ class FieldTower:
                 n >>= 1
             return result
 
-        if x_power(group_order) != one:
-            return False
-        return all(x_power(group_order // ell) != one for ell in primes)
+        return has_order(x_power, one, group_order, primes)
 
     def _polymod_mul(self, level: int, modulus: tuple, a: list[int], b: list[int]) -> list[int]:
         """Product of two residues mod a monic modulus, coefficients over `level`."""

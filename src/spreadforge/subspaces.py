@@ -342,16 +342,11 @@ class RowPacking:
         images = [target.pack([mul(level, u, x) for x in row]) for row in a.rows for u in units]
         return self.linear_map(images, target)
 
-    def scalar_map(self, c: int) -> Callable[[int], int]:
-        """Every entry times the element of index c, on packed rows."""
-        mul, level, eb = self.tower.mul, self.level, self.entry_bits
-        units = [self.to_lanes(mul(level, self.p**j, c)) for j in range(self.digits)]
-        return self.linear_map([u << i * eb for i in range(self.ncols) for u in units])
-
     @functools.cached_property
     def times_alpha(self) -> Callable[[int], int]:
         """Every entry times alpha, the generator of the level, on packed rows."""
-        return self.scalar_map(self.tower.alpha(self.level).raw)
+        ident = Matrix.identity(self.tower, self.level, self.ncols)
+        return self.matrix_map(ident.scale(self.tower.alpha(self.level).raw))
 
     # -- spans and ranks -------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from spreadforge import cli, codecs, verify
+from spreadforge import cli, codecs, gftower, verify
 from spreadforge.cli import main
 from spreadforge.construction import orbit_code, tail_orbit
 from spreadforge.errors import InternalOrderCheckFailed
@@ -54,9 +55,23 @@ def test_params_lists_no_characteristic_past_the_digit_alphabet(capsys):
     assert max(primes) == 31  # 37..61 are prime and small enough, but unwritable
 
 
+@pytest.mark.parametrize("max_order, rows, digest", [
+    (1024, 103, "4d5d61817c56b7e6d2b0529932d10ecb1809256e87f7e23657f5015c016fc8af"),
+    (1048576, 290, "2687b5fb32dad2acc2c01569347be4d2423fd7a0ea2739afed297475d7f83f3c"),
+])
+def test_params_listing_is_pinned(capsys, max_order, rows, digest):
+    assert main(["params", "--max-order", str(max_order)]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == rows + 1  # and the column header
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_params_lists_no_row_past_the_table_guard(capsys):
-    # a row past the guard has no tower to build, and validate_params refuses it
+    # a row past the guard has no tower to build, and validate_params refuses it;
+    # each degree loop stops at p^(e k t) <= TABLE_GUARD, so the listing is quick
+    start = time.perf_counter()
     assert main(["params", "--max-order", str(4 * TABLE_GUARD)]) == 0
+    assert time.perf_counter() - start < 1.0
     rows = [list(map(int, line.split()[:5])) for line in capsys.readouterr().out.splitlines()[1:]]
     orders = {(p, e, k, t): q ** (k * t) for p, e, k, t, q in rows}
     assert orders[(2, 1, 1, 20)] == TABLE_GUARD
@@ -409,6 +424,33 @@ def _huge_header_file(tmp_path: Path, p, e, k, t, q, r) -> str:
     path.write_text("# spreadforge-code v1\n" + "".join(f"# {key}={value}\n"
                                                        for key, value in keys.items()))
     return str(path)
+
+
+def test_characteristic_past_the_alphabet_is_refused_before_any_primality_test(
+        tmp_path, capsys, monkeypatch):
+    # 2^61 - 1 is prime, and trial division up to its square root runs for minutes
+    p = 2**61 - 1
+
+    def no_primality_test(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(gftower, "is_prime", no_primality_test)
+    flags = ["--p", str(p), "--e", "1", "--k", "1", "--t", "1"]
+    path = _huge_header_file(tmp_path, p, 1, 1, 1, p, 1)
+    for argv, code in (
+        (["construct", *flags, "--out", str(tmp_path / "run")], 2),
+        (["oracle", *flags, "--out", str(tmp_path / "oracle.code")], 2),
+        (["verify", "--in", path], 4),
+        (["compare", path, path], 4),
+        (["distance", "--in", path], 4),
+    ):
+        start = time.perf_counter()
+        assert main(argv) == code
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert f"characteristic {p} exceeds the 36-symbol digit alphabet" in captured.err
 
 
 @pytest.mark.parametrize("degrees, code, message", [

@@ -32,10 +32,12 @@ from spreadforge.construction import (
     validate_params,
 )
 from spreadforge.errors import (
+    CharacteristicTooLarge,
     ExponentOutOfRange,
     GcdConditionViolated,
     GroupTooLarge,
     IndexOutOfRange,
+    InternalOrderCheckFailed,
     NonPrimeCharacteristic,
     TrivialGroup,
 )
@@ -67,6 +69,9 @@ def test_validate_params_rejects_gcd_violation():
 def test_validate_params_rejects_bad_characteristic():
     with pytest.raises(NonPrimeCharacteristic):
         validate_params(6, 1, 1, 2)
+    # the alphabet bound is checked before primality: 49 is refused for its size
+    with pytest.raises(CharacteristicTooLarge, match="exceeds the 36-symbol digit alphabet"):
+        validate_params(49, 1, 1, 2)
     with pytest.raises(ValueError):
         validate_params(2, 1, 0, 2)
 
@@ -123,6 +128,20 @@ def test_generators_commute_and_cyclic_parts_meet_trivially(contexts, pekt):
         pow2.add(cur2)
     assert len(pow1) == len(pow2) == n
     assert pow1 & pow2 == {ident}
+
+
+def test_build_group_checks_orders_past_two_to_the_sixteen(monkeypatch):
+    # q^kt - 1 = 177146 is even, so h1^2 commutes with h2 but has half the order
+    class SquaredH1(construction.GroupContext):
+        def __init__(self, params, tower):
+            super().__init__(params, tower)
+            self.h1 = self.h1 * self.h1
+
+    monkeypatch.setattr(construction, "GroupContext", SquaredH1)
+    params = validate_params(3, 1, 11, 1)
+    assert params.max_exponent == 177146 > 1 << 16
+    with pytest.raises(InternalOrderCheckFailed, match="h1 does not have order"):
+        build_group(params)
 
 
 def test_build_group_is_deterministic():
