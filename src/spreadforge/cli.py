@@ -3,26 +3,16 @@
 Exit codes: 0 success, 1 compared codes differ, 2 invalid flags, 3 gcd
 condition violated, 4 I/O or parse failure, 5 verification failure or a
 failed internal self-check (an ``InternalError``).
-"""
 
-from __future__ import annotations
+Each command imports the library modules it runs when it runs, so a
+command's start-up pays only for its own: ``verify`` and ``compare`` never
+load ``construction``, and ``params --max-order 1`` loads no library module.
+"""
 
 import argparse
 import sys
 from pathlib import Path
 
-from . import codecs
-from .construction import (
-    GROUP_ENUM_GUARD,
-    CodeParams,
-    build_group,
-    default_completion,
-    orbit_code,
-    spread_components,
-    spread_union,
-    tail_orbit,
-    validate_params,
-)
 from .errors import (
     CodecError,
     GcdConditionViolated,
@@ -30,15 +20,6 @@ from .errors import (
     NonPrimeCharacteristic,
     SpreadforgeError,
     TrivialGroup,
-)
-from .gftower import DIGIT_ALPHABET, TABLE_GUARD
-from .verify import (
-    Verdict,
-    classify,
-    codes_equal,
-    desarguesian_oracle,
-    min_distance,
-    orbit_min_distance,
 )
 
 EXIT_OK = 0
@@ -51,6 +32,8 @@ EXIT_VERIFY = 5
 
 def _read_code_file(path: str):
     """Parse a code file; on failure print one ``error:`` line and return None (exit 4)."""
+    from . import codecs
+
     try:
         return codecs.read_code(Path(path).read_text(encoding="ascii"))
     except (OSError, UnicodeDecodeError, CodecError) as exc:
@@ -70,43 +53,60 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t", type=int, required=True, help="half the reduced ambient dimension")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``spreadforge`` parser, with only the subparser that ``argv[0]`` names.
+
+    With no arguments, ``-h`` or an unknown name, all six are built.  Help and
+    error text are the same either way: a subparser's prog is
+    ``spreadforge <cmd>`` whatever else the parser holds.
+    """
     parser = argparse.ArgumentParser(
         prog="spreadforge",
         description="Construct, verify and compare orbit-built spread codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    helps = {
+        "params": "list valid parameter sets up to a bound",
+        "construct": "build a spread and write its code files",
+        "verify": "classify a code file and check its claim",
+        "oracle": "write the field-reduction spread directly",
+        "compare": "set-compare two code files",
+        "distance": "minimum distance of a code file",
+    }
+    names = [argv[0]] if argv and argv[0] in helps else helps
+    made = {name: sub.add_parser(name, help=helps[name]) for name in names}
 
-    p_params = sub.add_parser("params", help="list valid parameter sets up to a bound")
-    p_params.add_argument("--max-order", type=int, default=1024,
-                          help="largest allowed q^(kt) (default 1024)")
-
-    p_construct = sub.add_parser("construct", help="build a spread and write its code files")
-    _add_param_flags(p_construct)
-    p_construct.add_argument("--i", type=int, default=None, help="leading unit index (default 1)")
-    p_construct.add_argument("--j", type=int, default=None, help="tail unit index (default t+1)")
-    p_construct.add_argument("--out", required=True, help="output directory")
-    _add_workers_flag(p_construct)
-
-    p_verify = sub.add_parser("verify", help="classify a code file and check its claim")
-    p_verify.add_argument("--in", dest="infile", required=True)
-    p_verify.add_argument("--json", action="store_true",
-                          help="print the report as one JSON object instead of key=value lines")
-    _add_workers_flag(p_verify)
-
-    p_oracle = sub.add_parser("oracle", help="write the field-reduction spread directly")
-    _add_param_flags(p_oracle)
-    p_oracle.add_argument("--out", required=True, help="output file")
-
-    p_compare = sub.add_parser("compare", help="set-compare two code files")
-    p_compare.add_argument("file_a")
-    p_compare.add_argument("file_b")
-
-    p_distance = sub.add_parser("distance", help="minimum distance of a code file")
-    p_distance.add_argument("--in", dest="infile", required=True)
-    p_distance.add_argument("--orbit", action="store_true",
-                            help="also evaluate the orbit formula and compare")
-    _add_workers_flag(p_distance)
+    if p := made.get("params"):
+        p.set_defaults(run=cmd_params)
+        p.add_argument("--max-order", type=int, default=1024,
+                       help="largest allowed q^(kt) (default 1024)")
+    if p := made.get("construct"):
+        p.set_defaults(run=cmd_construct)
+        _add_param_flags(p)
+        p.add_argument("--i", type=int, default=None, help="leading unit index (default 1)")
+        p.add_argument("--j", type=int, default=None, help="tail unit index (default t+1)")
+        p.add_argument("--out", required=True, help="output directory")
+        _add_workers_flag(p)
+    if p := made.get("verify"):
+        p.set_defaults(run=cmd_verify)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--json", action="store_true",
+                       help="print the report as one JSON object instead of key=value lines")
+        _add_workers_flag(p)
+    if p := made.get("oracle"):
+        p.set_defaults(run=cmd_oracle)
+        _add_param_flags(p)
+        p.add_argument("--out", required=True, help="output file")
+    if p := made.get("compare"):
+        p.set_defaults(run=cmd_compare)
+        p.add_argument("file_a")
+        p.add_argument("file_b")
+    if p := made.get("distance"):
+        p.set_defaults(run=cmd_distance)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--orbit", action="store_true",
+                       help="also evaluate the orbit formula and compare")
+        _add_workers_flag(p)
     return parser
 
 
@@ -115,6 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _iter_valid_params(max_order: int):
     """Every (p, e, k, t) with q^kt <= max_order that validate_params accepts."""
+    from .construction import validate_params
+    from .gftower import DIGIT_ALPHABET, TABLE_GUARD
+
     # a q^kt past TABLE_GUARD has no tower to build, so its row is not listed
     max_order = min(max_order, TABLE_GUARD)
     for p in range(2, len(DIGIT_ALPHABET) + 1):
@@ -146,7 +149,9 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
-def _component_header(params: CodeParams, component: str, i=None, j=None, bm=None) -> codecs.CodeHeader:
+def _component_header(params, component: str, i=None, j=None, bm=None):
+    from . import codecs
+
     return codecs.CodeHeader(
         p=params.p, e=params.e, k=params.k, t=params.t,
         kind=codecs.KIND_SUBSPACES, component=component, i=i, j=j, bm=bm,
@@ -154,6 +159,16 @@ def _component_header(params: CodeParams, component: str, i=None, j=None, bm=Non
 
 
 def cmd_construct(args) -> int:
+    from . import codecs
+    from .construction import (
+        build_group,
+        default_completion,
+        spread_components,
+        spread_union,
+        validate_params,
+    )
+    from .verify import min_distance
+
     params = validate_params(args.p, args.e, args.k, args.t)
     i = 1 if args.i is None else args.i
     j = params.t + 1 if args.j is None else args.j
@@ -192,23 +207,23 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-_EXPECTED_VERDICT = {
-    "spread": Verdict.SPREAD,
-    "oracle": Verdict.SPREAD,
-    "Ci": Verdict.PARTIAL_SPREAD,
-    "Ai": Verdict.PARTIAL_SPREAD,
-    "Bj": Verdict.PARTIAL_SPREAD,
-}
-
-
 def cmd_verify(args) -> int:
+    from . import codecs
+    from .verify import Verdict, classify
+
     loaded = _read_code_file(args.infile)
     if loaded is None:
         return EXIT_IO
     header, code = loaded
     report = classify(code)
     sys.stdout.write(codecs.report_json(report) if args.json else codecs.report_text(report))
-    expected = _EXPECTED_VERDICT.get(header.component)
+    expected = {
+        "spread": Verdict.SPREAD,
+        "oracle": Verdict.SPREAD,
+        "Ci": Verdict.PARTIAL_SPREAD,
+        "Ai": Verdict.PARTIAL_SPREAD,
+        "Bj": Verdict.PARTIAL_SPREAD,
+    }.get(header.component)
     if expected is None:
         return EXIT_OK
     if report.verdict is expected:
@@ -226,6 +241,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import codecs
+    from .construction import validate_params
+    from .verify import desarguesian_oracle
+
     params = validate_params(args.p, args.e, args.k, args.t)
     code = desarguesian_oracle(params)
     header = _component_header(params, "oracle")
@@ -241,6 +260,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import codecs
+    from .verify import codes_equal
+
     codes = []
     for name in (args.file_a, args.file_b):
         loaded = _read_code_file(name)
@@ -264,6 +286,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from . import codecs
+    from .verify import min_distance, orbit_min_distance
+
     loaded = _read_code_file(args.infile)
     if loaded is None:
         return EXIT_IO
@@ -279,6 +304,14 @@ def cmd_distance(args) -> int:
         print(f"error: --orbit needs an orbit component (Ci or Bj), file is {header.component!r}",
               file=sys.stderr)
         return EXIT_USAGE
+    from .construction import (
+        GROUP_ENUM_GUARD,
+        build_group,
+        orbit_code,
+        tail_orbit,
+        validate_params,
+    )
+
     params = validate_params(header.p, header.e, header.k, header.t)
     # Ci walks <h2^{q^k-1}> x <h1>, Bj walks <h2^{q^k-1}>: the scalar subgroup that
     # completes them to the group fixes every line, so the minimum is the group's
@@ -299,21 +332,15 @@ def cmd_distance(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args, extras = build_parser(argv).parse_known_args(argv)
+        if extras:  # the full parser reports them, under the usage line it always showed
+            build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    handlers = {
-        "params": cmd_params,
-        "construct": cmd_construct,
-        "verify": cmd_verify,
-        "oracle": cmd_oracle,
-        "compare": cmd_compare,
-        "distance": cmd_distance,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except GcdConditionViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GCD

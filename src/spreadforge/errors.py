@@ -16,7 +16,8 @@ class NonPrimeCharacteristic(SpreadforgeError, ValueError):
 
 
 class CharacteristicTooLarge(SpreadforgeError, ValueError):
-    """p exceeds the 36-symbol digit alphabet, so no code file could be written."""
+    """p exceeds the 36-symbol digit alphabet, so no code file could be written,
+    or a bare FieldTower's TABLE_GUARD, so no level above F_p has tables."""
 
 
 class DegreeOutOfRange(SpreadforgeError, ValueError):

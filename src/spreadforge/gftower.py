@@ -254,6 +254,10 @@ class FieldTower:
         it must still be primitive.  Used to probe how outputs depend on
         the modulus choice; normal builds search for the smallest one.
         """
+        # every level above F_p has at least p elements, so past TABLE_GUARD none has
+        # tables; the bound comes before is_prime, whose trial division a huge p would stall
+        if p > TABLE_GUARD:
+            raise CharacteristicTooLarge(f"characteristic {p} exceeds TABLE_GUARD {TABLE_GUARD}")
         if not is_prime(p):
             raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if any(d < 1 for d in degrees):
@@ -458,13 +462,22 @@ class FieldTower:
         vector (constant term first, each coefficient in canonical element
         order).  A candidate is accepted iff the class of x in the quotient
         ring has multiplicative order exactly group_order, which implies
-        irreducibility as well.
+        irreducibility as well.  Its root's norm, (-1)^degree times the
+        constant term, is then primitive in the level below, so a constant
+        term failing that is skipped before x is powered: the first hit is
+        the same.
         """
+        card = self._cards[level]
         primes = distinct_prime_factors(group_order)
-        for coeffs in itertools.product(range(self._cards[level]), repeat=degree):
-            modulus = coeffs + (1,)
-            if self._x_order_is(level, modulus, group_order, primes):
-                return modulus
+        below_primes = distinct_prime_factors(card - 1)
+        for c in range(1, card):
+            norm = self.neg(level, c) if degree % 2 else c
+            if not has_order(lambda n: self.pow(level, norm, n), 1, card - 1, below_primes):
+                continue
+            for coeffs in itertools.product(range(card), repeat=degree - 1):
+                modulus = (c,) + coeffs + (1,)
+                if self._x_order_is(level, modulus, group_order, primes):
+                    return modulus
         raise NoPrimitivePolynomialFound(
             f"no primitive polynomial of degree {degree} over level {level}"
         )

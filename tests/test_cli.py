@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from spreadforge import cli, codecs, gftower, verify
+from spreadforge import codecs, construction, gftower, verify
 from spreadforge.cli import main
 from spreadforge.construction import orbit_code, tail_orbit
 from spreadforge.errors import InternalOrderCheckFailed
@@ -165,7 +165,7 @@ def test_internal_self_check_failure_exits_5(tmp_path, capsys, monkeypatch):
     def failing_build(params):
         raise InternalOrderCheckFailed("h1 does not have order q^kt - 1")
 
-    monkeypatch.setattr("spreadforge.cli.build_group", failing_build)
+    monkeypatch.setattr(construction, "build_group", failing_build)
     rc = main(["construct", "--p", "2", "--e", "1", "--k", "1", "--t", "2",
                "--out", str(tmp_path / "run")])
     assert rc == 5
@@ -179,8 +179,8 @@ def test_construct_checks_the_spread_size_before_writing(tmp_path, capsys, monke
         orbit, completion, _ = spread_components(ctx, i, j)
         return orbit, completion, completion  # the tail repeats the completion part
 
-    spread_components = cli.spread_components
-    monkeypatch.setattr(cli, "spread_components", overlapping_parts)
+    spread_components = construction.spread_components
+    monkeypatch.setattr(construction, "spread_components", overlapping_parts)
     out = tmp_path / "run"
     rc = main(["construct", "--p", "2", "--e", "1", "--k", "2", "--t", "2", "--out", str(out)])
     assert rc == 5
@@ -600,7 +600,7 @@ def test_distance_orbit_refused_past_the_group_guard(tmp_path, capsys, monkeypat
     def no_group(*args):
         raise AssertionError("build_group called")
 
-    monkeypatch.setattr(cli, "build_group", no_group)
+    monkeypatch.setattr(construction, "build_group", no_group)
     searched = _searched_degrees(monkeypatch)
     tower = FieldTower(2, (1, 1))
     members = frozenset(
@@ -647,9 +647,76 @@ def test_cli_import_leaves_unused_stdlib_packages_unloaded():
     assert done.stdout == "\n"
 
 
+def _spreadforge_imports(*args: str) -> set[str]:
+    """The spreadforge modules `python -S -X importtime *args` imports, with src on the path.
+
+    -S: no site-packages .pth file can load a module first and mask a regression.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-S", "-X", "importtime", *args],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    names = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {name for name in names if name.split(".")[0] == "spreadforge"}
+
+
+def test_params_with_no_rows_loads_no_library_module():
+    loaded = _spreadforge_imports("-m", "spreadforge.cli", "params", "--max-order", "1")
+    assert loaded <= {"spreadforge", "spreadforge.cli", "spreadforge.errors"}
+
+
+def test_compare_leaves_construction_unloaded(tmp_path):
+    out = _construct(tmp_path, "run")
+    loaded = _spreadforge_imports("-m", "spreadforge.cli", "compare",
+                                  str(out / "spread.code"), str(out / "spread.code"))
+    assert "spreadforge.verify" in loaded
+    assert "spreadforge.construction" not in loaded
+
+
+def test_package_import_loads_no_submodule():
+    assert _spreadforge_imports("-c", "import spreadforge") == {"spreadforge"}
+
+
+def test_every_public_name_is_its_home_module_attribute():
+    import spreadforge
+
+    assert len(spreadforge.__all__) == 39
+    for name in spreadforge.__all__:
+        value = getattr(spreadforge, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("spreadforge.") and getattr(home, name) is value
+    assert set(spreadforge.__all__) <= set(dir(spreadforge))
+    with pytest.raises(AttributeError):
+        getattr(spreadforge, "no_such_name")
+
+
 def test_usage_error_exit_code():
     assert main(["construct", "--p", "2"]) == 2
     assert main([]) == 2
+
+
+COMMANDS = ("params", "construct", "verify", "oracle", "compare", "distance")
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("help", ["-h"], 0),
+    *[(f"{command}-help", [command, "-h"], 0) for command in COMMANDS],
+    ("construct-missing-flags", ["construct", "--p", "2"], 2),
+    ("no-arguments", [], 2),
+    ("unknown-command", ["frobnicate"], 2),
+    ("unrecognized-argument", ["compare", "a.code", "b.code", "c.code"], 2),
+])
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, name, argv, code):
+    # snapshots taken at 80 columns under Python 3.11; help goes to stdout, errors to stderr
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    shown, silent = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
+    golden = Path(__file__).parent / "golden" / "cli" / f"{name}.txt"
+    assert shown == golden.read_text(encoding="ascii")
+    assert silent == ""
 
 
 # --- the full pipeline over the test matrix ----------------------------------------

@@ -6,10 +6,12 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from spreadforge.errors import (
+    CharacteristicTooLarge,
     DivisionByZero,
     FieldTooLarge,
     LevelMismatch,
@@ -266,6 +268,26 @@ def test_tables_past_the_guard_are_refused():
     assert tower.cardinality(1) == 2**21
     with pytest.raises(FieldTooLarge):
         tower.alpha(1)
+
+
+def test_huge_characteristic_is_refused_before_any_primality_test():
+    start = time.perf_counter()
+    with pytest.raises(CharacteristicTooLarge):
+        FieldTower(2**61 - 1, (1,))  # trial division alone would take minutes
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("pekt, moduli", [
+    ((17, 1, 4, 1), ((3, 1), (3, 0, 0, 6, 1), (17, 1))),
+    ((5, 1, 7, 1), ((2, 1), (2, 0, 0, 0, 0, 0, 1, 1), (5, 1))),
+])
+def test_modulus_search_skips_constant_terms_of_no_primitive_norm(pekt, moduli):
+    # a primitive f of degree d has (-1)^d f(0) primitive in the level below;
+    # testing every constant term took 5.8 s and 14.8 s on a 2-core host
+    start = time.perf_counter()
+    tower = field_build(*pekt)
+    assert time.perf_counter() - start < 3
+    assert tuple(step.modulus for step in tower.steps) == moduli
 
 
 def test_gcd_utility_rejects_bad_input():
