@@ -7,9 +7,14 @@ failed internal self-check (an ``InternalError``).
 Each command imports the library modules it runs when it runs, so a
 command's start-up pays only for its own: ``verify`` and ``compare`` never
 load ``construction``, and ``params --max-order 1`` loads no library module.
+
+``run`` is the process entry point (``python -m spreadforge.cli`` and the
+``spreadforge`` script); ``main`` is the same command for in-process callers.
 """
 
 import argparse
+import gc
+import os
 import sys
 from pathlib import Path
 
@@ -352,5 +357,27 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """Run ``main`` as the whole process, then exit with its code.
+
+    The heap is frozen just before exit, so the interpreter's final garbage
+    collections skip every object the command and start-up left behind;
+    refcount teardown, ``atexit`` and the final flush still run.  A stdout
+    whose reader has gone exits 4 with one line: fd 1 is pointed at
+    os.devnull so that the final flush cannot fail again.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        code = EXIT_IO
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

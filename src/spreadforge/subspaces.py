@@ -241,6 +241,7 @@ class RowPacking:
         while p ** (chunk + 1) <= _TABLE_ENTRIES:
             chunk += 1
         self.chunk = chunk
+        self._scalings: dict = {}  # a lead entry's lanes -> scaling(its inverse), for normalize
         if p == 2:
             self.add = xor
             return
@@ -296,12 +297,14 @@ class RowPacking:
         if not row:
             raise ZeroVector("zero vector spans no line")
         eb = self.entry_bits
-        col = ((row & -row).bit_length() - 1) // eb
-        lead = self.to_index(row >> col * eb & self.entry_mask)
+        lead = row >> ((row & -row).bit_length() - 1) // eb * eb & self.entry_mask
         if lead == 1:
             return row
-        mul, level, inv = self.tower.mul, self.level, self.tower.inv(self.level, lead)
-        return self.pack([mul(level, inv, u) for u in self.entries(row)])
+        scale = self._scalings.get(lead)
+        if scale is None:  # built on first use
+            inv = self.tower.inv(self.level, self.to_index(lead))
+            scale = self._scalings[lead] = self.scaling(inv)
+        return scale(row)
 
     # -- linear maps ---------------------------------------------------------------
 
@@ -342,11 +345,14 @@ class RowPacking:
         images = [target.pack([mul(level, u, x) for x in row]) for row in a.rows for u in units]
         return self.linear_map(images, target)
 
+    def scaling(self, c: int) -> Callable[[int], int]:
+        """Every entry times the element of index c, on packed rows."""
+        return self.matrix_map(Matrix.identity(self.tower, self.level, self.ncols).scale(c))
+
     @functools.cached_property
     def times_alpha(self) -> Callable[[int], int]:
         """Every entry times alpha, the generator of the level, on packed rows."""
-        ident = Matrix.identity(self.tower, self.level, self.ncols)
-        return self.matrix_map(ident.scale(self.tower.alpha(self.level).raw))
+        return self.scaling(self.tower.alpha(self.level).raw)
 
     # -- spans and ranks -------------------------------------------------------------
 

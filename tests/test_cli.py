@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from spreadforge import codecs, construction, gftower, verify
+from spreadforge import cli, codecs, construction, gftower, verify
 from spreadforge.cli import main
 from spreadforge.construction import orbit_code, tail_orbit
 from spreadforge.errors import InternalOrderCheckFailed
@@ -19,6 +21,8 @@ from spreadforge.gftower import TABLE_GUARD, FieldTower
 from spreadforge.subspaces import Matrix, canonical_subspace
 
 from conftest import count_calls
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _construct(tmp_path: Path, name: str, *extra) -> Path:
@@ -637,9 +641,8 @@ def test_workers_flag_and_env_agree(tmp_path, capsys, monkeypatch):
 
 def test_cli_import_leaves_unused_stdlib_packages_unloaded():
     # -S: no site-packages .pth file can load these first and mask a regression.
-    src = Path(__file__).resolve().parents[1] / "src"
     unused = ("multiprocessing", "dataclasses", "inspect", "hashlib", "json")
-    snippet = (f"import sys; sys.path.insert(0, {str(src)!r}); import spreadforge.cli; "
+    snippet = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import spreadforge.cli; "
                f"print(*[m for m in {unused!r} if m in sys.modules])")
     done = subprocess.run([sys.executable, "-S", "-c", snippet],
                           capture_output=True, text=True, timeout=60)
@@ -652,10 +655,9 @@ def _spreadforge_imports(*args: str) -> set[str]:
 
     -S: no site-packages .pth file can load a module first and mask a regression.
     """
-    src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-S", "-X", "importtime", *args],
                           capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": str(src)})
+                          env={"PYTHONPATH": str(SRC)})
     assert done.returncode == 0, done.stderr
     names = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
              if line.startswith("import time:")}
@@ -717,6 +719,107 @@ def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, name, argv, code)
     golden = Path(__file__).parent / "golden" / "cli" / f"{name}.txt"
     assert shown == golden.read_text(encoding="ascii")
     assert silent == ""
+
+
+# --- the process entry point ------------------------------------------------------
+
+def _process(cwd: Path, *argv: str, unbuffered: bool = False, stdout=subprocess.PIPE):
+    """(exit code, stdout, stderr) of `python -m spreadforge.cli *argv` started in cwd."""
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    done = subprocess.run([sys.executable, "-m", "spreadforge.cli", *argv], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+SPREAD_2122_REPORT = """cardinality=85
+constant_dimension=True
+dimension=2
+ambient=8
+field_order=2
+min_distance=4
+pairwise_trivial=True
+coverage_count=255
+spread_bound=85
+partial_spread_bound=85
+verdict=Spread
+"""
+
+
+def test_process_exit_codes_and_output_through_the_pipeline(tmp_path):
+    flags = ["--p", "2", "--e", "1", "--k", "2", "--t", "2"]
+    assert _process(tmp_path, "construct", *flags, "--out", "run") == (0, (
+        "params (p=2, e=1, k=2, t=2) i=1 j=3\n"
+        "orbit part: 75  completion part: 5  tail part: 5\n"
+        "spread: 85 members, min distance 4\n"
+        "wrote ci.code, ai.code, bj.code, spread.code to run\n"), "")
+    assert _process(tmp_path, "verify", "--in", "run/spread.code") == (0, SPREAD_2122_REPORT, "")
+    assert _process(tmp_path, "oracle", *flags, "--out", "oracle.code") == (
+        0, "oracle spread: 85 members -> oracle.code\n", "")
+    assert _process(tmp_path, "compare", "run/spread.code", "oracle.code") == (
+        0, "codes are equal\n", "")
+    # the files' bytes are the in-process command's
+    assert main(["construct", *flags, "--out", str(tmp_path / "in-process")]) == 0
+    for name in ("ci.code", "ai.code", "bj.code", "spread.code"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "in-process" / name).read_bytes()
+
+    code, out, err = _process(tmp_path, "compare", "run/ci.code", "oracle.code")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0] == "codes differ: symmetric difference has 10 members"
+    assert len(out.splitlines()) == 11
+
+    lines = (tmp_path / "run" / "spread.code").read_text().splitlines()
+    lines.remove(next(line for line in lines if not line.startswith("#")))
+    (tmp_path / "short.code").write_text(
+        "\n".join(line.replace("members=85", "members=84") for line in lines) + "\n")
+    code, out, err = _process(tmp_path, "verify", "--in", "short.code")
+    assert (code, err) == (5, "verification failed: expected Spread, got PartialSpread\n")
+    assert "coverage_count=252\n" in out
+
+
+def test_process_bad_flag_exits_2_with_the_pinned_usage(tmp_path):
+    golden = Path(__file__).parent / "golden" / "cli" / "construct-missing-flags.txt"
+    assert _process(tmp_path, "construct", "--p", "2") == (2, "", golden.read_text(encoding="ascii"))
+
+
+def test_process_missing_file_exits_4_with_one_line(tmp_path):
+    assert _process(tmp_path, "verify", "--in", "nope.code") == (
+        4, "", "error: nope.code: [Errno 2] No such file or directory: 'nope.code'\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_process_closed_stdout_exits_4_with_one_line(tmp_path, unbuffered):
+    # unbuffered, print raises in main; buffered, the flush in run raises
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        code, _, err = _process(tmp_path, "params", "--max-order", "16",
+                                unbuffered=unbuffered, stdout=writer)
+    finally:
+        os.close(writer)
+    assert (code, err) == (4, "error: stdout was closed before the output was written\n")
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["params", "--max-order", "16"]) == 0
+    assert main(["construct", "--p", "2", "--e", "1", "--k", "1", "--t", "2",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert main(["verify", "--in", str(tmp_path / "run" / "spread.code")]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_run_freezes_after_main_and_exits_with_its_code(monkeypatch):
+    events = []
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 1)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 1
+    assert events == ["main", "freeze"]
 
 
 # --- the full pipeline over the test matrix ----------------------------------------

@@ -314,6 +314,22 @@ def test_reduce_line_matches_reference(codes, pekt):
         assert reduced == canonical_subspace(Matrix(ctx.tower, 1, reference))
 
 
+@pytest.mark.parametrize("pekt", [*PARAM_SETS, (3, 1, 2, 3), (3, 2, 1, 1)])
+def test_normalize_matches_reference(contexts, pekt):
+    # every lead value in every column, each with seeded tails, twice over: the
+    # second pass reuses the scaling maps that the first one cached
+    ctx = contexts.get(pekt) or build_group(validate_params(*pekt))
+    tower, pack = ctx.tower, ctx.lines
+    level, card = pack.level, tower.cardinality(pack.level)
+    rng = random.Random(f"normalize/{pekt}")
+    rows = [[0] * col + [lead] + [rng.randrange(card) for _ in range(pack.ncols - col - 1)]
+            for col in range(pack.ncols) for lead in range(1, card) for _ in range(3)]
+    for row in rows + rows:
+        inv = tower.inv(level, next(filter(None, row)))
+        expected = tuple(tower.mul(level, inv, u) for u in row)
+        assert pack.entries(pack.normalize(pack.pack(row))) == expected
+
+
 # -- the codec refuses every corrupted record as before ----------------------------------
 
 
