@@ -24,9 +24,7 @@ _HOMES = {
         "group_element", "line_partition", "orbit_code", "spread_components",
         "stabilizer_bruteforce", "tail_orbit", "upper_right_block", "validate_params",
     ),
-    "gftower": (
-        "FieldElement", "FieldTower", "coprime_transfer_holds", "element_order", "field_build",
-    ),
+    "gftower": ("FieldTower", "coprime_transfer_holds", "field_build"),
     "reduction": ("ReductionContext",),
     "subspaces": (
         "Matrix", "Subspace", "canonical_line", "canonical_subspace", "companion_matrix",

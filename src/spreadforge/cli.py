@@ -1,8 +1,8 @@
 """Command-line driver for the full construct / verify / compare pipeline.
 
-Exit codes: 0 success, 1 compared codes differ, 2 invalid flags, 3 gcd
-condition violated, 4 I/O or parse failure, 5 verification failure or a
-failed internal self-check (an ``InternalError``).
+Exit codes: 0 success, 1 compared codes differ, 2 invalid flags or out of
+memory, 3 gcd condition violated, 4 I/O or parse failure, 5 verification
+failure or a failed internal self-check (an ``InternalError``).
 
 Each command imports the library modules it runs when it runs, so a
 command's start-up pays only for its own: ``verify`` and ``compare`` never
@@ -46,6 +46,15 @@ def _read_code_file(path: str):
         return None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Words "invalid choice" as Python 3.10-3.12.1 do; later patch releases drop the quotes."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            names = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {names})")
+
+
 def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=None,
                         help="accepted for older scripts; has no effect (every path is serial)")
@@ -65,7 +74,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     error text are the same either way: a subparser's prog is
     ``spreadforge <cmd>`` whatever else the parser holds.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spreadforge",
         description="Construct, verify and compare orbit-built spread codes.",
     )
@@ -355,6 +364,10 @@ def main(argv=None) -> int:
     except SpreadforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        pass  # leaving the handler drops the traceback, and the frames holding the memory
+    print(f"error: {args.command}: out of memory", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def run() -> None:

@@ -42,7 +42,6 @@ from .gftower import (
     check_tower_params,
     check_tower_size,
     distinct_prime_factors,
-    element_order,
     field_build,
     has_order,
 )
@@ -119,7 +118,7 @@ class GroupContext:
 
         self.m_t = companion_matrix(tower, 2, tower.step_modulus(3))
         self.c = self.m_t ** (qk - 1)
-        self.alpha = tower.index_of(tower.alpha(2))
+        self.alpha = tower.alpha(2)
 
         ident = Matrix.identity(tower, 2, t)
         zero = Matrix.zeros(tower, 2, t, t)
@@ -181,9 +180,9 @@ def build_group(params: CodeParams, tower: FieldTower | None = None) -> GroupCon
     ctx = GroupContext(params, tower)
     if ctx.h1 * ctx.h2 != ctx.h2 * ctx.h1:
         raise InternalOrderCheckFailed("generators do not commute")
-    if element_order(tower.alpha(2)) != params.qk - 1:
+    units, n, r = params.qk - 1, params.max_exponent, params.r
+    if not has_order(lambda m: tower.pow(2, ctx.alpha, m), 1, units, distinct_prime_factors(units)):
         raise InternalOrderCheckFailed("middle-field generator has wrong order")
-    n, r = params.max_exponent, params.r
     n_primes, r_primes = distinct_prime_factors(n), distinct_prime_factors(r)
     ident_t = Matrix.identity(tower, 2, params.t)
     if not has_order(ctx.m_t.__pow__, ident_t, n, n_primes):

@@ -14,17 +14,17 @@ alpha: products add logarithms, and sums are XOR when p = 2 and Zech
 logarithms log(1 + alpha^m) otherwise.  Polynomial arithmetic modulo a
 step's modulus runs only to search for moduli and to fill the tables.
 
-`FieldTower.add/neg/mul/pow/inv` compute on indexes directly, and the
-linear algebra in :mod:`spreadforge.subspaces` uses nothing else;
-`FieldElement` boxes one index with its tower and level as the public
-scalar type.
+The index is the one element form: `FieldTower.add/neg/mul/pow/inv`
+compute on indexes, `FieldTower.alpha` returns one, and every other module
+uses nothing else.  `FieldElement` survives only as the operand of the
+benchmark harness's multiply and inverse timings.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     CharacteristicTooLarge,
@@ -152,10 +152,10 @@ class FieldStep:
 
 
 class FieldElement:
-    """Immutable element of one level of a FieldTower.
+    """One index boxed with its tower and level, kept for the benchmark harness only.
 
-    Supports +, -, *, unary -, ** (any integer exponent) and /.  Mixing
-    levels or towers raises LevelMismatch.  `raw` is the canonical index.
+    perfbench/traced.py (`field_micro`) times `a * b` and `a.inverse()` on boxes
+    from FieldTower.from_index.  `*` across levels or towers raises LevelMismatch.
     """
 
     __slots__ = ("tower", "level", "raw")
@@ -165,76 +165,15 @@ class FieldElement:
         self.level = level
         self.raw = raw
 
-    # -- helpers --------------------------------------------------------------
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise LevelMismatch(f"expected FieldElement, got {type(other).__name__}")
+    def __mul__(self, other: "FieldElement") -> "FieldElement":
         if self.level != other.level or not self.tower.compatible_at(other.tower, self.level):
             raise LevelMismatch(
                 f"operands at levels {self.level} and {other.level} of incompatible towers"
             )
-
-    def is_zero(self) -> bool:
-        return self.raw == 0
-
-    def coefficients(self) -> tuple["FieldElement", ...]:
-        """Coefficient vector over the previous level (level >= 1 only)."""
-        if self.level == 0:
-            raise LevelMismatch("level-0 elements have no coefficient vector")
-        tower, below = self.tower, self.level - 1
-        digits = to_digits(self.raw, tower.cardinality(below), tower.steps[below].degree)
-        return tuple(FieldElement(tower, below, c) for c in digits)
-
-    def digits(self) -> tuple[int, ...]:
-        """Flat little-endian base-p digit vector (level-major)."""
-        return to_digits(self.raw, self.tower.p, self.tower.digit_length(self.level))
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.tower, self.level, self.tower.add(self.level, self.raw, other.raw))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        t = self.tower
-        return FieldElement(t, self.level, t.add(self.level, self.raw, t.neg(self.level, other.raw)))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.tower, self.level, self.tower.neg(self.level, self.raw))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
         return FieldElement(self.tower, self.level, self.tower.mul(self.level, self.raw, other.raw))
-
-    def __pow__(self, n: int) -> "FieldElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return FieldElement(self.tower, self.level, self.tower.pow(self.level, self.raw, n))
 
     def inverse(self) -> "FieldElement":
         return FieldElement(self.tower, self.level, self.tower.inv(self.level, self.raw))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return self * other.inverse()
-
-    # -- identity -------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.level == other.level
-            and self.raw == other.raw
-            and self.tower.compatible_at(other.tower, self.level)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.raw))
-
-    def __repr__(self) -> str:
-        return f"<F[{self.level}] {''.join(DIGIT_ALPHABET[d] for d in self.digits())}>"
 
 
 class FieldTower:
@@ -315,49 +254,18 @@ class FieldTower:
             parts.append(f"step={step.degree}:{coeffs}")
         return "; ".join(parts)
 
-    # -- element constructors ---------------------------------------------
-
-    def zero(self, level: int) -> FieldElement:
-        return FieldElement(self, level, 0)
-
-    def one(self, level: int) -> FieldElement:
-        return FieldElement(self, level, 1)
-
-    def alpha(self, level: int) -> FieldElement:
-        """Class of the indeterminate at `level`; generates the unit group."""
+    def alpha(self, level: int) -> int:
+        """Index of the class of the indeterminate at `level`; it generates the unit group."""
         if level < 1:
             raise LevelMismatch("level 0 has no adjoined generator")
         exp, _, _ = self.steps[level - 1].tables or self._tabulate(level)
-        return FieldElement(self, level, exp[1])
-
-    def element(self, level: int, value) -> FieldElement:
-        """Coerce an int (prime-subfield constant) or coefficient sequence."""
-        if isinstance(value, FieldElement):
-            if value.level != level or not value.tower.compatible_at(self, level):
-                raise LevelMismatch(f"element at level {value.level}, expected {level}")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, level, value % self.p)
-        if level == 0:
-            raise ValueError("level-0 elements are built from ints")
-        degree = self.steps[level - 1].degree
-        if len(value) != degree:
-            raise ValueError(f"expected {degree} coefficients, got {len(value)}")
-        coeffs = [self.element(level - 1, v).raw for v in value]
-        return FieldElement(self, level, _from_digits(coeffs, self._cards[level - 1]))
+        return exp[1]
 
     def from_index(self, level: int, index: int) -> FieldElement:
-        """Element number `index` in canonical (little-endian digit) order."""
+        """Element number `index`, boxed; only the benchmark harness uses the box."""
         if not 0 <= index < self.cardinality(level):
             raise ValueError(f"index {index} out of range at level {level}")
         return FieldElement(self, level, index)
-
-    def index_of(self, x: FieldElement) -> int:
-        return x.raw
-
-    def elements(self, level: int) -> Iterator[FieldElement]:
-        """All elements of a level in canonical order, zero first."""
-        return (FieldElement(self, level, i) for i in range(self.cardinality(level)))
 
     def digit_length(self, level: int) -> int:
         """Number of base-p digits a level element flattens to."""
@@ -561,14 +469,3 @@ def field_build(p: int, e: int, k: int, t: int) -> FieldTower:
     check_tower_size(p, e, k, t)
     return FieldTower(p, (e, k, t))
 
-
-def element_order(x: FieldElement) -> int:
-    """Least m >= 1 with x^m = 1; raises DivisionByZero for x = 0."""
-    if x.is_zero():
-        raise DivisionByZero("zero has no multiplicative order")
-    n = x.tower.cardinality(x.level) - 1
-    m = n
-    for ell in distinct_prime_factors(n):
-        while m % ell == 0 and (x ** (m // ell)) == x.tower.one(x.level):
-            m //= ell
-    return m

@@ -33,7 +33,7 @@ class ReductionContext:
         self.tower = tower
         self.k = tower.steps[1].degree
         self.q = tower.cardinality(1)
-        self.alpha = tower.index_of(tower.alpha(2))
+        self.alpha = tower.alpha(2)
         self.alpha_powers = tuple(tower.pow(2, self.alpha, ell) for ell in range(self.k))
         self._reduced_packs: dict = {}  # line packing -> packing of the reduced rows
 

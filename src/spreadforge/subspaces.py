@@ -352,7 +352,7 @@ class RowPacking:
     @functools.cached_property
     def times_alpha(self) -> Callable[[int], int]:
         """Every entry times alpha, the generator of the level, on packed rows."""
-        return self.scaling(self.tower.alpha(self.level).raw)
+        return self.scaling(self.tower.alpha(self.level))
 
     # -- spans and ranks -------------------------------------------------------------
 

@@ -178,6 +178,20 @@ def test_internal_self_check_failure_exits_5(tmp_path, capsys, monkeypatch):
     assert captured.err == "internal error: h1 does not have order q^kt - 1\n"
 
 
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # exit 1 means only "codes differ"; a MemoryError used to end in a traceback and exit 1
+    def exhausted(params):
+        raise MemoryError
+
+    monkeypatch.setattr(verify, "desarguesian_oracle", exhausted)
+    out = tmp_path / "oracle.code"
+    assert main(["oracle", "--p", "2", "--e", "1", "--k", "1", "--t", "10", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: oracle: out of memory\n"
+    assert not out.exists()
+
+
 def test_construct_checks_the_spread_size_before_writing(tmp_path, capsys, monkeypatch):
     def overlapping_parts(ctx, i, j):
         orbit, completion, _ = spread_components(ctx, i, j)
@@ -684,7 +698,7 @@ def test_package_import_loads_no_submodule():
 def test_every_public_name_is_its_home_module_attribute():
     import spreadforge
 
-    assert len(spreadforge.__all__) == 39
+    assert len(spreadforge.__all__) == 37
     for name in spreadforge.__all__:
         value = getattr(spreadforge, name)
         home = sys.modules[value.__module__]

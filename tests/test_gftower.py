@@ -1,4 +1,4 @@
-"""Field tower arithmetic, modulus discovery, and order computation."""
+"""Field tower arithmetic on indexes, modulus discovery, and order checks."""
 
 from __future__ import annotations
 
@@ -20,9 +20,11 @@ from spreadforge.errors import (
 from spreadforge.gftower import (
     FieldTower,
     coprime_transfer_holds,
-    element_order,
+    distinct_prime_factors,
     field_build,
+    has_order,
     is_prime,
+    to_digits,
 )
 
 from conftest import PARAM_SETS
@@ -78,7 +80,7 @@ def test_trivial_tower_all_levels_are_gf2():
     tower = field_build(2, 1, 1, 1)
     assert [tower.cardinality(l) for l in range(4)] == [2, 2, 2, 2]
     for level in (1, 2, 3):
-        assert tower.alpha(level) == tower.one(level)
+        assert tower.alpha(level) == 1
 
 
 # hand multiplication table for F_4 = {0, 1, a, a+1} under x^2 + x + 1,
@@ -93,34 +95,33 @@ _F4_MUL = {
 def test_f4_products_match_hand_table():
     tower = field_build(2, 2, 1, 2)
     for (xa, xb), expected in _F4_MUL.items():
-        x = tower.element(1, xa)
-        y = tower.element(1, xb)
-        assert (x * y).digits() == expected
-    alpha = tower.alpha(1)
-    assert alpha**3 == tower.one(1)
+        x, y = xa[0] + 2 * xa[1], xb[0] + 2 * xb[1]
+        assert to_digits(tower.mul(1, x, y), 2, 2) == expected
+    assert tower.pow(1, tower.alpha(1), 3) == 1
 
 
 @pytest.mark.parametrize("pekt", PARAM_SETS)
 def test_additive_and_multiplicative_identities(pekt):
     tower = field_build(*pekt)
     for level in range(tower.nlevels):
-        zero, one = tower.zero(level), tower.one(level)
         card = tower.cardinality(level)
-        if card <= 16:
-            xs = list(tower.elements(level))
-        else:
-            xs = [tower.from_index(level, i) for i in (1, card // 2, card - 1)]
+        xs = range(card) if card <= 16 else (1, card // 2, card - 1)
         for x in xs:
-            assert x + zero == x
-            assert x * one == x
+            assert tower.add(level, x, 0) == x
+            assert tower.mul(level, x, 1) == x
+
+
+def _order_is(tower, level, x, n):
+    return has_order(lambda m: tower.pow(level, x, m), 1, n, distinct_prime_factors(n))
 
 
 def test_element_order_basics():
     tower = field_build(2, 2, 1, 2)
-    assert element_order(tower.one(1)) == 1
-    assert element_order(tower.alpha(1)) == 3
-    with pytest.raises(DivisionByZero):
-        element_order(tower.zero(2))
+    assert _order_is(tower, 1, 1, 1)
+    assert _order_is(tower, 1, tower.alpha(1), 3)
+    assert not _order_is(tower, 1, tower.alpha(1), 1)
+    # zero has no multiplicative order: no power of it is one
+    assert not any(_order_is(tower, 2, 0, n) for n in (1, 2, 3))
 
 
 @pytest.mark.parametrize("pekt", PARAM_SETS)
@@ -128,9 +129,9 @@ def test_adjoined_generators_have_full_order(pekt):
     p, e, k, t = pekt
     tower = field_build(p, e, k, t)
     q = p**e
-    assert element_order(tower.alpha(1)) == q - 1
-    assert element_order(tower.alpha(2)) == q**k - 1
-    assert element_order(tower.alpha(3)) == q ** (k * t) - 1
+    assert _order_is(tower, 1, tower.alpha(1), q - 1)
+    assert _order_is(tower, 2, tower.alpha(2), q**k - 1)
+    assert _order_is(tower, 3, tower.alpha(3), q ** (k * t) - 1)
 
 
 @pytest.mark.parametrize("pekt", PARAM_SETS + ODD_TOWERS)
@@ -139,23 +140,20 @@ def test_inverse_roundtrip_exhaustive(pekt):
     for level in range(tower.nlevels):
         if tower.cardinality(level) > 16:
             continue
-        one = tower.one(level)
-        for x in tower.elements(level):
-            if x.is_zero():
-                with pytest.raises(DivisionByZero):
-                    x.inverse()
-            else:
-                assert x * x.inverse() == one
+        with pytest.raises(DivisionByZero):
+            tower.inv(level, 0)
+        for x in range(1, tower.cardinality(level)):
+            assert tower.mul(level, x, tower.inv(level, x)) == 1
 
 
 def test_pow_conventions():
     tower = field_build(2, 1, 2, 2)
-    one = tower.one(2)
-    for x in tower.elements(2):
-        assert x**0 == one
-        if not x.is_zero():
-            assert x ** (tower.cardinality(2) - 1) == one
-            assert x**-1 == x.inverse()
+    card = tower.cardinality(2)
+    for x in range(card):
+        assert tower.pow(2, x, 0) == 1
+        if x:
+            assert tower.pow(2, x, card - 1) == 1
+            assert tower.pow(2, x, card - 2) == tower.inv(2, x)
 
 
 def test_coprime_transfer_examples():
@@ -188,14 +186,15 @@ def test_field_axioms_on_samples(pekt):
     rng = random.Random(20240917)
     for level in range(tower.nlevels):
         card = tower.cardinality(level)
-        sample = lambda: tower.from_index(level, rng.randrange(card))
+        add = lambda a, b: tower.add(level, a, b)
+        mul = lambda a, b: tower.mul(level, a, b)
         for _ in range(25):
-            x, y, z = sample(), sample(), sample()
-            assert (x + y) + z == x + (y + z)
-            assert (x * y) * z == x * (y * z)
-            assert x * y == y * x
-            assert x + y == y + x
-            assert x * (y + z) == x * y + x * z
+            x, y, z = (rng.randrange(card) for _ in range(3))
+            assert add(add(x, y), z) == add(x, add(y, z))
+            assert mul(mul(x, y), z) == mul(x, mul(y, z))
+            assert mul(x, y) == mul(y, x)
+            assert add(x, y) == add(y, x)
+            assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
 
 
 @pytest.mark.parametrize("pekt", PARAM_SETS + ODD_TOWERS)
@@ -205,19 +204,40 @@ def test_frobenius_is_additive(pekt):
     p = tower.p
     for level in range(tower.nlevels):
         card = tower.cardinality(level)
+        frobenius = lambda a: tower.pow(level, a, p)
         for _ in range(15):
-            x = tower.from_index(level, rng.randrange(card))
-            y = tower.from_index(level, rng.randrange(card))
-            assert (x + y) ** p == x**p + y**p
+            x = rng.randrange(card)
+            y = rng.randrange(card)
+            assert frobenius(tower.add(level, x, y)) == tower.add(level, frobenius(x), frobenius(y))
 
 
 def test_level_and_tower_mismatch_rejected():
     tower = field_build(2, 1, 2, 2)
     other = field_build(3, 1, 1, 1)
     with pytest.raises(LevelMismatch):
-        tower.one(1) + tower.one(2)
+        tower.from_index(1, 1) * tower.from_index(2, 1)
     with pytest.raises(LevelMismatch):
-        tower.one(1) * other.one(1)
+        tower.from_index(1, 1) * other.from_index(1, 1)
+
+
+# construct-mid's towers: the benchmark times `*` and `inverse` on boxed elements of levels 1, 2
+BENCHMARK_TOWERS = [(2, 1, 1, 4), (3, 1, 1, 3), (2, 1, 2, 2)]
+
+
+def test_boxed_multiply_and_inverse_carry_the_index_arithmetic():
+    towers = [field_build(*pekt) for pekt in BENCHMARK_TOWERS]
+    for tower in towers:
+        for level in (1, 2):
+            card = tower.cardinality(level)
+            for a in range(1, card):
+                b = card - a
+                x, y = tower.from_index(level, a), tower.from_index(level, b)
+                assert (x * y).raw == tower.mul(level, a, b)
+                assert x.inverse().raw == tower.inv(level, a)
+    # level 2 is where each pair of these towers differs (levels 1 of the p = 2 towers agree)
+    for tower, other in itertools.permutations(towers, 2):
+        with pytest.raises(LevelMismatch):
+            tower.from_index(2, 1) * other.from_index(2, 1)
 
 
 def test_build_rejects_bad_arguments():
@@ -234,19 +254,18 @@ def test_descriptor_text_is_reproducible():
     b = field_build(2, 1, 2, 2)
     assert a.describe() == b.describe()
     assert a == b
-    # elements from independent builds interoperate
+    # indexes from independent builds interoperate
     assert a.alpha(2) == b.alpha(2)
-    assert (a.alpha(2) * b.alpha(2)) == a.alpha(2) ** 2
+    assert a.mul(2, a.alpha(2), b.alpha(2)) == b.pow(2, a.alpha(2), 2)
 
 
 def test_index_roundtrip_and_canonical_order():
+    # an index's little-endian digits over the level below are its coefficients,
+    # so alpha, the class of x, reads (0, 1, 0, ...) wherever the degree is 2 or more
     tower = field_build(2, 1, 2, 2)
-    for level in range(tower.nlevels):
-        elems = list(tower.elements(level))
-        assert elems[0].is_zero()
-        assert elems[1] == tower.one(level)
-        for i, x in enumerate(elems):
-            assert tower.index_of(x) == i
+    for level in (2, 3):
+        degree, card_below = tower.steps[level - 1].degree, tower.cardinality(level - 1)
+        assert to_digits(tower.alpha(level), card_below, degree) == (0, 1) + (0,) * (degree - 2)
 
 
 def test_explicit_modulus_override():
@@ -299,36 +318,48 @@ def test_gcd_utility_rejects_bad_input():
 
 # --- independent reference: coefficient-vector arithmetic -----------------------
 
-def _reference_product(x, y):
+def _coefficients(tower, level, x):
+    """Coefficient indexes of x over level - 1, constant term first."""
+    return to_digits(x, tower.cardinality(level - 1), tower.steps[level - 1].degree)
+
+
+def _reference_product(tower, level, x, y):
     """Schoolbook product of the coefficient vectors, reduced by the step modulus."""
-    tower, level = x.tower, x.level
-    a, b = x.coefficients(), y.coefficients()
-    modulus = [tower.from_index(level - 1, c) for c in tower.step_modulus(level)]
+    below = level - 1
+    add = lambda u, v: tower.add(below, u, v)
+    mul = lambda u, v: tower.mul(below, u, v)
+    a, b = _coefficients(tower, level, x), _coefficients(tower, level, y)
+    modulus = tower.step_modulus(level)
     d = len(a)
-    prod = [tower.zero(level - 1)] * (2 * d - 1)
+    prod = [0] * (2 * d - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            prod[i + j] = prod[i + j] + ai * bj
+            prod[i + j] = add(prod[i + j], mul(ai, bj))
     for m in range(2 * d - 2, d - 1, -1):
-        c = prod[m]
+        c = tower.neg(below, prod[m])
         for i, fi in enumerate(modulus):
-            prod[m - d + i] = prod[m - d + i] - c * fi
-    return tower.element(level, prod[:d])
+            prod[m - d + i] = add(prod[m - d + i], mul(c, fi))
+    card_below = tower.cardinality(below)
+    return sum(c * card_below**i for i, c in enumerate(prod[:d]))
 
 
 @pytest.mark.parametrize("pekt", PARAM_SETS + ODD_TOWERS)
 def test_arithmetic_matches_coefficient_reference(pekt):
     tower = field_build(*pekt)
     for level in range(1, tower.nlevels):
-        if tower.cardinality(level) > 64:
+        card = tower.cardinality(level)
+        if card > 64:
             continue
-        elems = list(tower.elements(level))
-        for x in elems:
-            for y in elems:
-                assert x * y == _reference_product(x, y)
-                pairs = list(zip(x.coefficients(), y.coefficients()))
-                assert (x + y).coefficients() == tuple(a + b for a, b in pairs)
-                assert (x - y).coefficients() == tuple(a - b for a, b in pairs)
+        add = lambda u, v: tower.add(level - 1, u, v)
+        for x in range(card):
+            for y in range(card):
+                assert tower.mul(level, x, y) == _reference_product(tower, level, x, y)
+                pairs = list(zip(_coefficients(tower, level, x), _coefficients(tower, level, y)))
+                assert _coefficients(tower, level, tower.add(level, x, y)) == tuple(
+                    add(a, b) for a, b in pairs)
+                minus_y = tower.neg(level, y)
+                assert _coefficients(tower, level, tower.add(level, x, minus_y)) == tuple(
+                    add(a, tower.neg(level - 1, b)) for a, b in pairs)
 
 
 def _gcd_valid_rows(max_order: int) -> list[tuple[int, int, int, int]]:

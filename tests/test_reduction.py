@@ -47,12 +47,12 @@ def _companion(tower):
 
 def test_rep_of_generator_is_companion(red_2122):
     tower = red_2122.tower
-    assert red_2122.matrix_rep(tower.index_of(tower.alpha(2))) == _companion(tower)
+    assert red_2122.matrix_rep(tower.alpha(2)) == _companion(tower)
 
 
 def test_rep_of_square(red_2122):
     tower = red_2122.tower
-    alpha = tower.index_of(tower.alpha(2))
+    alpha = tower.alpha(2)
     assert red_2122.matrix_rep(tower.mul(2, alpha, alpha)) == _companion(tower)**2
 
 
@@ -145,7 +145,7 @@ def test_distinct_lines_reduce_to_disjoint_subspaces(red_2122):
 def test_embed_identity_and_scalar(ctx_2122, red_2122):
     tower, s, n = red_2122.tower, 4, 8
     assert red_2122.embed_matrix(Matrix.identity(tower, 2, s)) == Matrix.identity(tower, 1, n)
-    scalar = Matrix.identity(tower, 2, s).scale(tower.index_of(tower.alpha(2)))
+    scalar = Matrix.identity(tower, 2, s).scale(tower.alpha(2))
     embedded = red_2122.embed_matrix(scalar)
     z = Matrix.zeros(tower, 1, 2, 2)
     m_k = _companion(tower)
