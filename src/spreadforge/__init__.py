@@ -27,8 +27,8 @@ _HOMES = {
     "gftower": ("FieldTower", "coprime_transfer_holds", "field_build"),
     "reduction": ("ReductionContext",),
     "subspaces": (
-        "Matrix", "Subspace", "canonical_line", "canonical_subspace", "companion_matrix",
-        "enumerate_lines", "rank", "rref", "subspace_distance",
+        "Matrix", "Subspace", "SubspaceCode", "canonical_line", "canonical_subspace",
+        "companion_matrix", "enumerate_lines", "rank", "rref", "subspace_distance",
     ),
     "verify": (
         "Verdict", "VerificationReport", "classify", "codes_equal", "desarguesian_oracle",

@@ -198,17 +198,20 @@ def cmd_construct(args) -> int:
     spread = spread_union(params, parts)
     orbit_part, completion_part, tail_part = parts
 
+    # each member is formatted once: the spread's records are its disjoint parts' merged
+    records = [codecs.code_records(part) for part in parts]
     outputs = (
-        ("ci.code", orbit_part, _component_header(params, "Ci", i=i)),
-        ("ai.code", completion_part, _component_header(params, "Ai", i=i, bm=bm)),
-        ("bj.code", tail_part, _component_header(params, "Bj", j=j)),
-        ("spread.code", spread, _component_header(params, "spread", i=i, j=j, bm=bm)),
+        ("ci.code", orbit_part, _component_header(params, "Ci", i=i), records[0]),
+        ("ai.code", completion_part, _component_header(params, "Ai", i=i, bm=bm), records[1]),
+        ("bj.code", tail_part, _component_header(params, "Bj", j=j), records[2]),
+        ("spread.code", spread, _component_header(params, "spread", i=i, j=j, bm=bm),
+         sorted(record for part in records for record in part)),
     )
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, code, header in outputs:
-            (out_dir / name).write_text(codecs.write_code(code, header), encoding="ascii")
+        for name, code, header, body in outputs:
+            (out_dir / name).write_text(codecs.write_code(code, header, body), encoding="ascii")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -217,7 +220,7 @@ def cmd_construct(args) -> int:
     print(f"orbit part: {len(orbit_part)}  completion part: {len(completion_part)}  "
           f"tail part: {len(tail_part)}")
     print(f"spread: {len(spread)} members, min distance {distance}")
-    print(f"wrote {', '.join(name for name, _, _ in outputs)} to {out_dir}")
+    print(f"wrote {', '.join(name for name, *_ in outputs)} to {out_dir}")
     return EXIT_OK
 
 
@@ -291,8 +294,10 @@ def cmd_compare(args) -> int:
     if equal:
         print("codes are equal")
         return EXIT_OK
-    diff = codes[0] ^ codes[1]
-    sample = sorted(codecs.member_record(m) for m in diff)[:10]
+    a, b = codes
+    diff = a.keys ^ b.keys
+    pack = (a if a.keys else b).pack  # comparable, so either formats both
+    sample = sorted(codecs.member_record(pack, key) for key in diff)[:10]
     print(f"codes differ: symmetric difference has {len(diff)} members")
     for record in sample:
         print(f"  {record}")

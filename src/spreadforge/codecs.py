@@ -24,7 +24,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .gftower import DIGIT_ALPHABET, FieldTower, check_field_size, check_tower_params
-from .subspaces import Matrix, RowPacking, Subspace, row_packing
+from .subspaces import Matrix, RowPacking, SubspaceCode, row_packing
 from .verify import VerificationReport
 
 FORMAT_NAME = "spreadforge-code"
@@ -110,9 +110,14 @@ def _matrix_record(m: Matrix) -> str:
     return ";".join(pack.text(pack.pack(row)) for row in m.rows)
 
 
-def member_record(member: Subspace) -> str:
+def member_record(pack: RowPacking, key: int) -> str:
     """Canonical one-line text form of a member (a line's record is its one row)."""
-    return ";".join(member.pack.text(row) for row in member.rows)
+    return ";".join(map(pack.text, pack.split(key)))
+
+
+def code_records(code: SubspaceCode) -> list[str]:
+    """The members' records in file order: sorted as strings, lowest lane first."""
+    return sorted(member_record(code.pack, key) for key in code.keys)
 
 
 def _member_shape(header: CodeHeader) -> tuple[int, int, int]:
@@ -123,8 +128,8 @@ def _member_shape(header: CodeHeader) -> tuple[int, int, int]:
 
 
 def _parse_member(pack: RowPacking, nrows: int, digits: frozenset, text: str,
-                  lineno: int) -> Subspace:
-    """A record's member; `digits` are the p valid digit symbols."""
+                  lineno: int) -> int:
+    """A record's member key; `digits` are the p valid digit symbols."""
     rows = text.split(";")
     if len(rows) != nrows:
         raise MalformedHeader(f"line {lineno}: expected {nrows} rows, found {len(rows)}")
@@ -140,20 +145,25 @@ def _parse_member(pack: RowPacking, nrows: int, digits: frozenset, text: str,
     packed = tuple(map(pack.from_text, rows))
     if not pack.is_rref(packed):
         raise NonCanonicalMember(f"line {lineno}: basis is not in reduced echelon form")
-    return Subspace(pack, packed)
+    return pack.join(packed)
 
 
 # -- whole files -------------------------------------------------------------------
 
 
-def write_code(code, header: CodeHeader) -> str:
-    """Serialize a code to its unique text form."""
+def write_code(code: SubspaceCode, header: CodeHeader, records: list[str] | None = None) -> str:
+    """Serialize a code to its unique text form.
+
+    `records`, when given, must equal `code_records(code)`: a caller that has
+    formatted the members already passes them, so none is formatted twice.
+    """
     level, nrows, width = _member_shape(header)
-    for member in code:
-        if (member.level, member.dim, member.ambient) != (level, nrows, width):
-            raise ValueError(f"member kind does not match header kind {header.kind!r}")
-        break
-    records = sorted(member_record(m) for m in code)
+    pack = code.pack
+    if (pack.level, pack.ncols) != (level, width) or (
+            code.keys and pack.dim(next(iter(code.keys))) != nrows):
+        raise ValueError(f"member kind does not match header kind {header.kind!r}")
+    if records is None:
+        records = code_records(code)
     lines = [f"# {FORMAT_NAME} v{FORMAT_VERSION}"]
     for key in ("p", "e", "k", "t", "q", "s", "n", "r", "kind", "component", "i", "j", "bm"):
         value = getattr(header, key)
@@ -187,7 +197,7 @@ def _parse_header_lines(lines: list[str]) -> tuple[dict, int]:
     return fields, idx
 
 
-def read_code(text: str) -> tuple[CodeHeader, frozenset]:
+def read_code(text: str) -> tuple[CodeHeader, SubspaceCode]:
     """Parse a code file; inverse of write_code on canonical input."""
     lines = text.splitlines()
     fields, body_start = _parse_header_lines(lines)
@@ -237,7 +247,7 @@ def read_code(text: str) -> tuple[CodeHeader, frozenset]:
     level, nrows, width = _member_shape(header)
     pack = row_packing(tower, level, width)
     digits = frozenset(DIGIT_ALPHABET[:header.p])
-    out = []
+    keys = []
     prev: str | None = None
     for offset, record in enumerate(body):
         lineno = body_start + offset + 1
@@ -246,8 +256,8 @@ def read_code(text: str) -> tuple[CodeHeader, frozenset]:
                 raise DuplicateMember(f"line {lineno}: duplicate member")
             raise NonCanonicalMember(f"line {lineno}: members out of canonical order")
         prev = record
-        out.append(_parse_member(pack, nrows, digits, record, lineno))
-    return header, frozenset(out)
+        keys.append(_parse_member(pack, nrows, digits, record, lineno))
+    return header, SubspaceCode(pack, keys)
 
 
 # -- verification reports -------------------------------------------------------------

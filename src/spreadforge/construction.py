@@ -331,8 +331,7 @@ def orbit_lines(ctx: GroupContext, start: Subspace,
                 row = apply(row)
                 walked.append(row)
         rows = walked
-    normalize = ctx.lines.normalize
-    lines = frozenset(Subspace(ctx.lines, (normalize(row),)) for row in rows)
+    lines = SubspaceCode(ctx.lines, map(ctx.lines.normalize, rows))  # a line's key is its row
     if len(lines) != len(rows):
         raise InternalError(f"orbit collapsed: {len(lines)} lines, expected {len(rows)}")
     return lines
@@ -434,11 +433,16 @@ def spread_components(
 
 
 def spread_union(params: CodeParams, parts: tuple[SubspaceCode, ...]) -> SubspaceCode:
-    """The union of the reduced partition parts, which must have a spread's size."""
-    spread = frozenset().union(*parts)
+    """The union of the reduced partition parts, which must have a spread's size.
+
+    The parts' sizes must sum to that size too, so the parts are disjoint.
+    """
+    spread = SubspaceCode(parts[0].pack, frozenset().union(*(part.keys for part in parts)))
     expected = (params.q**params.n - 1) // (params.qk - 1)
     if len(spread) != expected:
         raise InternalError(f"spread has {len(spread)} members, expected {expected}")
+    if sum(map(len, parts)) != expected:
+        raise InternalError(f"spread parts have {sum(map(len, parts))} members, expected {expected}")
     return spread
 
 

@@ -12,7 +12,8 @@ entries u of g.  Those are the base-p digits of alpha^l g, so the packed
 rows of the reduced space are the packed rows alpha^l g at the middle
 level, row 0 being g's own.  The first nonzero entry of g is 1, whose
 block is I_k with zero blocks to its left, so the reduced matrix is
-already in reduced row echelon form and needs no elimination.
+already in reduced row echelon form and needs no elimination, and
+`reduce_code` joins those rows straight into the member's key.
 `embed_matrix` blows an invertible s x s matrix over F_{q^k} up to an
 invertible n x n matrix over F_q, block by block.  The two group actions
 commute with these maps, which is what lets orbit codes be computed on
@@ -35,7 +36,7 @@ class ReductionContext:
         self.q = tower.cardinality(1)
         self.alpha = tower.alpha(2)
         self.alpha_powers = tuple(tower.pow(2, self.alpha, ell) for ell in range(self.k))
-        self._reduced_packs: dict = {}  # line packing -> packing of the reduced rows
+        self._reductions: dict = {}  # line packing -> (reduced packing, row -> reduced key)
 
     def matrix_rep(self, u: int) -> Matrix:
         """k x k matrix over F_q acting as multiplication by the F_{q^k} element of index u."""
@@ -44,19 +45,10 @@ class ReductionContext:
 
     def reduce_line(self, line: Subspace) -> Subspace:
         """Field reduction of a line: a k-dimensional subspace of F_q^{ks}."""
-        reduced = self._reduced_packs.get(line.pack)
-        if reduced is None:
-            if line.level != 2 or not line.tower.compatible_at(self.tower, 2):
-                raise LevelMismatch("reduce_line expects a line over the middle field")
-            reduced = row_packing(self.tower, 1, self.k * line.ambient)
-            self._reduced_packs[line.pack] = reduced
         if line.dim != 1:
             raise ValueError(f"reduce_line expects a line, got dimension {line.dim}")
-        times_alpha = line.pack.times_alpha
-        rows = [line.rows[0]]
-        for _ in range(self.k - 1):
-            rows.append(times_alpha(rows[-1]))
-        return Subspace(reduced, tuple(rows))
+        (reduced,) = self.reduce_code(SubspaceCode(line.pack, line.rows))
+        return reduced
 
     def embed_matrix(self, a: Matrix) -> Matrix:
         """Blockwise image of an invertible matrix over F_{q^k} in GL(n, F_q)."""
@@ -71,7 +63,27 @@ class ReductionContext:
 
     def reduce_code(self, code: SubspaceCode) -> SubspaceCode:
         """Image of a line code; cardinality is preserved (the map is injective)."""
-        out = frozenset(self.reduce_line(line) for line in code)
+        cached = self._reductions.get(code.pack)
+        if cached is None:
+            lines = code.pack
+            if lines.level != 2 or not lines.tower.compatible_at(self.tower, 2):
+                raise LevelMismatch("reduce_line expects a line over the middle field")
+            reduced = row_packing(self.tower, 1, self.k * lines.ncols)
+            times_alpha, b = lines.times_alpha, reduced.row_bits
+            shifts = range(b, b * self.k, b)  # row l of the key is alpha^l times the line's row
+
+            def reduce(row: int) -> int:
+                key = row
+                for shift in shifts:
+                    row = times_alpha(row)
+                    key |= row << shift
+                return key
+
+            cached = self._reductions[lines] = (reduced, reduce)
+        reduced, reduce = cached
+        if code.keys and code.dimension() != 1:
+            raise ValueError("reduce_code expects a code of lines")
+        out = SubspaceCode(reduced, map(reduce, code.keys))
         if len(out) != len(code):
             raise InternalError("field reduction collapsed distinct lines")
         return out

@@ -22,7 +22,8 @@ chunk of lanes, after M4RI (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
 A Subspace is the packed rows of its reduced row echelon basis, so set
 membership, equality and hashing are int comparisons.  A line is a
 1-dimensional Subspace: its one row, scaled so that its first nonzero
-entry is 1, is its RREF.
+entry is 1, is its RREF.  A whole code is a SubspaceCode: the one packing
+its members share, and each member's rows joined into one int key.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from __future__ import annotations
 import functools
 import itertools
 from operator import xor
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     AmbientMismatch,
+    KindMismatch,
     LevelMismatch,
     NonMonicModulus,
     RankDeficient,
@@ -235,6 +237,8 @@ class RowPacking:
         self.tower, self.level, self.ncols = tower, level, ncols
         self.p, self.width, self.digits = p, w, m  # digits: base-p digits, so lanes, per entry
         self.lanes = ncols * m
+        self.row_bits = w * self.lanes
+        self.row_mask = (1 << self.row_bits) - 1
         self.entry_bits = w * m
         self.entry_mask = (1 << w * m) - 1
         chunk = 1
@@ -457,6 +461,30 @@ class RowPacking:
             return int(text[::-1], 1 << self.width)
         return sum(DIGIT_ALPHABET.index(ch) << self.width * i for i, ch in enumerate(text))
 
+    # -- member keys -----------------------------------------------------------------
+    # A member's key is its packed RREF rows joined, row i shifted up i row
+    # widths.  Every RREF row is nonzero, so the top row ends the key: a key
+    # of d rows has between (d - 1) row_bits + 1 and d row_bits bits, and a
+    # member of more rows has a larger key.
+
+    def join(self, rows: Sequence[int]) -> int:
+        """The key of a member with these packed RREF rows."""
+        b = self.row_bits
+        return sum(row << i * b for i, row in enumerate(rows))
+
+    def split(self, key: int) -> tuple[int, ...]:
+        """The packed rows a key joins."""
+        b, mask = self.row_bits, self.row_mask
+        rows = []
+        while key:
+            rows.append(key & mask)
+            key >>= b
+        return tuple(rows)
+
+    def dim(self, key: int) -> int:
+        """The dimension of the member a key joins: its number of rows."""
+        return -(-key.bit_length() // self.row_bits)
+
     def is_rref(self, rows: Sequence[int]) -> bool:
         """Each row's first nonzero entry is 1, in increasing columns, and 0 in the other rows."""
         eb, em = self.entry_bits, self.entry_mask
@@ -525,9 +553,8 @@ class Subspace:
         return (self.level, self.matrix.rows)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Subspace) and self.rows == other.rows and (
-            self.pack is other.pack or (self.ambient == other.ambient and _compatible(self, other))
-        )
+        return (isinstance(other, Subspace) and self.rows == other.rows
+                and _same_space(self.pack, other.pack))
 
     def __hash__(self) -> int:
         return hash(self.rows)
@@ -551,7 +578,61 @@ def canonical_line(tower: FieldTower, level: int, v: Sequence[int]) -> Subspace:
     return Subspace(pack, (pack.normalize(pack.pack(v)),))
 
 
-SubspaceCode = frozenset  # frozenset[Subspace]
+def _same_space(a: RowPacking, b: RowPacking) -> bool:
+    """Packings of one space: rows of one length at one level of towers that agree up to it."""
+    return a is b or (a.ncols == b.ncols and _compatible(a, b))
+
+
+class SubspaceCode:
+    """A code: the packing its members share and each member's key (`RowPacking.join`).
+
+    The library computes on the keys, a frozenset of ints; iterating a code
+    yields its members as `Subspace` views.  `of` builds a code from
+    `Subspace` members and is the one place that checks they share a space:
+    the other producers make every key in their one packing.
+    """
+
+    __slots__ = ("pack", "keys")
+
+    def __init__(self, pack: RowPacking, keys: Iterable[int]):
+        # trusted constructor: each key must join a canonical full-rank RREF packed by `pack`
+        self.pack = pack
+        self.keys = frozenset(keys)
+
+    @classmethod
+    def of(cls, members: Iterable[Subspace]) -> "SubspaceCode":
+        """The code of these members, refused unless they all live in the first one's space."""
+        members = list(members)
+        if not members:
+            raise ValueError("an empty code needs its packing: use SubspaceCode(pack, ())")
+        pack = members[0].pack
+        if not all(_same_space(m.pack, pack) for m in members):
+            raise AmbientMismatch("code members live in different spaces")
+        return cls(pack, [pack.join(m.rows) for m in members])
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[Subspace]:
+        pack, split = self.pack, self.pack.split
+        return (Subspace(pack, split(key)) for key in self.keys)
+
+    def dimension(self) -> int | None:
+        """The members' common dimension, or None; a non-empty code's.
+
+        A key of more rows is larger, so the least and the greatest key have
+        the least and the greatest dimension.
+        """
+        low, high = self.pack.dim(min(self.keys)), self.pack.dim(max(self.keys))
+        return low if low == high else None
+
+    def check_comparable(self, other: "SubspaceCode") -> None:
+        """Refuse a code whose members live in another space; a code with none fits any."""
+        a, b = self.pack, other.pack
+        if self.keys and other.keys and not _same_space(a, b):
+            if (a.level, a.ncols) != (b.level, b.ncols):
+                raise KindMismatch("members differ in level or ambient dimension")
+            raise KindMismatch("members differ in field")
 
 
 def enumerate_lines(tower: FieldTower, level: int, s: int) -> SubspaceCode:
@@ -568,11 +649,11 @@ def enumerate_lines(tower: FieldTower, level: int, s: int) -> SubspaceCode:
         if pivot:
             for i in range((s - pivot - 1) * m, (s - pivot) * m):
                 tails = [t | d << w * i for d in range(p) for t in tails]
-    return frozenset(Subspace(pack, (row,)) for row in rows)
+    return SubspaceCode(pack, rows)
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:
     """dim(U+V) - dim(U cap V), computed as 2 rank(stack) - dim U - dim V."""
-    if u.ambient != v.ambient or not _compatible(u, v):
+    if not _same_space(u.pack, v.pack):
         raise AmbientMismatch("subspaces live in different ambient spaces")
     return 2 * u.pack.rank(u.rows + v.rows) - u.dim - v.dim

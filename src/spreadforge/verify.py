@@ -7,23 +7,18 @@ meaningful evidence.
 
 `min_distance` is the fast exact path: one pass over the members' nonzero
 vectors, then ranks of only the pairs that share one.  `classify` checks
-that pass against a certificate that the members are distinct lines over
-the next field of the tower or, where it does not hold, every pair's rank.
+that pass against a certificate that the members are lines over the next
+field of the tower or, where it does not hold, every pair's rank.  All of
+them take a `SubspaceCode` and split its member keys into packed rows.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
-from .errors import (
-    AmbientMismatch,
-    CodeTooSmall,
-    InternalError,
-    KindMismatch,
-    TrivialOrbit,
-)
+from .errors import CodeTooSmall, InternalError, TrivialOrbit
 from .gftower import FieldTower, field_build
 from .reduction import ReductionContext
 from .subspaces import (
@@ -67,23 +62,10 @@ class VerificationReport(NamedTuple):
         return d
 
 
-def _members_as_subspaces(code: Iterable[Subspace]) -> list[Subspace]:
-    """The members as a list, refused unless they all live in one space."""
-    subs = list(code)
-    for s in subs[1:]:
-        if (
-            s.ambient != subs[0].ambient
-            or s.level != subs[0].level
-            or not s.tower.compatible_at(subs[0].tower, s.level)
-        ):
-            raise AmbientMismatch("code members live in different spaces")
-    return subs
-
-
 # -- pairwise distance ---------------------------------------------------------
 
 
-def pairwise_min_distance(subs: Sequence[Subspace], _workers: int = 1) -> int | None:
+def pairwise_min_distance(subs: Iterable[Subspace], _workers: int = 1) -> int | None:
     """Minimum distance over all unordered pairs; None for fewer than 2 members.
 
     The second argument is ignored; callers that pass a worker count keep working.
@@ -92,84 +74,88 @@ def pairwise_min_distance(subs: Sequence[Subspace], _workers: int = 1) -> int | 
     return min((subspace_distance(a, b) for a, b in pairs), default=None)
 
 
-def min_distance_bruteforce(code: Iterable) -> int:
+def min_distance_bruteforce(code: SubspaceCode) -> int:
     """Minimum subspace distance over all unordered pairs; 0 for a singleton."""
-    return pairwise_min_distance(_members_as_subspaces(code)) or 0
+    return pairwise_min_distance(code) or 0
 
 
-def _shared_vectors(subs: Sequence[Subspace]) -> tuple[int, set] | None:
+def _shared_vectors(code: SubspaceCode) -> tuple[int, set] | None:
     """One pass over every member's nonzero vectors, as packed rows.
 
-    Returns the number of distinct nonzero vectors covered and the index
-    pairs (i, j), i < j, of members that share at least one of them; None,
-    with no pass, when the members hold more than COVERAGE_GUARD vectors.
+    Returns the number of distinct nonzero vectors covered and the key
+    pairs (a, b), a met first, of members that share at least one of them;
+    None, with no pass, when the members hold more than COVERAGE_GUARD vectors.
     """
-    q = subs[0].tower.cardinality(subs[0].level)
-    if sum(q**s.dim for s in subs) - len(subs) > COVERAGE_GUARD:
+    pack = code.pack
+    q = pack.tower.cardinality(pack.level)
+    if sum(map(q.__pow__, map(pack.dim, code.keys))) - len(code) > COVERAGE_GUARD:
         return None
+    span, split = pack.span, pack.split
     first: dict[int, int] = {}   # vector -> first member holding it
     later: dict[int, list] = {}  # vector -> the other members holding it
     pairs: set = set()
-    for idx, s in enumerate(subs):
-        vectors = s.pack.span(s.rows)[1:]
+    for key in code.keys:
+        vectors = span(split(key))[1:]
         if first.keys().isdisjoint(vectors):
-            first.update(dict.fromkeys(vectors, idx))
+            first.update(dict.fromkeys(vectors, key))
             continue
         for v in vectors:
-            holder = first.setdefault(v, idx)
-            if holder != idx:
+            holder = first.setdefault(v, key)
+            if holder != key:
                 others = later.setdefault(v, [])
-                pairs.update((h, idx) for h in (holder, *others))
-                others.append(idx)
+                pairs.update((h, key) for h in (holder, *others))
+                others.append(key)
     return len(first), pairs
 
 
-def _ranked_min(subs: Sequence[Subspace], pairs: Iterable, k: int) -> int:
-    """Minimum distance of k-spaces, given every pair that shares a nonzero vector.
+def _ranked_min(code: SubspaceCode, pairs: Iterable, k: int) -> int:
+    """Minimum distance of k-spaces, given every pair of keys that shares a nonzero vector.
 
     Any other pair meets in 0, at distance 2k, and a sharing pair is closer.
     """
-    return min((subspace_distance(subs[i], subs[j]) for i, j in pairs), default=2 * k)
+    pack, split = code.pack, code.pack.split
+    return min((subspace_distance(Subspace(pack, split(a)), Subspace(pack, split(b)))
+                for a, b in pairs), default=2 * k)
 
 
-def min_distance(code: Iterable) -> int:
+def min_distance(code: SubspaceCode) -> int:
     """Exact minimum subspace distance, ranking only pairs that share a vector.
 
     Mixed dimensions, or more vectors than COVERAGE_GUARD, fall back to
     `min_distance_bruteforce`.  0 for a singleton.
     """
-    subs = _members_as_subspaces(code)
-    if len(subs) < 2:
+    if len(code) < 2:
         return 0
-    shared = len({s.dim for s in subs}) == 1 and _shared_vectors(subs)
+    k = code.dimension()
+    shared = k is not None and _shared_vectors(code)
     if not shared:
-        return min_distance_bruteforce(subs)
-    return _ranked_min(subs, shared[1], subs[0].dim)
+        return min_distance_bruteforce(code)
+    return _ranked_min(code, shared[1], k)
 
 
-def _lines_over_next_level(subs: Sequence[Subspace]) -> bool:
-    """True when the members are distinct lines over the next field of the tower.
+def _lines_over_next_level(code: SubspaceCode) -> bool:
+    """True when the members are lines over the next field of the tower.
 
     D, block-diagonal in the companion matrix of the degree-d step above the
     members' level, spans a copy of F_{Q^d} acting on F_Q^n.  A d-space U
     with rank [U; U D] = d is a line of F_{Q^d}^{n/d}, and distinct lines
     meet only in 0 (Lavrauw and Van de Voorde, "Field reduction and linear
-    sets in finite geometry", Contemp. Math. 632, 2015).  The rank is an
-    F_p rank over the packed rows of [U; U D] and their expansion.
+    sets in finite geometry", Contemp. Math. 632, 2015); a code's members
+    are distinct keys.  The rank is an F_p rank over the packed rows of
+    [U; U D] and their expansion.
     """
-    first = subs[0]
-    tower, level, n = first.tower, first.level, first.ambient
+    pack = code.pack
+    tower, level, n = pack.tower, pack.level, pack.ncols
     if level + 1 >= tower.nlevels:
         return False
     d = tower.steps[level].degree
-    if n % d or any(s.dim != d for s in subs) or len(set(subs)) != len(subs):
+    if n % d or code.dimension() != d:
         return False
     m = companion_matrix(tower, level, tower.step_modulus(level + 1))
     zero, blocks = Matrix.zeros(tower, level, d, d), range(n // d)
     diag = Matrix.block([[m if a == b else zero for b in blocks] for a in blocks])
-    pack = first.pack
-    times_d = pack.matrix_map(diag)
-    return all(pack.rank(s.rows + tuple(map(times_d, s.rows))) == d for s in subs)
+    times_d, rank = pack.matrix_map(diag), pack.rank
+    return all(rank(rows + tuple(map(times_d, rows))) == d for rows in map(pack.split, code.keys))
 
 
 # -- orbit-formula distance ------------------------------------------------------
@@ -193,7 +179,7 @@ def _spread_bounds(q: int, ambient: int, k: int) -> tuple[int, int | None]:
     return partial, (q**ambient - 1) // (q**k - 1) if m == 0 else None
 
 
-def classify(code: Iterable) -> VerificationReport:
+def classify(code: SubspaceCode) -> VerificationReport:
     """Measure a code and decide Spread / PartialSpread / weaker verdicts.
 
     The minimum distance comes from the line certificate or, where it does
@@ -202,23 +188,22 @@ def classify(code: Iterable) -> VerificationReport:
     distance.  The spread decision is checked against cardinality and
     coverage too.  Any disagreement raises InternalError.
     """
-    subs = _members_as_subspaces(code)
-    if not subs:
+    if not code.keys:
         raise CodeTooSmall("cannot classify an empty code")
-    ambient = subs[0].ambient
-    q = subs[0].tower.cardinality(subs[0].level)
-    cardinality = len(subs)
+    pack = code.pack
+    ambient = pack.ncols
+    q = pack.tower.cardinality(pack.level)
+    cardinality = len(code)
 
-    dims = {s.dim for s in subs}
-    constant = len(dims) == 1
-    k = dims.pop() if constant else None
+    k = code.dimension()
+    constant = k is not None
 
-    coverage, pairs = _shared_vectors(subs) or (None, None)
+    coverage, pairs = _shared_vectors(code) or (None, None)
 
     min_distance = 0
     if cardinality >= 2:
-        min_distance = 2 * k if _lines_over_next_level(subs) else pairwise_min_distance(subs)
-        if constant and pairs is not None and _ranked_min(subs, pairs, k) != min_distance:
+        min_distance = 2 * k if _lines_over_next_level(code) else pairwise_min_distance(code)
+        if constant and pairs is not None and _ranked_min(code, pairs, k) != min_distance:
             raise InternalError("vector pass and independent distance path disagree")
     pairwise_trivial = constant and (cardinality < 2 or min_distance == 2 * k)
 
@@ -269,9 +254,7 @@ def desarguesian_oracle(params, tower: FieldTower | None = None) -> SubspaceCode
     return red.reduce_code(enumerate_lines(tower, 2, params.s))
 
 
-def codes_equal(code_a: Iterable[Subspace], code_b: Iterable[Subspace]) -> bool:
-    """Set equality of canonical members; members at another level or ambient are an error."""
-    set_a, set_b = frozenset(code_a), frozenset(code_b)
-    if len({(m.level, m.ambient) for m in set_a | set_b}) > 1:
-        raise KindMismatch("members differ in level or ambient dimension")
-    return set_a == set_b
+def codes_equal(code_a: SubspaceCode, code_b: SubspaceCode) -> bool:
+    """Set equality of member keys; members at another level, ambient or field are an error."""
+    code_a.check_comparable(code_b)
+    return code_a.keys == code_b.keys

@@ -29,7 +29,7 @@ from spreadforge.construction import (
 )
 from spreadforge.gftower import field_build
 from spreadforge.reduction import ReductionContext
-from spreadforge.subspaces import Matrix, canonical_line, enumerate_lines, rank
+from spreadforge.subspaces import Matrix, SubspaceCode, canonical_line, enumerate_lines, rank
 from spreadforge.verify import (
     Verdict,
     classify,
@@ -136,8 +136,9 @@ def test_criterion_04_subgroups(contexts):
         assert scalars & transversal == {ident}
         assert len(scalars) * len(transversal) == params.group_order
         for i in range(1, params.t + 1):
-            via_h = frozenset(canonical_line(ctx.tower, 2, g.rows[i - 1]) for _, g in full_group(ctx))
-            assert via_h == orbit_code(ctx, i)
+            via_h = SubspaceCode.of(canonical_line(ctx.tower, 2, g.rows[i - 1])
+                                    for _, g in full_group(ctx))
+            assert codes_equal(via_h, orbit_code(ctx, i))
 
 
 @criterion(5, "orbit sizes")
@@ -162,10 +163,10 @@ def test_criterion_06_partition(contexts):
             for j in range(params.t + 1, params.s + 1):
                 orbit, completion, tail = line_partition(ctx, i, j)
                 assert len(completion) == len(tail) == params.r
-                assert not orbit & completion
-                assert not orbit & tail
-                assert not completion & tail
-                assert orbit | completion | tail == everything
+                assert not orbit.keys & completion.keys
+                assert not orbit.keys & tail.keys
+                assert not completion.keys & tail.keys
+                assert orbit.keys | completion.keys | tail.keys == everything.keys
 
 
 @criterion(7, "final spread", budget=60.0)

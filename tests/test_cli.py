@@ -18,7 +18,14 @@ from spreadforge.cli import main
 from spreadforge.construction import orbit_code, tail_orbit
 from spreadforge.errors import InternalOrderCheckFailed
 from spreadforge.gftower import TABLE_GUARD, FieldTower
-from spreadforge.subspaces import Matrix, canonical_subspace
+from spreadforge.subspaces import (
+    Matrix,
+    RowPacking,
+    Subspace,
+    SubspaceCode,
+    canonical_subspace,
+    row_packing,
+)
 
 from conftest import count_calls
 
@@ -208,6 +215,24 @@ def test_construct_checks_the_spread_size_before_writing(tmp_path, capsys, monke
     assert not out.exists()
 
 
+def test_construct_refuses_overlapping_parts_whose_union_has_the_spread_size(
+        tmp_path, capsys, monkeypatch):
+    # the spread file merges the parts' records, so parts must be disjoint, not only cover
+    def overlapping_parts(ctx, i, j):
+        orbit, completion, tail = spread_components(ctx, i, j)
+        return orbit, completion, SubspaceCode(tail.pack, tail.keys | completion.keys)
+
+    spread_components = construction.spread_components
+    monkeypatch.setattr(construction, "spread_components", overlapping_parts)
+    out = tmp_path / "run"
+    rc = main(["construct", "--p", "2", "--e", "1", "--k", "2", "--t", "2", "--out", str(out)])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: spread parts have 90 members, expected 85\n"
+    assert not out.exists()
+
+
 def test_construct_io_failure_exits_4(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
@@ -345,7 +370,9 @@ def _empty_code_file(tmp_path: Path, k: int, t: int) -> str:
     header = codecs.CodeHeader(p=2, e=1, k=k, t=t, kind=codecs.KIND_SUBSPACES,
                                component="spread", i=1, j=t + 1)
     path = tmp_path / f"k{k}t{t}.code"
-    path.write_text(codecs.write_code(frozenset(), header), encoding="ascii")
+    # the code has no member, so F_2 rows of the header's length stand in for its packing
+    empty = SubspaceCode(row_packing(FieldTower(2, (1, 1)), 1, 2 * k * t), ())
+    path.write_text(codecs.write_code(empty, header), encoding="ascii")
     return str(path)
 
 
@@ -499,7 +526,7 @@ def test_huge_header_degree_is_refused_before_any_power_of_it(
 def _line_code_file(tmp_path: Path, ctx_2122, body: str | None = None) -> str:
     """A kind=lines file at (2,1,2,2); `body` replaces its one record when given."""
     header = codecs.CodeHeader(p=2, e=1, k=2, t=2, kind=codecs.KIND_LINES, component="external")
-    text = codecs.write_code(frozenset([ctx_2122.unit_line(1)]), header)
+    text = codecs.write_code(SubspaceCode.of([ctx_2122.unit_line(1)]), header)
     assert text.endswith("\n10000000\n")  # e_1: entry 1 is the digits "10"
     if body is not None:
         text = text[:-len("10000000\n")] + body + "\n"
@@ -528,6 +555,58 @@ def test_line_file_is_not_comparable_with_a_subspace_file(tmp_path, capsys, ctx_
         captured = capsys.readouterr()
         assert captured.out.startswith("not comparable: ") and captured.out.count("\n") == 1
         assert captured.err == ""
+
+
+# --- the code form: no member is built or formatted twice ------------------------------
+
+
+def test_construct_formats_each_member_once(tmp_path, monkeypatch):
+    # the spread file's records are its parts' records merged: 85 two-row members,
+    # plus the r = 5 completion blocks of t = 2 rows that the bm digest formats
+    calls = count_calls(monkeypatch, RowPacking, "text")
+    out = _construct(tmp_path, "run")
+    assert len(calls) == 85 * 2 + 5 * 2
+    for name in ("ci.code", "ai.code", "bj.code", "spread.code"):
+        golden = Path(__file__).parent / "golden" / "p2e1k2t2" / name
+        assert (out / name).read_bytes() == golden.read_bytes()
+
+
+def test_no_command_builds_a_subspace_per_member(tmp_path, capsys, monkeypatch):
+    # 85 members at (2,1,2,2), 4,369 at (2,1,4,2): the counts do not grow with them
+    counts = []
+    init = Subspace.__init__
+
+    def counting(self, pack, rows):
+        counts[-1] += 1
+        init(self, pack, rows)
+
+    monkeypatch.setattr(Subspace, "__init__", counting)
+    by_k = {}
+    for k in (2, 4):
+        flags = ["--p", "2", "--e", "1", "--k", str(k), "--t", "2"]
+        run, oracle = tmp_path / f"run{k}", tmp_path / f"oracle{k}.code"
+        counts = by_k[k] = []
+        for argv in (["construct", *flags, "--out", str(run)],
+                     ["verify", "--in", str(run / "spread.code")],
+                     ["oracle", *flags, "--out", str(oracle)],
+                     ["compare", str(run / "spread.code"), str(oracle)]):
+            counts.append(0)
+            assert main(argv) == 0
+    # construct builds the three orbits' start lines; the others build none
+    assert by_k[2] == by_k[4] == [3, 0, 0, 0]
+
+
+def test_compare_across_fields_is_not_comparable(tmp_path, capsys):
+    # same level and row length, but F_2 against F_3
+    paths = []
+    for p in (2, 3):
+        paths.append(str(tmp_path / f"oracle{p}.code"))
+        assert main(["oracle", "--p", str(p), "--e", "1", "--k", "1", "--t", "3",
+                     "--out", paths[-1]]) == 0
+    capsys.readouterr()
+    for pair in (paths, paths[::-1]):
+        assert main(["compare", *pair]) == 1
+        assert capsys.readouterr() == ("not comparable: members differ in field\n", "")
 
 
 # --- oracle / compare ---------------------------------------------------------------
@@ -604,7 +683,7 @@ def test_distance_orbit_rejected_for_non_orbit_component(tmp_path):
 def test_distance_singleton_exits_2(tmp_path, capsys, ctx_2112):
     header = codecs.CodeHeader(p=2, e=1, k=1, t=2, kind=codecs.KIND_LINES,
                                component="external")
-    single = frozenset([ctx_2112.unit_line(1)])
+    single = SubspaceCode.of([ctx_2112.unit_line(1)])
     path = tmp_path / "single.code"
     path.write_text(codecs.write_code(single, header))
     assert main(["distance", "--in", str(path)]) == 2
@@ -621,7 +700,7 @@ def test_distance_orbit_refused_past_the_group_guard(tmp_path, capsys, monkeypat
     monkeypatch.setattr(construction, "build_group", no_group)
     searched = _searched_degrees(monkeypatch)
     tower = FieldTower(2, (1, 1))
-    members = frozenset(
+    members = SubspaceCode.of(
         canonical_subspace(Matrix(tower, 1, [[int(col == row) for col in range(22)]]))
         for row in (0, 1)
     )
@@ -698,7 +777,7 @@ def test_package_import_loads_no_submodule():
 def test_every_public_name_is_its_home_module_attribute():
     import spreadforge
 
-    assert len(spreadforge.__all__) == 37
+    assert len(spreadforge.__all__) == 38
     for name in spreadforge.__all__:
         value = getattr(spreadforge, name)
         home = sys.modules[value.__module__]

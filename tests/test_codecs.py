@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from spreadforge import codecs
+from spreadforge import codecs, verify
 from spreadforge.codecs import CodeHeader, read_code, write_code
 from spreadforge.construction import (
+    assemble_spread,
+    build_group,
     default_completion,
     orbit_code,
     spread_components,
@@ -21,6 +24,7 @@ from spreadforge.errors import (
     NonCanonicalMember,
     VersionUnsupported,
 )
+from spreadforge.subspaces import Subspace, SubspaceCode
 from spreadforge.verify import classify, codes_equal
 
 
@@ -63,7 +67,18 @@ def test_read_back_equals_the_pipeline_code(spreads):
     pekt = (2, 1, 2, 2)
     header, code = read_code(write_code(spreads[pekt], _spread_header(pekt)))
     assert header.tower().nlevels == 3
-    assert code == spreads[pekt]
+    assert codes_equal(code, spreads[pekt])
+
+
+def test_given_records_are_the_codes_records(contexts, spreads):
+    # construct passes the parts' records merged as the spread's body: the same text
+    pekt = (2, 1, 2, 2)
+    parts = spread_components(contexts[pekt], 1, 3)
+    spread = spreads[pekt]
+    merged = sorted(record for part in parts for record in codecs.code_records(part))
+    assert merged == codecs.code_records(spread)
+    header = _spread_header(pekt)
+    assert write_code(spread, header, merged) == write_code(spread, header)
 
 
 def test_golden_files_rewrite_byte_identical():
@@ -247,3 +262,44 @@ def test_equal_headers_are_equal_and_hash_equal():
     assert len({a, b}) == 1
     assert a != _spread_header((2, 1, 2, 2), bm="fedcba9876543210")
     assert CodeHeader(p=2, e=1, k=1, t=2, kind="lines", component="external").i is None
+
+
+# --- the code form ------------------------------------------------------------------
+
+
+def test_member_dimension_must_match_the_header_kind(spreads):
+    # the packing fits a (2,1,2,2) subspaces file, but the member is a point, not a plane
+    pack = spreads[(2, 1, 2, 2)].pack
+    point = SubspaceCode(pack, [1])
+    assert pack.dim(1) == 1
+    with pytest.raises(ValueError):
+        write_code(point, _spread_header((2, 1, 2, 2)))
+
+
+def test_a_read_code_holds_at_most_100_bytes_a_member():
+    ctx = build_group(validate_params(2, 1, 4, 2))
+    text = write_code(assemble_spread(ctx, 1, 3), _spread_header((2, 1, 4, 2)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, code = read_code(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(code) == 4369
+    assert held / len(code) <= 100
+
+
+def test_benchmark_call_shapes_keep_working(ctx_2122, spreads):
+    # perfbench/traced.py: `pool_speedup` ranks `list(read_code(text)[1])` with a worker
+    # count, and its counters take `len` of `orbit_code`'s result, of `reduce_code`'s
+    # argument and of `read_code`'s code
+    text = write_code(spreads[(2, 1, 2, 2)], _spread_header((2, 1, 2, 2)))
+    code = read_code(text)[1]
+    subs = list(code)
+    assert len(code) == len(subs) == 85
+    assert all(isinstance(s, Subspace) and s.dim == 2 for s in subs)
+    assert verify.pairwise_min_distance(subs, 2) == 4
+    orbit = orbit_code(ctx_2122, 1)
+    assert len(orbit) == 75
+    assert len(ctx_2122.reduction().reduce_code(orbit)) == len(orbit)

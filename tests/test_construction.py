@@ -43,7 +43,7 @@ from spreadforge.errors import (
 )
 from spreadforge.cli import main
 from spreadforge.codecs import completion_fingerprint
-from spreadforge.subspaces import Matrix, canonical_line, enumerate_lines
+from spreadforge.subspaces import Matrix, SubspaceCode, canonical_line, enumerate_lines
 from spreadforge.verify import codes_equal, desarguesian_oracle
 
 from conftest import PARAM_SETS
@@ -298,8 +298,9 @@ def test_orbit_via_transversal_equals_full_group_orbit(contexts, pekt):
     ctx = contexts[pekt]
     for i in range(1, ctx.params.t + 1):
         via_t = orbit_code(ctx, i)
-        via_h = frozenset(canonical_line(ctx.tower, 2, g.rows[i - 1]) for _, g in full_group(ctx))
-        assert via_t == via_h
+        via_h = SubspaceCode.of(canonical_line(ctx.tower, 2, g.rows[i - 1])
+                                for _, g in full_group(ctx))
+        assert codes_equal(via_t, via_h)
 
 
 @pytest.mark.parametrize("pekt", [(2, 1, 1, 2), (2, 1, 2, 2)])
@@ -436,7 +437,7 @@ def test_completion_code_and_complement_identity(contexts, pekt):
         for j in range(params.t + 1, params.s + 1):
             tail = tail_orbit(ctx, j)
             assert len(completion) == len(tail) == params.r
-            assert completion == everything - orbit - tail
+            assert completion.keys == everything.keys - orbit.keys - tail.keys
 
 
 def test_completion_choice_validation(ctx_2112):
@@ -461,13 +462,13 @@ def test_completion_code_is_the_closed_form_rows(contexts, pekt):
     ctx = _context(contexts, pekt)
     params = ctx.params
     for i in range(1, params.t + 1):
-        reference = frozenset(
+        reference = SubspaceCode.of(
             canonical_line(ctx.tower, 2, ctx.c_powers[m % params.r].rows[i - 1]
                            + completion_block(ctx, m).rows[i - 1])
             for m in range(1, params.r + 1)
         )
         assert len(reference) == params.r
-        assert completion_code(ctx, i) == reference
+        assert codes_equal(completion_code(ctx, i), reference)
 
 
 @pytest.mark.parametrize("pekt", ORBIT_SETS)
@@ -484,11 +485,11 @@ def test_diag_c_is_a_power_of_h1_h2(contexts, pekt):
 
 def test_tail_orbit_is_all_zero_prefix_lines(ctx_2112):
     lines = tail_orbit(ctx_2112, 3)
-    zero_prefix = frozenset(
+    zero_prefix = SubspaceCode.of(
         line for line in enumerate_lines(ctx_2112.tower, 2, 4)
         if line.matrix.rows[0][0] == line.matrix.rows[0][1] == 0
     )
-    assert lines == zero_prefix
+    assert codes_equal(lines, zero_prefix)
     assert len(lines) == 3
 
 
@@ -516,8 +517,9 @@ def test_line_partition_small(ctx_2112):
     for i, j in itertools.product((1, 2), (3, 4)):
         orbit, completion, tail = line_partition(ctx_2112, i, j)
         assert len(orbit) + len(completion) + len(tail) == 15
-        assert orbit | completion | tail == everything
-        assert not (orbit & completion or orbit & tail or completion & tail)
+        assert orbit.keys | completion.keys | tail.keys == everything.keys
+        assert not (orbit.keys & completion.keys or orbit.keys & tail.keys
+                    or completion.keys & tail.keys)
 
 
 @pytest.mark.parametrize("pekt", PARAM_SETS)
@@ -537,7 +539,7 @@ def test_all_ij_choices_reach_the_same_spread(ctx_2122):
         if reference is None:
             reference = spread
         else:
-            assert spread == reference
+            assert codes_equal(spread, reference)
     assert codes_equal(reference, desarguesian_oracle(ctx_2122.params, ctx_2122.tower))
 
 
@@ -547,12 +549,12 @@ def test_degenerate_t1_parameters_still_work():
     ctx = build_group(params)
     orbit, completion, tail = line_partition(ctx, 1, 2)
     assert (len(orbit), len(completion), len(tail)) == (3, 1, 1)
-    assert orbit | completion | tail == enumerate_lines(ctx.tower, 2, 2)
+    assert orbit.keys | completion.keys | tail.keys == enumerate_lines(ctx.tower, 2, 2).keys
 
 
 def test_k1_spread_is_the_full_line_grassmannian(ctx_2112, spreads):
     # with k = 1 the spread covers every 1-dimensional subspace of F_2^4
-    assert spreads[(2, 1, 1, 2)] == enumerate_lines(ctx_2112.tower, 1, 4)
+    assert codes_equal(spreads[(2, 1, 1, 2)], enumerate_lines(ctx_2112.tower, 1, 4))
 
 
 @pytest.mark.parametrize(

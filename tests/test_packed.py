@@ -15,12 +15,19 @@ import random
 import pytest
 
 from spreadforge import codecs, verify
-from spreadforge.construction import build_group, line_partition, spread_components, validate_params
+from spreadforge.construction import (
+    build_group,
+    line_partition,
+    spread_components,
+    spread_union,
+    validate_params,
+)
 from spreadforge.errors import MalformedHeader, NonCanonicalMember, RankDeficient, SingularInput
 from spreadforge.gftower import DIGIT_ALPHABET, field_build, to_digits
 from spreadforge.reduction import ReductionContext
 from spreadforge.subspaces import (
     Matrix,
+    SubspaceCode,
     canonical_subspace,
     companion_matrix,
     enumerate_lines,
@@ -174,7 +181,7 @@ def codes(contexts):
         pool = [[rng.randrange(params.q) for _ in range(params.n)] for _ in range(4)]
         parts = spread_components(ctx, 1, params.t + 1)
         named = {
-            "spread": frozenset().union(*parts),
+            "spread": spread_union(params, parts),
             "Ci": parts[0], "Ai": parts[1], "Bj": parts[2],
             "Ci-lines": line_partition(ctx, 1, params.t + 1)[0],
             "colliding": _random_subspaces(ctx.tower, params.n, [params.k, params.k + 1], 40, rng,
@@ -284,9 +291,12 @@ def test_subspace_distance_matches_reference(codes, pekt):
 def test_shared_vectors_match_reference(codes, pekt):
     _, named = codes[pekt]
     for name, members in named.items():
-        subs = _sample(members, name)
-        coverage, pairs = verify._shared_vectors(subs)
-        assert (coverage, pairs) == ref_shared_vectors(subs)
+        code = SubspaceCode.of(_sample(members, name))
+        subs = list(code)  # the pass's order, so the reference's index pairs name its key pairs
+        coverage, pairs = verify._shared_vectors(code)
+        ref_coverage, ref_pairs = ref_shared_vectors(subs)
+        keys = [code.pack.join(s.rows) for s in subs]
+        assert (coverage, pairs) == (ref_coverage, {(keys[i], keys[j]) for i, j in ref_pairs})
         assert bool(pairs) == (name in ("colliding", "mixed"))
 
 
@@ -296,7 +306,7 @@ def test_certificate_matches_reference(codes, pekt):
     for name, members in named.items():
         subs = _sample(members, name)
         expected = ref_lines_over_next_level(subs)
-        assert verify._lines_over_next_level(subs) == expected
+        assert verify._lines_over_next_level(SubspaceCode.of(subs)) == expected
         if name in ("spread", "Ci", "Ai", "Bj"):
             assert expected
 
@@ -359,7 +369,7 @@ def test_every_corrupted_record_is_refused_as_before(codes, pekt, kind):
     tower = header.tower()
     level, nrows, width = (1, k, 2 * k * t) if kind == codecs.KIND_SUBSPACES else (2, 1, 2 * t)
     for member in _sample(members, "codec")[:5]:
-        text = codecs.write_code(frozenset([member]), header)
+        text = codecs.write_code(SubspaceCode.of([member]), header)
         record = text.splitlines()[-1]
         for corrupted in _corruptions(record, p):
             expected = ref_parse_member(tower, level, nrows, width, corrupted)
@@ -369,5 +379,5 @@ def test_every_corrupted_record_is_refused_as_before(codes, pekt, kind):
                 assert type(exc) is expected, corrupted
             else:
                 assert expected is None, corrupted
-                (parsed,) = code
-                assert codecs.member_record(parsed) == corrupted
+                (key,) = code.keys
+                assert codecs.member_record(code.pack, key) == corrupted

@@ -12,6 +12,7 @@ from spreadforge.gftower import field_build
 from spreadforge.reduction import ReductionContext
 from spreadforge.subspaces import (
     Matrix,
+    SubspaceCode,
     canonical_line,
     canonical_subspace,
     companion_matrix,
@@ -20,6 +21,7 @@ from spreadforge.subspaces import (
     rref,
     subspace_distance,
 )
+from spreadforge.verify import codes_equal
 
 from conftest import PARAM_SETS
 
@@ -205,13 +207,13 @@ def test_orbit_transport(ctx_2112):
     # reducing the whole-group orbit equals the orbit of the reduced generator
     red = ctx_2112.reduction()
     gen = ctx_2112.unit_line(1)
-    line_orbit = frozenset(
+    line_orbit = SubspaceCode.of(
         canonical_line(ctx_2112.tower, 2, g.rows[0]) for _, g in full_group(ctx_2112)
     )
     left = red.reduce_code(line_orbit)
     base = red.reduce_line(gen)
-    right = frozenset(base.apply(red.embed_matrix(g)) for _, g in full_group(ctx_2112))
-    assert left == right
+    right = SubspaceCode.of(base.apply(red.embed_matrix(g)) for _, g in full_group(ctx_2112))
+    assert codes_equal(left, right)
 
 
 def test_reduce_code_sizes(ctx_2122, red_2122):
@@ -219,7 +221,7 @@ def test_reduce_code_sizes(ctx_2122, red_2122):
     all_lines = enumerate_lines(tower, 2, 4)
     desarguesian = red_2122.reduce_code(all_lines)
     assert len(desarguesian) == (2**8 - 1) // (2**2 - 1) == 85
-    single = frozenset([ctx_2122.unit_line(1)])
+    single = SubspaceCode.of([ctx_2122.unit_line(1)])
     assert len(red_2122.reduce_code(single)) == 1
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from spreadforge.errors import (
     AmbientMismatch,
+    KindMismatch,
     LevelMismatch,
     NonMonicModulus,
     RankDeficient,
@@ -19,11 +20,13 @@ from spreadforge.errors import (
 from spreadforge.gftower import FieldTower, field_build
 from spreadforge.subspaces import (
     Matrix,
+    SubspaceCode,
     canonical_line,
     canonical_subspace,
     companion_matrix,
     enumerate_lines,
     rank,
+    row_packing,
     rref,
     subspace_distance,
     vector_matrix,
@@ -383,3 +386,52 @@ def test_line_action(gf2):
     line = canonical_line(gf2, 0, (1, 0))
     swap = Matrix(gf2, 0, [[0, 1], [1, 0]])
     assert line.apply(swap) == canonical_line(gf2, 0, (0, 1))
+
+
+# --- codes: one packing, one int key per member ---------------------------------------
+
+
+def test_member_keys_round_trip_and_grow_with_dimension(gf4tower):
+    # F_4 entries, two lanes each; every dimension of F_4^4
+    pack = row_packing(gf4tower, 1, 4)
+    rng = random.Random("keys")
+    subs = []
+    while len(subs) < 60:
+        k = rng.randint(1, 4)
+        m = Matrix(gf4tower, 1, [[rng.randrange(4) for _ in range(4)] for _ in range(k)])
+        if rank(m) == k:
+            subs.append(canonical_subspace(m))
+    for sub in subs:
+        key = pack.join(sub.rows)
+        assert pack.split(key) == sub.rows and pack.dim(key) == sub.dim
+    dims = [pack.dim(key) for key in sorted(pack.join(s.rows) for s in subs)]
+    assert dims == sorted(dims) and set(dims) == {1, 2, 3, 4}
+    code = SubspaceCode.of(subs)
+    assert set(code) == set(subs) and len(code) == len(set(subs))
+    assert code.dimension() is None
+    assert SubspaceCode.of(s for s in subs if s.dim == 3).dimension() == 3
+
+
+def test_code_of_checks_that_members_share_one_space(gf2, gf4tower):
+    line = canonical_line(gf2, 1, (1, 0, 1, 1))
+    assert SubspaceCode.of([line, line]).keys == {line.rows[0]}
+    with pytest.raises(AmbientMismatch):  # another ambient dimension
+        SubspaceCode.of([line, canonical_line(gf2, 1, (1, 0, 1))])
+    with pytest.raises(AmbientMismatch):  # another level
+        SubspaceCode.of([line, canonical_line(gf2, 0, (1, 0, 1, 1))])
+    with pytest.raises(AmbientMismatch):  # the same entries over F_4
+        SubspaceCode.of([line, canonical_line(gf4tower, 1, (1, 0, 1, 1))])
+    with pytest.raises(ValueError):
+        SubspaceCode.of([])
+    empty = SubspaceCode(row_packing(gf4tower, 1, 4), ())
+    assert len(empty) == 0 and list(empty) == []
+
+
+def test_codes_compare_only_within_one_space(gf2, gf4tower):
+    f2 = SubspaceCode.of([canonical_line(gf2, 1, (1, 0, 1, 1))])
+    f4 = SubspaceCode.of([canonical_line(gf4tower, 1, (1, 0, 1, 1))])
+    with pytest.raises(KindMismatch, match="field"):
+        f2.check_comparable(f4)
+    with pytest.raises(KindMismatch, match="level or ambient"):
+        f2.check_comparable(SubspaceCode.of([canonical_line(gf2, 1, (1, 0, 1))]))
+    f2.check_comparable(SubspaceCode(f4.pack, ()))  # a code with no member fits any

@@ -23,6 +23,7 @@ from spreadforge.gftower import FieldTower, field_build
 from spreadforge.reduction import ReductionContext
 from spreadforge.subspaces import (
     Matrix,
+    SubspaceCode,
     canonical_subspace,
     enumerate_lines,
     rank,
@@ -60,7 +61,7 @@ def test_line_code_distance(ctx_2112):
 
 
 def test_singleton_distance_is_zero(ctx_2112):
-    single = frozenset([ctx_2112.unit_line(1)])
+    single = SubspaceCode.of([ctx_2112.unit_line(1)])
     assert min_distance_bruteforce(single) == 0
 
 
@@ -77,7 +78,7 @@ def _random_code(tower, level, n, k, size, seed):
     code = set()
     for _ in range(1000):
         if len(code) == size:
-            return code
+            return SubspaceCode.of(code)
         m = Matrix(tower, level, [[rng.randrange(card) for _ in range(n)] for _ in range(k)])
         if rank(m) == k:
             code.add(canonical_subspace(m))
@@ -108,8 +109,8 @@ def test_bucketed_distance_on_colliding_random_codes(pekt, level, n, k, size, se
 def test_bucketed_distance_when_every_pair_collides(monkeypatch):
     # the seven planes of F_2^4 through e1 pairwise meet in exactly <e1>
     tower = field_build(2, 1, 1, 2)
-    code = [_subspace(tower, 0, [[1, 0, 0, 0], [0, *u]])
-            for u in itertools.product(range(2), repeat=3) if any(u)]
+    code = SubspaceCode.of(_subspace(tower, 0, [[1, 0, 0, 0], [0, *u]])
+                           for u in itertools.product(range(2), repeat=3) if any(u))
     calls = count_calls(monkeypatch, verify, "subspace_distance")
     assert min_distance(code) == min_distance_bruteforce(code) == 2
     assert len(calls) == 2 * 21  # 21 pairs, ranked once by each path
@@ -126,7 +127,7 @@ def test_bucketed_distance_ranks_pairs_whose_shared_vectors_are_held_earlier():
         [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],  # b
         [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]],  # c
     ]
-    code = [_subspace(tower, 0, r) for r in rows]
+    code = SubspaceCode.of(_subspace(tower, 0, r) for r in rows)
     assert min_distance(code) == min_distance_bruteforce(code) == 2
 
 
@@ -135,7 +136,7 @@ def test_bucketed_distance_falls_back_on_mixed_dimensions(ctx_2122, monkeypatch)
     plane = red.reduce_line(ctx_2122.unit_line(1))
     line = _subspace(plane.tower, plane.level, [plane.matrix.rows[0]])
     other = red.reduce_line(ctx_2122.unit_line(2))
-    code = frozenset([plane, line, other])
+    code = SubspaceCode.of([plane, line, other])
     reference = min_distance_bruteforce(code)
     calls = count_calls(monkeypatch, verify, "min_distance_bruteforce")
     assert min_distance(code) == reference == 1
@@ -163,7 +164,7 @@ def test_vector_pass_is_gated_on_the_vectors_it_holds(ctx_2122, monkeypatch):
 
 
 def test_bucketed_distance_of_a_singleton_is_zero(ctx_2112):
-    assert min_distance(frozenset([ctx_2112.unit_line(1)])) == 0
+    assert min_distance(SubspaceCode.of([ctx_2112.unit_line(1)])) == 0
 
 
 # --- orbit-formula distance ------------------------------------------------------
@@ -230,7 +231,7 @@ def test_classify_partial_spread(ctx_2122):
 
 def test_classify_singleton(ctx_2122):
     reduced_orbit, _, _ = spread_components(ctx_2122, 1, 3)
-    single = frozenset(list(reduced_orbit)[:1])
+    single = SubspaceCode.of(list(reduced_orbit)[:1])
     report = classify(single)
     assert report.verdict is Verdict.CONSTANT_DIMENSION
     assert report.min_distance == 0 and report.cardinality == 1
@@ -240,14 +241,14 @@ def test_classify_mixed_dimensions(ctx_2122):
     red = ctx_2122.reduction()
     plane = red.reduce_line(ctx_2122.unit_line(1))
     line = canonical_subspace(Matrix(plane.tower, plane.level, [plane.matrix.rows[0]]))
-    report = classify(frozenset([plane, line]))
+    report = classify(SubspaceCode.of([plane, line]))
     assert report.verdict is Verdict.NOT_CONSTANT_DIMENSION
     assert not report.constant_dimension and report.dimension is None
 
 
-def test_classify_rejects_empty():
+def test_classify_rejects_empty(spreads):
     with pytest.raises(CodeTooSmall):
-        classify(frozenset())
+        classify(SubspaceCode(spreads[(2, 1, 1, 2)].pack, ()))
 
 
 def test_classify_line_codes(ctx_2122):
@@ -340,8 +341,8 @@ def test_classify_matches_reference_and_ranks_no_pair(certified_codes, monkeypat
 def _field_lines(tower, s, size, seed):
     """A seeded sample of the reduced lines of F_{q^2}^s: members the certificate accepts."""
     lines = sorted(enumerate_lines(tower, 2, s), key=lambda line: line.key())
-    spread = ReductionContext(tower).reduce_code(random.Random(seed).sample(lines, size))
-    return list(spread)
+    sample = SubspaceCode.of(random.Random(seed).sample(lines, size))
+    return ReductionContext(tower).reduce_code(sample)
 
 
 def _collision_free_code(tower, n, k, size, seed):
@@ -351,7 +352,7 @@ def _collision_free_code(tower, n, k, size, seed):
     code, seen = [], set()
     for _ in range(1000):
         if len(code) == size:
-            return code
+            return SubspaceCode.of(code)
         m = Matrix(tower, 1, [[rng.randrange(card) for _ in range(n)] for _ in range(k)])
         if rank(m) == k:
             sub = canonical_subspace(m)
@@ -370,10 +371,10 @@ CERTIFICATE_TOWERS = [((2, 1, 2, 2), 8, 20), ((3, 1, 2, 1), 4, 6)]
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_classify_matches_reference_on_random_codes(monkeypatch, pekt, n, size, seed):
     tower = field_build(*pekt)
-    colliding = list(_random_code(tower, 1, n, 2, size, seed))
+    colliding = _random_code(tower, 1, n, 2, size, seed)
     disjoint = _collision_free_code(tower, n, 2, size // 2, seed)
     certified = _field_lines(tower, n // 2, size // 2, seed)
-    mixed = certified[1:] + colliding[:1]
+    mixed = SubspaceCode.of(sorted(certified, key=lambda s: s.key())[1:] + [next(iter(colliding))])
     for code in (colliding, disjoint, certified, mixed):
         assert _report_tuple(classify(code)) == _reference_report(code)
     assert _reference_report(colliding)[1] < 4  # some pair shares a vector
@@ -384,19 +385,20 @@ def test_classify_matches_reference_on_random_codes(monkeypatch, pekt, n, size, 
 
 
 def test_classify_list_with_a_repeated_member(spreads):
-    code = sorted(spreads[(2, 1, 2, 2)], key=lambda s: s.key())
-    code.append(code[0])
+    # a code is a set of member keys: the repeat is held once
+    members = sorted(spreads[(2, 1, 2, 2)], key=lambda s: s.key())
+    code = SubspaceCode.of(members + members[:1])
+    assert codes_equal(code, spreads[(2, 1, 2, 2)])
     report = classify(code)
     assert _report_tuple(report) == _reference_report(code)
-    assert report.verdict is Verdict.CONSTANT_DIMENSION and report.min_distance == 0
-    assert report.cardinality == 86
+    assert report.verdict is Verdict.SPREAD and report.cardinality == 85
 
 
 def test_classify_spread_with_one_member_swapped(spreads):
     spread = spreads[(2, 1, 2, 2)]
     tower = next(iter(spread)).tower
     outsider = next(s for s in _random_code(tower, 1, 8, 2, 20, 7) if s not in spread)
-    code = sorted(spread, key=lambda s: s.key())[1:] + [outsider]
+    code = SubspaceCode.of(sorted(spread, key=lambda s: s.key())[1:] + [outsider])
     report = classify(code)
     assert _report_tuple(report) == _reference_report(code)
     assert report.verdict is Verdict.CONSTANT_DIMENSION and report.min_distance < 4
@@ -406,7 +408,7 @@ def test_classify_spread_with_one_member_swapped(spreads):
 
 
 def _colliding_code():
-    return list(_random_code(field_build(2, 1, 2, 2), 1, 8, 2, 20, 1))
+    return _random_code(field_build(2, 1, 2, 2), 1, 8, 2, 20, 1)
 
 
 def test_classify_raises_when_the_certificate_is_wrong(monkeypatch):
@@ -505,7 +507,7 @@ def test_spread_depends_on_middle_step_modulus():
     ]
     first, second = (desarguesian_oracle(params, tw) for tw in towers)
     assert not codes_equal(first, second)
-    assert len(first & second) == 4  # they do share a few members
+    assert len(first.keys & second.keys) == 4  # they do share a few members
 
 
 def test_full_group_orbit_distance_equals_reduced(ctx_2112):
