@@ -109,7 +109,7 @@ class GroupExponents(NamedTuple):
 
 
 class GroupContext:
-    """Generators, cached power tables, and the ambient tower for one parameter set."""
+    """Generators, the powers of c, and the ambient tower for one parameter set."""
 
     def __init__(self, params: CodeParams, tower: FieldTower):
         self.params = params
@@ -132,28 +132,19 @@ class GroupContext:
             cp.append(cp[-1] * self.c)
         self.c_powers = tuple(cp)  # c^0 .. c^{r-1}
 
-        ap = [1]
-        for _ in range(qk - 2):
-            ap.append(tower.mul(2, ap[-1], self.alpha))
-        self.alpha_powers = tuple(ap)  # alpha^0 .. alpha^{q^k-2}
-
         # singular only for q^kt = 2, which validate_params rejects
         self.mixing_denominator = (alpha_ident - self.c).inverse()  # (alpha I - c)^{-1}
 
         self._zero_block = zero
         self._identity_s = Matrix.identity(tower, 2, params.s)
-        self._reduction: ReductionContext | None = None
 
         self.lines = row_packing(tower, 2, params.s)  # packed rows of F_{q^k}^s
 
-    # -- lazy caches --------------------------------------------------------
-
-    def reduction(self) -> ReductionContext:
-        if self._reduction is None:
-            self._reduction = ReductionContext(self.tower)
-        return self._reduction
-
     # -- small helpers ------------------------------------------------------
+
+    def alpha_power(self, m: int) -> int:
+        """alpha^m for any m >= 0: one table lookup in the middle field."""
+        return self.tower.pow(2, self.alpha, m)
 
     def unit_line(self, i: int) -> Subspace:
         """The line spanned by the i-th unit vector, i in 1..s."""
@@ -181,7 +172,7 @@ def build_group(params: CodeParams, tower: FieldTower | None = None) -> GroupCon
     if ctx.h1 * ctx.h2 != ctx.h2 * ctx.h1:
         raise InternalOrderCheckFailed("generators do not commute")
     units, n, r = params.qk - 1, params.max_exponent, params.r
-    if not has_order(lambda m: tower.pow(2, ctx.alpha, m), 1, units, distinct_prime_factors(units)):
+    if not has_order(ctx.alpha_power, 1, units, distinct_prime_factors(units)):
         raise InternalOrderCheckFailed("middle-field generator has wrong order")
     n_primes, r_primes = distinct_prime_factors(n), distinct_prime_factors(r)
     ident_t = Matrix.identity(tower, 2, params.t)
@@ -205,12 +196,12 @@ def upper_right_block(ctx: GroupContext, a: int, b: int) -> Matrix:
     """
     ctx._check_exponent(a, "a")
     ctx._check_exponent(b, "b")
-    qk1, r = ctx.params.qk - 1, ctx.params.r
+    r = ctx.params.r
     acc = ctx._zero_block
     for j in range(1, a + 1):
-        acc = acc + ctx.c_powers[(a + b - j) % r].scale(ctx.alpha_powers[(j - 1) % qk1])
+        acc = acc + ctx.c_powers[(a + b - j) % r].scale(ctx.alpha_power(j - 1))
     for j in range(1, b + 1):
-        acc = acc - ctx.c_powers[(a + b - j) % r].scale(ctx.alpha_powers[(j - 1) % qk1])
+        acc = acc - ctx.c_powers[(a + b - j) % r].scale(ctx.alpha_power(j - 1))
     return acc
 
 
@@ -218,9 +209,9 @@ def upper_right_block_geometric(ctx: GroupContext, a: int, b: int) -> Matrix:
     """Same block as (alpha^a c^b - alpha^b c^a)(alpha I - c)^{-1}; cross-check path only."""
     ctx._check_exponent(a, "a")
     ctx._check_exponent(b, "b")
-    qk1, r = ctx.params.qk - 1, ctx.params.r
-    numerator = (ctx.c_powers[b % r].scale(ctx.alpha_powers[a % qk1])
-                 - ctx.c_powers[a % r].scale(ctx.alpha_powers[b % qk1]))
+    r = ctx.params.r
+    numerator = (ctx.c_powers[b % r].scale(ctx.alpha_power(a))
+                 - ctx.c_powers[a % r].scale(ctx.alpha_power(b)))
     return numerator * ctx.mixing_denominator
 
 
@@ -228,9 +219,9 @@ def group_element(ctx: GroupContext, a: int, b: int) -> Matrix:
     """h1^a h2^b assembled from its block formula (no repeated multiplication)."""
     ctx._check_exponent(a, "a")
     ctx._check_exponent(b, "b")
-    qk1, r = ctx.params.qk - 1, ctx.params.r
-    top_left = ctx.c_powers[a % r].scale(ctx.alpha_powers[b % qk1])
-    bottom_right = ctx.c_powers[b % r].scale(ctx.alpha_powers[a % qk1])
+    r = ctx.params.r
+    top_left = ctx.c_powers[a % r].scale(ctx.alpha_power(b))
+    bottom_right = ctx.c_powers[b % r].scale(ctx.alpha_power(a))
     return Matrix.block([
         [top_left, upper_right_block(ctx, a, b)],
         [ctx._zero_block, bottom_right],
@@ -249,10 +240,7 @@ def group_element_product(ctx: GroupContext, a: int, b: int) -> Matrix:
 
 def scalar_subgroup(ctx: GroupContext) -> tuple[Matrix, ...]:
     """The scalar matrices alpha^m I_s for m = 1..q^k-1 (equals <(h1 h2)^r>)."""
-    qk1 = ctx.params.qk - 1
-    return tuple(
-        ctx._identity_s.scale(ctx.alpha_powers[m % qk1]) for m in range(1, qk1 + 1)
-    )
+    return tuple(ctx._identity_s.scale(ctx.alpha_power(m)) for m in range(1, ctx.params.qk))
 
 
 def h2_subgroup(ctx: GroupContext) -> tuple[Matrix, ...]:
@@ -428,7 +416,7 @@ def spread_components(
 ) -> tuple[SubspaceCode, SubspaceCode, SubspaceCode]:
     """Field reduction of the three partition parts, in the same order."""
     parts = line_partition(ctx, i, j)
-    red = ctx.reduction()
+    red = ReductionContext(ctx.tower)
     return tuple(red.reduce_code(part) for part in parts)  # type: ignore[return-value]
 
 

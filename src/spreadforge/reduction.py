@@ -36,7 +36,6 @@ class ReductionContext:
         self.q = tower.cardinality(1)
         self.alpha = tower.alpha(2)
         self.alpha_powers = tuple(tower.pow(2, self.alpha, ell) for ell in range(self.k))
-        self._reductions: dict = {}  # line packing -> (reduced packing, row -> reduced key)
 
     def matrix_rep(self, u: int) -> Matrix:
         """k x k matrix over F_q acting as multiplication by the F_{q^k} element of index u."""
@@ -63,26 +62,22 @@ class ReductionContext:
 
     def reduce_code(self, code: SubspaceCode) -> SubspaceCode:
         """Image of a line code; cardinality is preserved (the map is injective)."""
-        cached = self._reductions.get(code.pack)
-        if cached is None:
-            lines = code.pack
-            if lines.level != 2 or not lines.tower.compatible_at(self.tower, 2):
-                raise LevelMismatch("reduce_line expects a line over the middle field")
-            reduced = row_packing(self.tower, 1, self.k * lines.ncols)
-            times_alpha, b = lines.times_alpha, reduced.row_bits
-            shifts = range(b, b * self.k, b)  # row l of the key is alpha^l times the line's row
-
-            def reduce(row: int) -> int:
-                key = row
-                for shift in shifts:
-                    row = times_alpha(row)
-                    key |= row << shift
-                return key
-
-            cached = self._reductions[lines] = (reduced, reduce)
-        reduced, reduce = cached
+        lines = code.pack
+        if lines.level != 2 or not lines.tower.compatible_at(self.tower, 2):
+            raise LevelMismatch("reduce_line expects a line over the middle field")
         if code.keys and code.dimension() != 1:
             raise ValueError("reduce_code expects a code of lines")
+        reduced = row_packing(self.tower, 1, self.k * lines.ncols)
+        times_alpha, b = lines.times_alpha, reduced.row_bits
+        shifts = range(b, b * self.k, b)  # row l of the key is alpha^l times the line's row
+
+        def reduce(row: int) -> int:
+            key = row
+            for shift in shifts:
+                row = times_alpha(row)
+                key |= row << shift
+            return key
+
         out = SubspaceCode(reduced, map(reduce, code.keys))
         if len(out) != len(code):
             raise InternalError("field reduction collapsed distinct lines")

@@ -54,9 +54,7 @@ _LANE_FORMATS = {1: "b", 3: "o", 4: "x"}
 
 def _compatible(x, y) -> bool:
     """Same level, in towers whose arithmetic agrees up to that level."""
-    return x.level == y.level and (
-        x.tower is y.tower or x.tower.compatible_at(y.tower, x.level)
-    )
+    return x.level == y.level and x.tower.compatible_at(y.tower, x.level)
 
 
 class Matrix:
@@ -312,20 +310,18 @@ class RowPacking:
 
     # -- linear maps ---------------------------------------------------------------
 
-    def linear_map(self, images: Sequence[int],
-                   target: "RowPacking | None" = None) -> Callable[[int], int]:
-        """The F_p-linear map sending lane i's unit digit to images[i], packed by `target`.
+    def linear_map(self, images: Sequence[int]) -> Callable[[int], int]:
+        """The F_p-linear map sending lane i's unit digit to the packed row images[i].
 
         One table per chunk of lanes holds the image of every digit
         combination in that chunk, and a row's image sums one entry per chunk.
         """
-        target = target or self
-        w, p, add = self.width, self.p, target.add
+        w, p, add = self.width, self.p, self.add
         tables = []
         for start in range(0, len(images), self.chunk):
             table = {0: 0}
             for j, image in enumerate(images[start:start + self.chunk]):
-                mults = target.multiples(image)
+                mults = self.multiples(image)
                 table.update([(key | d << w * j, add(value, mults[d]))
                               for key, value in table.items() for d in range(1, p)])
             tables.append((w * start, table))
@@ -342,12 +338,13 @@ class RowPacking:
         return apply
 
     def matrix_map(self, a: Matrix) -> Callable[[int], int]:
-        """Row vector times `a` (a.nrows == ncols, same level), on packed rows."""
-        target = self if a.ncols == self.ncols else row_packing(self.tower, self.level, a.ncols)
+        """Row vector times the square matrix `a` (ncols x ncols, same level), on packed rows."""
+        if (a.nrows, a.ncols) != (self.ncols, self.ncols):
+            raise ValueError(f"matrix_map needs a {self.ncols}x{self.ncols} matrix")
         mul, level = self.tower.mul, self.level
         units = [self.p**j for j in range(self.digits)]  # the elements with one unit digit
-        images = [target.pack([mul(level, u, x) for x in row]) for row in a.rows for u in units]
-        return self.linear_map(images, target)
+        images = [self.pack([mul(level, u, x) for x in row]) for row in a.rows for u in units]
+        return self.linear_map(images)
 
     def scaling(self, c: int) -> Callable[[int], int]:
         """Every entry times the element of index c, on packed rows."""
@@ -362,12 +359,10 @@ class RowPacking:
 
     def expand(self, rows: Sequence[int]) -> list[int]:
         """The rows times alpha^j for j < m: their F_p-span is the rows' F_Q-span."""
-        out = list(rows)
-        if self.digits > 1:
-            times_alpha, cur = self.times_alpha, out
-            for _ in range(self.digits - 1):
-                cur = [times_alpha(r) for r in cur]
-                out += cur
+        out = cur = list(rows)
+        for _ in range(self.digits - 1):
+            cur = list(map(self.times_alpha, cur))
+            out += cur
         return out
 
     def span(self, rows: Sequence[int]) -> list[int]:

@@ -7,9 +7,10 @@ meaningful evidence.
 
 `min_distance` is the fast exact path: one pass over the members' nonzero
 vectors, then ranks of only the pairs that share one.  `classify` checks
-that pass against a certificate that the members are lines over the next
-field of the tower or, where it does not hold, every pair's rank.  All of
-them take a `SubspaceCode` and split its member keys into packed rows.
+that pass against the fact that distinct lines meet only in 0, a
+certificate that the members are lines over the next field of the tower
+or, where neither holds, every pair's rank.  All of them take a
+`SubspaceCode` and split its member keys into packed rows.
 """
 
 from __future__ import annotations
@@ -95,11 +96,7 @@ def _shared_vectors(code: SubspaceCode) -> tuple[int, set] | None:
     later: dict[int, list] = {}  # vector -> the other members holding it
     pairs: set = set()
     for key in code.keys:
-        vectors = span(split(key))[1:]
-        if first.keys().isdisjoint(vectors):
-            first.update(dict.fromkeys(vectors, key))
-            continue
-        for v in vectors:
+        for v in span(split(key))[1:]:
             holder = first.setdefault(v, key)
             if holder != key:
                 others = later.setdefault(v, [])
@@ -182,11 +179,12 @@ def _spread_bounds(q: int, ambient: int, k: int) -> tuple[int, int | None]:
 def classify(code: SubspaceCode) -> VerificationReport:
     """Measure a code and decide Spread / PartialSpread / weaker verdicts.
 
-    The minimum distance comes from the line certificate or, where it does
-    not hold, every pairwise rank; within COVERAGE_GUARD vectors one pass
-    counts coverage and, for constant dimension, must give the same
-    distance.  The spread decision is checked against cardinality and
-    coverage too.  Any disagreement raises InternalError.
+    The minimum distance is 2 for distinct lines, comes from the line
+    certificate for k-spaces or, where that does not hold, from every
+    pairwise rank; within COVERAGE_GUARD vectors one pass counts coverage
+    and, for constant dimension, must give the same distance.  The spread
+    decision is checked against cardinality and coverage too.  Any
+    disagreement raises InternalError.
     """
     if not code.keys:
         raise CodeTooSmall("cannot classify an empty code")
@@ -202,7 +200,8 @@ def classify(code: SubspaceCode) -> VerificationReport:
 
     min_distance = 0
     if cardinality >= 2:
-        min_distance = 2 * k if _lines_over_next_level(code) else pairwise_min_distance(code)
+        certified = k == 1 or _lines_over_next_level(code)
+        min_distance = 2 * k if certified else pairwise_min_distance(code)
         if constant and pairs is not None and _ranked_min(code, pairs, k) != min_distance:
             raise InternalError("vector pass and independent distance path disagree")
     pairwise_trivial = constant and (cardinality < 2 or min_distance == 2 * k)

@@ -189,7 +189,7 @@ def test_criterion_08_partial_spread_facts(contexts):
         ctx = contexts[pekt]
         params = ctx.params
         spread_size = (params.q**params.n - 1) // (params.qk - 1)
-        red = ctx.reduction()
+        red = ReductionContext(ctx.tower)
         for i in range(1, params.t + 1):
             reduced = red.reduce_code(orbit_code(ctx, i))
             assert len(reduced) + 2 * params.r == spread_size
@@ -212,7 +212,7 @@ def test_criterion_09_map_laws(ctx_2122):
                 assert red.matrix_rep(tower.mul(2, u, v)) == reps[u] * reps[v]
 
     # action equivariance over every line and 100 sampled invertible matrices
-    red = ctx_2122.reduction()
+    red = ReductionContext(ctx_2122.tower)
     tower = red.tower
     lines = sorted(enumerate_lines(tower, 2, 4), key=lambda l: l.key())
     assert len(lines) == 85

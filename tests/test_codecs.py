@@ -24,6 +24,7 @@ from spreadforge.errors import (
     NonCanonicalMember,
     VersionUnsupported,
 )
+from spreadforge.reduction import ReductionContext
 from spreadforge.subspaces import Subspace, SubspaceCode
 from spreadforge.verify import classify, codes_equal
 
@@ -302,4 +303,4 @@ def test_benchmark_call_shapes_keep_working(ctx_2122, spreads):
     assert verify.pairwise_min_distance(subs, 2) == 4
     orbit = orbit_code(ctx_2122, 1)
     assert len(orbit) == 75
-    assert len(ctx_2122.reduction().reduce_code(orbit)) == len(orbit)
+    assert len(ReductionContext(ctx_2122.tower).reduce_code(orbit)) == len(orbit)

@@ -33,6 +33,7 @@ from spreadforge.subspaces import (
     enumerate_lines,
     rank,
     rref,
+    row_packing,
     subspace_distance,
     vector_matrix,
 )
@@ -314,7 +315,7 @@ def test_certificate_matches_reference(codes, pekt):
 @pytest.mark.parametrize("pekt", POINTS)
 def test_reduce_line_matches_reference(codes, pekt):
     ctx, named = codes[pekt]
-    red = ctx.reduction()
+    red = ReductionContext(ctx.tower)
     lines = named["Ci-lines"] + sorted(enumerate_lines(ctx.tower, 2, ctx.params.s),
                                        key=lambda line: line.key())
     for line in _sample(lines, "reduce"):
@@ -338,6 +339,23 @@ def test_normalize_matches_reference(contexts, pekt):
         inv = tower.inv(level, next(filter(None, row)))
         expected = tuple(tower.mul(level, inv, u) for u in row)
         assert pack.entries(pack.normalize(pack.pack(row))) == expected
+
+
+@pytest.mark.parametrize("pekt", POINTS)
+def test_matrix_map_matches_reference(pekt):
+    # rows of at most `chunk` lanes map through one lookup table, longer rows through
+    # several; a map sends a row to a row of the same layout, so only square matrices map
+    tower = field_build(*pekt)
+    rng = random.Random(f"matrix_map/{pekt}")
+    for level, n in ((1, 2 * pekt[2] * pekt[3]), (2, 2 * pekt[3])):
+        pack, card = row_packing(tower, level, n), tower.cardinality(level)
+        a = Matrix(tower, level, [[rng.randrange(card) for _ in range(n)] for _ in range(n)])
+        apply = pack.matrix_map(a)
+        for _ in range(20):
+            v = [rng.randrange(card) for _ in range(n)]
+            assert pack.entries(apply(pack.pack(v))) == vector_matrix(v, a)
+        with pytest.raises(ValueError, match="needs a"):
+            pack.matrix_map(Matrix.zeros(tower, level, n, n + 1))
 
 
 # -- the codec refuses every corrupted record as before ----------------------------------

@@ -28,12 +28,12 @@ from conftest import PARAM_SETS
 
 @pytest.fixture(scope="module")
 def red_2122(ctx_2122):
-    return ctx_2122.reduction()
+    return ReductionContext(ctx_2122.tower)
 
 
 @pytest.fixture(scope="module")
 def red_2212(ctx_2212):
-    return ctx_2212.reduction()
+    return ReductionContext(ctx_2212.tower)
 
 
 def test_rep_of_zero_and_one(red_2122):
@@ -205,7 +205,7 @@ def test_equivariance_sampled(red_2122):
 
 def test_orbit_transport(ctx_2112):
     # reducing the whole-group orbit equals the orbit of the reduced generator
-    red = ctx_2112.reduction()
+    red = ReductionContext(ctx_2112.tower)
     gen = ctx_2112.unit_line(1)
     line_orbit = SubspaceCode.of(
         canonical_line(ctx_2112.tower, 2, g.rows[0]) for _, g in full_group(ctx_2112)
@@ -225,17 +225,33 @@ def test_reduce_code_sizes(ctx_2122, red_2122):
     assert len(red_2122.reduce_code(single)) == 1
 
 
+def test_one_context_reduces_lines_of_two_ambient_dimensions(red_2122):
+    # each call takes its reduced packing from the code it is given, so one context
+    # serves F_4^4 and F_4^6 in turn; every member matches the matrix_rep reference
+    tower = red_2122.tower
+    reps = {u: red_2122.matrix_rep(u) for u in range(tower.cardinality(2))}
+    for s in (4, 6, 4):
+        lines = enumerate_lines(tower, 2, s)
+        reduced = red_2122.reduce_code(lines)
+        expected = SubspaceCode.of(
+            canonical_subspace(Matrix.block([[reps[u] for u in line.matrix.rows[0]]]))
+            for line in lines
+        )
+        assert reduced.pack.ncols == 2 * s
+        assert codes_equal(reduced, expected)
+
+
 def test_reduce_code_preserves_cardinality_on_orbit(ctx_2122):
     from spreadforge.construction import orbit_code
 
-    red = ctx_2122.reduction()
+    red = ReductionContext(ctx_2122.tower)
     code = orbit_code(ctx_2122, 1)
     assert len(red.reduce_code(code)) == len(code) == 75
 
 
 def test_block_formula_embeds_consistently(ctx_2112):
     # sanity bridge: embedding a closed-form group element equals embedding the product
-    red = ctx_2112.reduction()
+    red = ReductionContext(ctx_2112.tower)
     for a, b in [(1, 1), (2, 3), (3, 1)]:
         g = group_element(ctx_2112, a, b)
         assert red.embed_matrix(g) == red.embed_matrix(ctx_2112.h1) ** a * red.embed_matrix(ctx_2112.h2) ** b

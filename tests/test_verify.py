@@ -132,7 +132,7 @@ def test_bucketed_distance_ranks_pairs_whose_shared_vectors_are_held_earlier():
 
 
 def test_bucketed_distance_falls_back_on_mixed_dimensions(ctx_2122, monkeypatch):
-    red = ctx_2122.reduction()
+    red = ReductionContext(ctx_2122.tower)
     plane = red.reduce_line(ctx_2122.unit_line(1))
     line = _subspace(plane.tower, plane.level, [plane.matrix.rows[0]])
     other = red.reduce_line(ctx_2122.unit_line(2))
@@ -184,7 +184,7 @@ def test_orbit_formula_matches_bruteforce_small(ctx_2112):
 
 def test_orbit_formula_on_reduced_side(ctx_2122):
     # act on the reduced generator with the embedded transversal subgroup
-    red = ctx_2122.reduction()
+    red = ReductionContext(ctx_2122.tower)
     base = red.reduce_line(ctx_2122.unit_line(1))
     embedded = [red.embed_matrix(g) for g in transversal_subgroup(ctx_2122)]
     reduced_orbit, _, _ = spread_components(ctx_2122, 1, 3)
@@ -238,7 +238,7 @@ def test_classify_singleton(ctx_2122):
 
 
 def test_classify_mixed_dimensions(ctx_2122):
-    red = ctx_2122.reduction()
+    red = ReductionContext(ctx_2122.tower)
     plane = red.reduce_line(ctx_2122.unit_line(1))
     line = canonical_subspace(Matrix(plane.tower, plane.level, [plane.matrix.rows[0]]))
     report = classify(SubspaceCode.of([plane, line]))
@@ -261,6 +261,21 @@ def test_classify_line_codes(ctx_2122):
     partial = classify(orbit_code(ctx_2122, 1))
     assert partial.verdict is Verdict.PARTIAL_SPREAD
     assert partial.cardinality == 75
+
+
+def test_classify_ranks_no_pair_of_lines(monkeypatch):
+    # distinct lines meet only in 0; the tower is the one a kind=lines file's header
+    # builds, F_2 < F_2 < F_2, which has no next field for the certificate to use
+    lines = enumerate_lines(FieldTower(2, (1, 1)), 2, 10)
+
+    def refuse(u, v):
+        raise AssertionError("classify ranked a pair of lines")
+
+    monkeypatch.setattr(verify, "subspace_distance", refuse)
+    report = classify(lines)
+    assert (report.cardinality, report.dimension, report.min_distance) == (1023, 1, 2)
+    assert report.pairwise_trivial and report.coverage_count == 1023
+    assert report.verdict is Verdict.SPREAD
 
 
 @pytest.mark.parametrize("pekt", PARAM_SETS)
