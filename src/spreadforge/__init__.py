@@ -19,12 +19,12 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "construction": (
-        "CodeParams", "GroupContext", "GroupExponents", "assemble_spread", "build_group",
-        "completion_block", "completion_code", "default_completion", "exponent_class",
-        "group_element", "line_partition", "orbit_code", "spread_components",
-        "stabilizer_bruteforce", "tail_orbit", "upper_right_block", "validate_params",
+        "CodeParams", "GroupContext", "GroupExponents", "build_group", "completion_block",
+        "completion_code", "default_completion", "exponent_class", "line_partition",
+        "orbit_code", "spread_components", "stabilizer_bruteforce", "tail_orbit",
+        "upper_right_block", "validate_params",
     ),
-    "gftower": ("FieldTower", "coprime_transfer_holds", "field_build"),
+    "gftower": ("FieldTower", "field_build"),
     "reduction": ("ReductionContext",),
     "subspaces": (
         "Matrix", "Subspace", "SubspaceCode", "canonical_line", "canonical_subspace",
@@ -32,7 +32,7 @@ _HOMES = {
     ),
     "verify": (
         "Verdict", "VerificationReport", "classify", "codes_equal", "desarguesian_oracle",
-        "min_distance", "min_distance_bruteforce",
+        "min_distance",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -186,7 +186,7 @@ def build_group(params: CodeParams, tower: FieldTower | None = None) -> GroupCon
     return ctx
 
 
-# -- closed-form group elements ----------------------------------------------
+# -- reference group elements ------------------------------------------------
 
 
 def upper_right_block(ctx: GroupContext, a: int, b: int) -> Matrix:
@@ -213,19 +213,6 @@ def upper_right_block_geometric(ctx: GroupContext, a: int, b: int) -> Matrix:
     numerator = (ctx.c_powers[b % r].scale(ctx.alpha_power(a))
                  - ctx.c_powers[a % r].scale(ctx.alpha_power(b)))
     return numerator * ctx.mixing_denominator
-
-
-def group_element(ctx: GroupContext, a: int, b: int) -> Matrix:
-    """h1^a h2^b assembled from its block formula (no repeated multiplication)."""
-    ctx._check_exponent(a, "a")
-    ctx._check_exponent(b, "b")
-    r = ctx.params.r
-    top_left = ctx.c_powers[a % r].scale(ctx.alpha_power(b))
-    bottom_right = ctx.c_powers[b % r].scale(ctx.alpha_power(a))
-    return Matrix.block([
-        [top_left, upper_right_block(ctx, a, b)],
-        [ctx._zero_block, bottom_right],
-    ])
 
 
 def group_element_product(ctx: GroupContext, a: int, b: int) -> Matrix:
@@ -433,7 +420,3 @@ def spread_union(params: CodeParams, parts: tuple[SubspaceCode, ...]) -> Subspac
         raise InternalError(f"spread parts have {sum(map(len, parts))} members, expected {expected}")
     return spread
 
-
-def assemble_spread(ctx: GroupContext, i: int, j: int) -> SubspaceCode:
-    """The k-spread of F_q^n: union of the three reduced partition parts."""
-    return spread_union(ctx.params, spread_components(ctx, i, j))

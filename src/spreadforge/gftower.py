@@ -23,7 +23,6 @@ benchmark harness's multiply and inverse timings.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, Sequence
 
 from .errors import (
@@ -96,19 +95,6 @@ def distinct_prime_factors(n: int) -> list[int]:
     if n > 1:
         factors.append(n)
     return factors
-
-
-def coprime_transfer_holds(ell: int, q: int) -> tuple[bool, bool]:
-    """Evaluate both sides of the gcd transfer equivalence for (ell, q).
-
-    Returns (gcd(ell, q-1) == 1, gcd((q^ell - 1)/(q - 1), q - 1) == 1).
-    The two booleans agree for every ell >= 1 and prime power q >= 2.
-    """
-    if ell < 1 or q < 2:
-        raise ValueError(f"need ell >= 1 and q >= 2, got ell={ell}, q={q}")
-    left = math.gcd(ell, q - 1) == 1
-    right = math.gcd((q**ell - 1) // (q - 1), q - 1) == 1
-    return left, right
 
 
 def to_digits(index: int, base: int, length: int) -> tuple[int, ...]:

@@ -3,8 +3,8 @@
 Three maps share one context.  `matrix_rep` realizes F_{q^k} as k x k
 matrices over F_q: row l of the matrix of u is the base-q digits of
 alpha^l * u, the coordinates of alpha^l * u over the basis 1, alpha, ...,
-alpha^{k-1}.  `reduce_line` turns a line <g> of F_{q^k}^s, a 1-dimensional
-Subspace whose one row is g, into the k-dimensional subspace of F_q^n
+alpha^{k-1}.  `reduce_code` turns each line <g> of F_{q^k}^s, a member
+whose one row is g, into the k-dimensional subspace of F_q^n
 (n = ks) spanned by alpha^l g for l < k (Lavrauw and Van de Voorde,
 "Field reduction and linear sets in finite geometry", Contemp. Math. 632,
 2015): row l is the base-q digits of alpha^l u, concatenated over the
@@ -12,8 +12,8 @@ entries u of g.  Those are the base-p digits of alpha^l g, so the packed
 rows of the reduced space are the packed rows alpha^l g at the middle
 level, row 0 being g's own.  The first nonzero entry of g is 1, whose
 block is I_k with zero blocks to its left, so the reduced matrix is
-already in reduced row echelon form and needs no elimination, and
-`reduce_code` joins those rows straight into the member's key.
+already in reduced row echelon form and needs no elimination: its rows
+join straight into the member's key.
 `embed_matrix` blows an invertible s x s matrix over F_{q^k} up to an
 invertible n x n matrix over F_q, block by block.  The two group actions
 commute with these maps, which is what lets orbit codes be computed on
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .errors import InternalError, LevelMismatch, SingularInput
 from .gftower import FieldTower, to_digits
-from .subspaces import Matrix, Subspace, SubspaceCode, rank, row_packing
+from .subspaces import Matrix, SubspaceCode, rank, row_packing
 
 
 class ReductionContext:
@@ -42,13 +42,6 @@ class ReductionContext:
         mul, q, k = self.tower.mul, self.q, self.k
         return Matrix(self.tower, 1, [to_digits(mul(2, a, u), q, k) for a in self.alpha_powers])
 
-    def reduce_line(self, line: Subspace) -> Subspace:
-        """Field reduction of a line: a k-dimensional subspace of F_q^{ks}."""
-        if line.dim != 1:
-            raise ValueError(f"reduce_line expects a line, got dimension {line.dim}")
-        (reduced,) = self.reduce_code(SubspaceCode(line.pack, line.rows))
-        return reduced
-
     def embed_matrix(self, a: Matrix) -> Matrix:
         """Blockwise image of an invertible matrix over F_{q^k} in GL(n, F_q)."""
         if a.level != 2 or not a.tower.compatible_at(self.tower, 2):
@@ -64,7 +57,7 @@ class ReductionContext:
         """Image of a line code; cardinality is preserved (the map is injective)."""
         lines = code.pack
         if lines.level != 2 or not lines.tower.compatible_at(self.tower, 2):
-            raise LevelMismatch("reduce_line expects a line over the middle field")
+            raise LevelMismatch("reduce_code expects lines over the middle field")
         if code.keys and code.dimension() != 1:
             raise ValueError("reduce_code expects a code of lines")
         reduced = row_packing(self.tower, 1, self.k * lines.ncols)

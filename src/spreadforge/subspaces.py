@@ -158,20 +158,13 @@ class Matrix:
             raise SingularInput("matrix is singular")
         return Matrix(self.tower, self.level, [row[n:] for row in reduced.rows])
 
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.rows)
-
     # -- identity ---------------------------------------------------------
-
-    def key(self) -> tuple:
-        """Structural sort/hash key: level and rows."""
-        return (self.level, self.rows)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows and _compatible(self, other)
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash((self.level, self.rows))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(map(str, row)) for row in self.rows)
@@ -515,37 +508,18 @@ class Subspace:
         self.rows = rows
 
     @property
-    def tower(self) -> FieldTower:
-        return self.pack.tower
-
-    @property
-    def level(self) -> int:
-        return self.pack.level
-
-    @property
-    def ambient(self) -> int:
-        return self.pack.ncols
-
-    @property
     def dim(self) -> int:
         return len(self.rows)
 
     @property
     def matrix(self) -> Matrix:
         """The RREF basis with element-index entries."""
-        return Matrix(self.tower, self.level, [self.pack.entries(r) for r in self.rows])
+        pack = self.pack
+        return Matrix(pack.tower, pack.level, [pack.entries(r) for r in self.rows])
 
     def apply(self, a: Matrix) -> "Subspace":
         """Image under the right action V |-> rowsp(V A)."""
         return canonical_subspace(self.matrix * a)
-
-    def nonzero_vectors(self) -> Iterator[int]:
-        """All q^dim - 1 nonzero vectors, packed, each exactly once."""
-        return itertools.islice(self.pack.span(self.rows), 1, None)
-
-    def key(self) -> tuple:
-        """Sort key: the level, then the basis rows' element indexes."""
-        return (self.level, self.matrix.rows)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subspace) and self.rows == other.rows
@@ -555,7 +529,7 @@ class Subspace:
         return hash(self.rows)
 
     def __repr__(self) -> str:
-        return f"<Subspace dim={self.dim} of F^{self.ambient} L{self.level}>"
+        return f"<Subspace dim={self.dim} of F^{self.pack.ncols} L{self.pack.level}>"
 
 
 def canonical_subspace(m: Matrix) -> Subspace:

@@ -75,11 +75,6 @@ def pairwise_min_distance(subs: Iterable[Subspace], _workers: int = 1) -> int | 
     return min((subspace_distance(a, b) for a, b in pairs), default=None)
 
 
-def min_distance_bruteforce(code: SubspaceCode) -> int:
-    """Minimum subspace distance over all unordered pairs; 0 for a singleton."""
-    return pairwise_min_distance(code) or 0
-
-
 def _shared_vectors(code: SubspaceCode) -> tuple[int, set] | None:
     """One pass over every member's nonzero vectors, as packed rows.
 
@@ -119,14 +114,14 @@ def min_distance(code: SubspaceCode) -> int:
     """Exact minimum subspace distance, ranking only pairs that share a vector.
 
     Mixed dimensions, or more vectors than COVERAGE_GUARD, fall back to
-    `min_distance_bruteforce`.  0 for a singleton.
+    every pairwise rank.  0 for a singleton.
     """
     if len(code) < 2:
         return 0
     k = code.dimension()
     shared = k is not None and _shared_vectors(code)
     if not shared:
-        return min_distance_bruteforce(code)
+        return pairwise_min_distance(code)
     return _ranked_min(code, shared[1], k)
 
 

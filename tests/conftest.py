@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from spreadforge import assemble_spread, build_group, validate_params
+from spreadforge import build_group, spread_components, validate_params
+from spreadforge.construction import spread_union
 
 # The four desk-scale parameter sets used throughout the suite.
 PARAM_SETS = [(2, 1, 1, 2), (2, 1, 1, 3), (2, 1, 2, 2), (2, 2, 1, 2)]
@@ -53,6 +54,6 @@ def ctx_2212(contexts):
 def spreads(contexts):
     """Default-choice spread at every parameter set (i=1, j=t+1)."""
     return {
-        pekt: assemble_spread(ctx, 1, ctx.params.t + 1)
+        pekt: spread_union(ctx.params, spread_components(ctx, 1, ctx.params.t + 1))
         for pekt, ctx in contexts.items()
     }

@@ -18,7 +18,7 @@ from spreadforge import codecs
 from spreadforge.cli import main as cli_main
 from spreadforge.construction import (
     full_group,
-    group_element,
+    group_element_product,
     h2_subgroup,
     line_partition,
     orbit_code,
@@ -102,10 +102,15 @@ def test_criterion_02_mixing_block_law(contexts):
         n = ctx.params.max_exponent
         pows1 = _incremental_powers(ctx.h1, n)
         pows2 = _incremental_powers(ctx.h2, n)
+        zero = Matrix.zeros(ctx.tower, 2, ctx.params.t, ctx.params.t)
         for a in range(1, n + 1):
             for b in range(1, n + 1):
-                assert upper_right_block(ctx, a, b).is_zero() == (a == b)
-                assert group_element(ctx, a, b) == pows1[a - 1] * pows2[b - 1]
+                block = upper_right_block(ctx, a, b)
+                assert (block == zero) == (a == b)
+                # h1^a h2^b = ((alpha^b c^a, block), (0, alpha^a c^b))
+                assert pows1[a - 1] * pows2[b - 1] == Matrix.block([
+                    [(ctx.c ** a).scale(ctx.alpha_power(b)), block],
+                    [zero, (ctx.c ** b).scale(ctx.alpha_power(a))]])
 
 
 @criterion(3, "stabilizer subgroup", budget=5.0)
@@ -121,7 +126,7 @@ def test_criterion_03_stabilizer(ctx_2122):
         stab = stabilizer_bruteforce(ctx_2122, ctx_2122.unit_line(i))
         assert len(stab) == 3
         assert frozenset(stab) == expected_exponents
-        assert {group_element(ctx_2122, a, b) for a, b in stab} == scalar_set
+        assert {group_element_product(ctx_2122, a, b) for a, b in stab} == scalar_set
 
 
 @criterion(4, "subgroup factorization", budget=10.0)
@@ -214,7 +219,7 @@ def test_criterion_09_map_laws(ctx_2122):
     # action equivariance over every line and 100 sampled invertible matrices
     red = ReductionContext(ctx_2122.tower)
     tower = red.tower
-    lines = sorted(enumerate_lines(tower, 2, 4), key=lambda l: l.key())
+    lines = sorted(enumerate_lines(tower, 2, 4), key=lambda l: l.rows)
     assert len(lines) == 85
     rng = random.Random(424242)
     card = tower.cardinality(2)
@@ -228,7 +233,9 @@ def test_criterion_09_map_laws(ctx_2122):
         sampled += 1
         embedded = red.embed_matrix(m)
         for line in lines:
-            assert red.reduce_line(line.apply(m)) == red.reduce_line(line).apply(embedded)
+            (moved,), (reduced,) = (red.reduce_code(SubspaceCode(x.pack, x.rows))
+                                    for x in (line.apply(m), line))
+            assert moved == reduced.apply(embedded)
 
 
 @criterion(10, "determinism and golden files")

@@ -719,16 +719,13 @@ def test_distance_orbit_refused_past_the_group_guard(tmp_path, capsys, monkeypat
 # --- workers ---------------------------------------------------------------------------
 
 
-def test_workers_flag_and_env_agree(tmp_path, capsys, monkeypatch):
+def test_workers_flag_changes_no_output(tmp_path, capsys):
     out = _construct(tmp_path, "run")
     spread = str(out / "spread.code")
     capsys.readouterr()  # drop the construct summary
     assert main(["verify", "--in", spread, "--workers", "1"]) == 0
     reference = capsys.readouterr().out
     assert main(["verify", "--in", spread, "--workers", "2"]) == 0
-    assert capsys.readouterr().out == reference
-    monkeypatch.setenv("SPREADFORGE_WORKERS", "2")
-    assert main(["verify", "--in", spread]) == 0
     assert capsys.readouterr().out == reference
 
 
@@ -777,7 +774,7 @@ def test_package_import_loads_no_submodule():
 def test_every_public_name_is_its_home_module_attribute():
     import spreadforge
 
-    assert len(spreadforge.__all__) == 38
+    assert len(spreadforge.__all__) == 34
     for name in spreadforge.__all__:
         value = getattr(spreadforge, name)
         home = sys.modules[value.__module__]

@@ -11,11 +11,11 @@ import pytest
 from spreadforge import codecs, verify
 from spreadforge.codecs import CodeHeader, read_code, write_code
 from spreadforge.construction import (
-    assemble_spread,
     build_group,
     default_completion,
     orbit_code,
     spread_components,
+    spread_union,
     validate_params,
 )
 from spreadforge.errors import (
@@ -278,8 +278,9 @@ def test_member_dimension_must_match_the_header_kind(spreads):
 
 
 def test_a_read_code_holds_at_most_100_bytes_a_member():
-    ctx = build_group(validate_params(2, 1, 4, 2))
-    text = write_code(assemble_spread(ctx, 1, 3), _spread_header((2, 1, 4, 2)))
+    params = validate_params(2, 1, 4, 2)
+    spread = spread_union(params, spread_components(build_group(params), 1, 3))
+    text = write_code(spread, _spread_header((2, 1, 4, 2)))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -9,7 +9,6 @@ import pytest
 
 import spreadforge.construction as construction
 from spreadforge.construction import (
-    assemble_spread,
     build_group,
     completion_block,
     completion_code,
@@ -17,13 +16,13 @@ from spreadforge.construction import (
     exponent_class,
     forbidden_blocks,
     full_group,
-    group_element,
     group_element_product,
     h2_subgroup,
     line_partition,
     orbit_code,
     scalar_subgroup,
     spread_components,
+    spread_union,
     stabilizer_bruteforce,
     tail_orbit,
     transversal_subgroup,
@@ -157,10 +156,11 @@ def test_build_group_is_deterministic():
 def test_mixing_block_zero_iff_equal_exponents(contexts, pekt):
     ctx = contexts[pekt]
     n = ctx.params.max_exponent
+    zero = Matrix.zeros(ctx.tower, 2, ctx.params.t, ctx.params.t)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             block = upper_right_block(ctx, a, b)
-            assert block.is_zero() == (a == b), (a, b)
+            assert (block == zero) == (a == b), (a, b)
 
 
 def test_mixing_block_small_example(ctx_2112):
@@ -189,25 +189,33 @@ def test_mixing_block_range_checks(ctx_2112):
         upper_right_block(ctx_2112, 1, 4)
 
 
-# --- closed-form group elements ------------------------------------------------------
+# --- group elements: the product h1^a h2^b and its block formula ----------------------
 
 
 def test_group_element_full_orders_give_identity(ctx_2122):
     n = ctx_2122.params.max_exponent
-    assert group_element(ctx_2122, n, n) == Matrix.identity(ctx_2122.tower, 2, 4)
+    assert group_element_product(ctx_2122, n, n) == Matrix.identity(ctx_2122.tower, 2, 4)
 
 
 def test_group_element_small_example(ctx_2112):
     z = Matrix.zeros(ctx_2112.tower, 2, 2, 2)
     expected = Matrix.block([[ctx_2112.c, z], [z, ctx_2112.c]])
-    assert group_element(ctx_2112, 1, 1) == expected
+    assert group_element_product(ctx_2112, 1, 1) == expected
+
+
+def _assert_block_formula(ctx, a, b):
+    """h1^a h2^b = ((alpha^b c^a, U(a, b)), (0, alpha^a c^b)), U the mixing block."""
+    zero = Matrix.zeros(ctx.tower, 2, ctx.params.t, ctx.params.t)
+    expected = Matrix.block([[(ctx.c ** a).scale(ctx.alpha_power(b)), upper_right_block(ctx, a, b)],
+                             [zero, (ctx.c ** b).scale(ctx.alpha_power(a))]])
+    assert group_element_product(ctx, a, b) == expected, (a, b)
 
 
 def test_group_element_matches_product_exhaustive(ctx_2112):
     n = ctx_2112.params.max_exponent
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            assert group_element(ctx_2112, a, b) == group_element_product(ctx_2112, a, b)
+            _assert_block_formula(ctx_2112, a, b)
 
 
 @pytest.mark.parametrize("pekt", [(2, 1, 2, 2), (2, 2, 1, 2)])
@@ -217,7 +225,7 @@ def test_group_element_matches_product_all_pairs(contexts, pekt):
     n = ctx.params.max_exponent
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            assert group_element(ctx, a, b) == group_element_product(ctx, a, b)
+            _assert_block_formula(ctx, a, b)
 
 
 # --- stabilizers ------------------------------------------------------------------------
@@ -239,7 +247,7 @@ def test_stabilizer_of_leading_lines(ctx_2122):
     for i in (1, 2):
         stab = stabilizer_bruteforce(ctx_2122, ctx_2122.unit_line(i))
         assert frozenset(stab) == expected
-        matrices = {group_element(ctx_2122, a, b) for a, b in stab}
+        matrices = {group_element_product(ctx_2122, a, b) for a, b in stab}
         assert matrices == set(scalar_subgroup(ctx_2122))
 
 
@@ -480,7 +488,7 @@ def test_diag_c_is_a_power_of_h1_h2(contexts, pekt):
     a = qk1 * pow(qk1, -1, params.r) % params.max_exponent or params.max_exponent
     assert a % qk1 == 0 and a % params.r == 1 % params.r
     zero = Matrix.zeros(ctx.tower, 2, params.t, params.t)
-    assert group_element(ctx, a, a) == Matrix.block([[ctx.c, zero], [zero, ctx.c]])
+    assert group_element_product(ctx, a, a) == Matrix.block([[ctx.c, zero], [zero, ctx.c]])
 
 
 def test_tail_orbit_is_all_zero_prefix_lines(ctx_2112):
@@ -535,7 +543,7 @@ def test_spread_size_identity(contexts, spreads, pekt):
 def test_all_ij_choices_reach_the_same_spread(ctx_2122):
     reference = None
     for i, j in itertools.product((1, 2), (3, 4)):
-        spread = assemble_spread(ctx_2122, i, j)
+        spread = spread_union(ctx_2122.params, spread_components(ctx_2122, i, j))
         if reference is None:
             reference = spread
         else:
@@ -566,7 +574,7 @@ def test_extended_parameter_sweep(pekt):
 
     params = validate_params(*pekt)
     ctx = build_group(params)
-    spread = assemble_spread(ctx, 1, params.t + 1)
+    spread = spread_union(params, spread_components(ctx, 1, params.t + 1))
     report = classify(spread)
     assert report.verdict is Verdict.SPREAD
     assert report.min_distance == 2 * params.k

@@ -19,7 +19,6 @@ from spreadforge.errors import (
 )
 from spreadforge.gftower import (
     FieldTower,
-    coprime_transfer_holds,
     distinct_prime_factors,
     field_build,
     has_order,
@@ -157,10 +156,13 @@ def test_pow_conventions():
 
 
 def test_coprime_transfer_examples():
-    assert coprime_transfer_holds(2, 4) == (True, True)    # gcd(2,3)=1, gcd(5,3)=1
-    assert coprime_transfer_holds(3, 4) == (False, False)  # gcd(3,3)=3
-    for q in (2, 3, 4, 5, 9, 64):
-        assert coprime_transfer_holds(1, q) == (True, True)
+    # the lemma: gcd(ell, q - 1) = 1 iff gcd((q^ell - 1)/(q - 1), q - 1) = 1
+    coprime = {(2, 4): True,   # gcd(2,3)=1, gcd(5,3)=1
+               (3, 4): False,  # gcd(3,3)=3
+               **{(1, q): True for q in (2, 3, 4, 5, 9, 64)}}
+    for (ell, q), expected in coprime.items():
+        assert (math.gcd(ell, q - 1) == 1) is expected
+        assert (math.gcd((q**ell - 1) // (q - 1), q - 1) == 1) is expected
 
 
 def _prime_powers_up_to(bound: int):
@@ -176,7 +178,8 @@ def _prime_powers_up_to(bound: int):
 def test_coprime_transfer_exhaustive():
     for q in _prime_powers_up_to(64):
         for ell in range(1, 51):
-            left, right = coprime_transfer_holds(ell, q)
+            left = math.gcd(ell, q - 1) == 1
+            right = math.gcd((q**ell - 1) // (q - 1), q - 1) == 1
             assert left == right, (ell, q)
 
 
@@ -307,13 +310,6 @@ def test_modulus_search_skips_constant_terms_of_no_primitive_norm(pekt, moduli):
     tower = field_build(*pekt)
     assert time.perf_counter() - start < 3
     assert tuple(step.modulus for step in tower.steps) == moduli
-
-
-def test_gcd_utility_rejects_bad_input():
-    with pytest.raises(ValueError):
-        coprime_transfer_holds(0, 4)
-    with pytest.raises(ValueError):
-        coprime_transfer_holds(2, 1)
 
 
 # --- independent reference: coefficient-vector arithmetic -----------------------

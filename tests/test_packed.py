@@ -49,7 +49,7 @@ SAMPLE = 150  # members per code that the slower references visit
 
 def ref_vectors(sub) -> list[tuple[int, ...]]:
     """Every nonzero coefficient combination times the basis, as index tuples."""
-    card = sub.tower.cardinality(sub.level)
+    card = sub.pack.tower.cardinality(sub.pack.level)
     m = sub.matrix
     return [vector_matrix(c, m) for c in itertools.product(range(card), repeat=sub.dim) if any(c)]
 
@@ -90,7 +90,7 @@ def ref_inverse(m: Matrix) -> tuple[tuple[int, ...], ...] | None:
 
 
 def ref_distance(u, v) -> int:
-    stacked = Matrix(u.tower, u.level, u.matrix.rows + v.matrix.rows)
+    stacked = Matrix(u.pack.tower, u.pack.level, u.matrix.rows + v.matrix.rows)
     return 2 * ref_rank(stacked) - u.dim - v.dim
 
 
@@ -107,7 +107,7 @@ def ref_shared_vectors(subs) -> tuple[int, set]:
 
 def ref_lines_over_next_level(subs) -> bool:
     first = subs[0]
-    tower, level, n = first.tower, first.level, first.ambient
+    tower, level, n = first.pack.tower, first.pack.level, first.pack.ncols
     if level + 1 >= tower.nlevels:
         return False
     d = tower.steps[level].degree
@@ -168,7 +168,7 @@ def _random_subspaces(tower, n, dims, size, rng, pool=None):
         m = Matrix(tower, 1, rows)
         if ref_rank(m) == k:
             out.add(canonical_subspace(m))
-    return sorted(out, key=lambda s: s.key())
+    return sorted(out, key=lambda s: s.rows)
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +189,7 @@ def codes(contexts):
                                            pool),
             "mixed": _random_subspaces(ctx.tower, params.n, [1, 2, 3], 40, rng, pool),
         }
-        out[pekt] = ctx, {name: sorted(code, key=lambda s: s.key()) for name, code in named.items()}
+        out[pekt] = ctx, {name: sorted(code, key=lambda s: s.rows) for name, code in named.items()}
     return out
 
 
@@ -207,7 +207,7 @@ def test_nonzero_vectors_match_reference(codes, pekt):
     _, named = codes[pekt]
     for name, members in named.items():
         for sub in _sample(members, name):
-            packed = [sub.pack.entries(v) for v in sub.nonzero_vectors()]
+            packed = [sub.pack.entries(v) for v in sub.pack.span(sub.rows)[1:]]
             reference = ref_vectors(sub)
             assert len(packed) == len(set(packed)) == len(reference)
             assert set(packed) == set(reference)
@@ -284,7 +284,7 @@ def test_subspace_distance_matches_reference(codes, pekt):
     for members in named.values():
         for _ in range(40):
             u, v = rng.choice(members), rng.choice(members)
-            if u.ambient == v.ambient:
+            if u.pack.ncols == v.pack.ncols:
                 assert subspace_distance(u, v) == ref_distance(u, v)
 
 
@@ -317,9 +317,9 @@ def test_reduce_line_matches_reference(codes, pekt):
     ctx, named = codes[pekt]
     red = ReductionContext(ctx.tower)
     lines = named["Ci-lines"] + sorted(enumerate_lines(ctx.tower, 2, ctx.params.s),
-                                       key=lambda line: line.key())
+                                       key=lambda line: line.rows)
     for line in _sample(lines, "reduce"):
-        reduced = red.reduce_line(line)
+        (reduced,) = red.reduce_code(SubspaceCode(line.pack, line.rows))
         reference = ref_reduced_rows(red, line)
         assert reduced.matrix.rows == reference
         assert reduced == canonical_subspace(Matrix(ctx.tower, 1, reference))

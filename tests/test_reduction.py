@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from spreadforge.construction import full_group, group_element
+from spreadforge.construction import full_group, group_element_product
 from spreadforge.errors import SingularInput
 from spreadforge.gftower import field_build
 from spreadforge.reduction import ReductionContext
@@ -38,7 +38,7 @@ def red_2212(ctx_2212):
 
 def test_rep_of_zero_and_one(red_2122):
     tower = red_2122.tower
-    assert red_2122.matrix_rep(0).is_zero()
+    assert red_2122.matrix_rep(0) == Matrix.zeros(tower, 1, 2, 2)
     assert red_2122.matrix_rep(1) == Matrix.identity(tower, 1, 2)
 
 
@@ -88,7 +88,8 @@ def test_matrix_rep_and_reduce_line_match_the_companion_reference(pekt):
     lines = enumerate_lines(tower, 2, 2 * pekt[3])
     assert len(lines) <= 5000  # every line is checked, so keep the towers this small
     for line in lines:
-        m = red.reduce_line(line).matrix
+        (reduced,) = red.reduce_code(SubspaceCode(line.pack, line.rows))
+        m = reduced.matrix
         assert rref(m)[0] == m
         reference = Matrix.block([[reps[u] for u in line.matrix.rows[0]]])
         assert m == canonical_subspace(reference).matrix
@@ -114,7 +115,7 @@ def test_reduce_unit_lines_are_block_units(ctx_2122, red_2122):
     for i in range(1, s + 1):
         blocks = [[ident if col == i - 1 else z for col in range(s)]]
         expected = Matrix.block(blocks)
-        sub = red_2122.reduce_line(ctx_2122.unit_line(i))
+        (sub,) = red_2122.reduce_code(SubspaceCode.of([ctx_2122.unit_line(i)]))
         assert sub.matrix == expected
 
 
@@ -122,26 +123,27 @@ def test_reduce_line_is_identity_embedding_for_k1(ctx_2212, red_2212):
     # with k = 1 the map just strips the trivial top-level wrapper
     tower = red_2212.tower
     rng = random.Random(5)
-    lines = sorted(enumerate_lines(tower, 2, 4), key=lambda l: l.key())
+    lines = sorted(enumerate_lines(tower, 2, 4), key=lambda l: l.rows)
     for line in rng.sample(lines, 10):
-        sub = red_2212.reduce_line(line)
+        (sub,) = red_2212.reduce_code(SubspaceCode(line.pack, line.rows))
         assert sub.dim == 1
         assert sub.matrix.rows == line.matrix.rows  # one coefficient, the same index
 
 
 def test_reduce_line_refuses_a_member_that_is_not_a_line(red_2122):
     plane = canonical_subspace(Matrix(red_2122.tower, 2, [[1, 0, 0, 0], [0, 1, 0, 0]]))
-    with pytest.raises(ValueError, match="expects a line, got dimension 2"):
-        red_2122.reduce_line(plane)
+    with pytest.raises(ValueError, match="expects a code of lines"):
+        red_2122.reduce_code(SubspaceCode.of([plane]))
 
 
 def test_distinct_lines_reduce_to_disjoint_subspaces(red_2122):
     tower = red_2122.tower
-    lines = sorted(enumerate_lines(tower, 2, 4), key=lambda l: l.key())
+    lines = sorted(enumerate_lines(tower, 2, 4), key=lambda l: l.rows)
     rng = random.Random(13)
     for _ in range(30):
         a, b = rng.sample(lines, 2)
-        assert subspace_distance(red_2122.reduce_line(a), red_2122.reduce_line(b)) == 2 * 2
+        (ra,), (rb,) = (red_2122.reduce_code(SubspaceCode(x.pack, x.rows)) for x in (a, b))
+        assert subspace_distance(ra, rb) == 2 * 2
 
 
 def test_embed_identity_and_scalar(ctx_2122, red_2122):
@@ -187,7 +189,7 @@ def test_embed_rejects_singular(red_2122):
 def test_equivariance_sampled(red_2122):
     # reduce(line . A) == reduce(line) . embed(A) on sampled invertible A
     tower = red_2122.tower
-    lines = sorted(enumerate_lines(tower, 2, 4), key=lambda l: l.key())
+    lines = sorted(enumerate_lines(tower, 2, 4), key=lambda l: l.rows)
     rng = random.Random(101)
     card = tower.cardinality(2)
     tested = draws = 0
@@ -200,7 +202,9 @@ def test_equivariance_sampled(red_2122):
         tested += 1
         embedded = red_2122.embed_matrix(m)
         for line in rng.sample(lines, 12):
-            assert red_2122.reduce_line(line.apply(m)) == red_2122.reduce_line(line).apply(embedded)
+            (moved,), (reduced,) = (red_2122.reduce_code(SubspaceCode(x.pack, x.rows))
+                                    for x in (line.apply(m), line))
+            assert moved == reduced.apply(embedded)
 
 
 def test_orbit_transport(ctx_2112):
@@ -211,7 +215,7 @@ def test_orbit_transport(ctx_2112):
         canonical_line(ctx_2112.tower, 2, g.rows[0]) for _, g in full_group(ctx_2112)
     )
     left = red.reduce_code(line_orbit)
-    base = red.reduce_line(gen)
+    (base,) = red.reduce_code(SubspaceCode.of([gen]))
     right = SubspaceCode.of(base.apply(red.embed_matrix(g)) for _, g in full_group(ctx_2112))
     assert codes_equal(left, right)
 
@@ -250,8 +254,8 @@ def test_reduce_code_preserves_cardinality_on_orbit(ctx_2122):
 
 
 def test_block_formula_embeds_consistently(ctx_2112):
-    # sanity bridge: embedding a closed-form group element equals embedding the product
+    # sanity bridge: embedding h1^a h2^b equals the product of the embedded generators' powers
     red = ReductionContext(ctx_2112.tower)
     for a, b in [(1, 1), (2, 3), (3, 1)]:
-        g = group_element(ctx_2112, a, b)
+        g = group_element_product(ctx_2112, a, b)
         assert red.embed_matrix(g) == red.embed_matrix(ctx_2112.h1) ** a * red.embed_matrix(ctx_2112.h2) ** b

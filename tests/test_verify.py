@@ -9,12 +9,12 @@ import pytest
 
 from spreadforge import verify
 from spreadforge.construction import (
-    assemble_spread,
     build_group,
     full_group,
     orbit_code,
     scalar_subgroup,
     spread_components,
+    spread_union,
     transversal_subgroup,
     validate_params,
 )
@@ -35,37 +35,38 @@ from spreadforge.verify import (
     codes_equal,
     desarguesian_oracle,
     min_distance,
-    min_distance_bruteforce,
     orbit_min_distance,
+    pairwise_min_distance,
 )
 
 from conftest import PARAM_SETS, count_calls
 
 
-# --- brute-force distance -----------------------------------------------------
+# --- pairwise distance -----------------------------------------------------
 
 
 @pytest.mark.parametrize("pekt", PARAM_SETS)
 def test_spread_distance_is_2k(spreads, pekt):
     k = pekt[2]
-    assert min_distance_bruteforce(spreads[pekt]) == 2 * k
+    assert pairwise_min_distance(spreads[pekt]) == 2 * k
 
 
 def test_reduced_orbit_distance(ctx_2122):
     reduced_orbit, _, _ = spread_components(ctx_2122, 1, 3)
-    assert min_distance_bruteforce(reduced_orbit) == 4
+    assert pairwise_min_distance(reduced_orbit) == 4
 
 
 def test_line_code_distance(ctx_2112):
-    assert min_distance_bruteforce(orbit_code(ctx_2112, 1)) == 2
+    assert pairwise_min_distance(orbit_code(ctx_2112, 1)) == 2
 
 
 def test_singleton_distance_is_zero(ctx_2112):
     single = SubspaceCode.of([ctx_2112.unit_line(1)])
-    assert min_distance_bruteforce(single) == 0
+    assert pairwise_min_distance(single) is None  # no pair to rank
+    assert min_distance(single) == 0
 
 
-# --- bucketed distance against brute force ------------------------------------
+# --- bucketed distance against every pairwise rank ------------------------------------
 
 
 def _subspace(tower, level, rows):
@@ -89,7 +90,7 @@ def _random_code(tower, level, n, k, size, seed):
 def test_bucketed_distance_on_spreads_and_components(contexts, spreads, pekt):
     ctx = contexts[pekt]
     for code in (spreads[pekt], *spread_components(ctx, 1, ctx.params.t + 1)):
-        assert min_distance(code) == min_distance_bruteforce(code)
+        assert min_distance(code) == pairwise_min_distance(code)
 
 
 @pytest.mark.parametrize("pekt, level, n, k, size", [
@@ -101,7 +102,7 @@ def test_bucketed_distance_on_spreads_and_components(contexts, spreads, pekt):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_bucketed_distance_on_colliding_random_codes(pekt, level, n, k, size, seed):
     code = _random_code(field_build(*pekt), level, n, k, size, seed)
-    brute = min_distance_bruteforce(code)
+    brute = pairwise_min_distance(code)
     assert brute < 2 * k  # some pair shares a vector
     assert min_distance(code) == brute
 
@@ -112,7 +113,7 @@ def test_bucketed_distance_when_every_pair_collides(monkeypatch):
     code = SubspaceCode.of(_subspace(tower, 0, [[1, 0, 0, 0], [0, *u]])
                            for u in itertools.product(range(2), repeat=3) if any(u))
     calls = count_calls(monkeypatch, verify, "subspace_distance")
-    assert min_distance(code) == min_distance_bruteforce(code) == 2
+    assert min_distance(code) == pairwise_min_distance(code) == 2
     assert len(calls) == 2 * 21  # 21 pairs, ranked once by each path
 
 
@@ -128,26 +129,26 @@ def test_bucketed_distance_ranks_pairs_whose_shared_vectors_are_held_earlier():
         [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]],  # c
     ]
     code = SubspaceCode.of(_subspace(tower, 0, r) for r in rows)
-    assert min_distance(code) == min_distance_bruteforce(code) == 2
+    assert min_distance(code) == pairwise_min_distance(code) == 2
 
 
 def test_bucketed_distance_falls_back_on_mixed_dimensions(ctx_2122, monkeypatch):
     red = ReductionContext(ctx_2122.tower)
-    plane = red.reduce_line(ctx_2122.unit_line(1))
-    line = _subspace(plane.tower, plane.level, [plane.matrix.rows[0]])
-    other = red.reduce_line(ctx_2122.unit_line(2))
+    (plane,) = red.reduce_code(SubspaceCode.of([ctx_2122.unit_line(1)]))
+    line = _subspace(plane.pack.tower, plane.pack.level, [plane.matrix.rows[0]])
+    (other,) = red.reduce_code(SubspaceCode.of([ctx_2122.unit_line(2)]))
     code = SubspaceCode.of([plane, line, other])
-    reference = min_distance_bruteforce(code)
-    calls = count_calls(monkeypatch, verify, "min_distance_bruteforce")
+    reference = pairwise_min_distance(code)
+    calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
     assert min_distance(code) == reference == 1
     assert len(calls) == 1
 
 
 def test_bucketed_distance_falls_back_past_the_coverage_guard(spreads, monkeypatch):
     code = spreads[(2, 1, 1, 2)]  # the 15 points of F_2^4
-    reference = min_distance_bruteforce(code)
+    reference = pairwise_min_distance(code)
     monkeypatch.setattr(verify, "COVERAGE_GUARD", 14)
-    calls = count_calls(monkeypatch, verify, "min_distance_bruteforce")
+    calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
     assert min_distance(code) == reference == 2
     assert len(calls) == 1
 
@@ -155,9 +156,9 @@ def test_bucketed_distance_falls_back_past_the_coverage_guard(spreads, monkeypat
 def test_vector_pass_is_gated_on_the_vectors_it_holds(ctx_2122, monkeypatch):
     # the reduced Bj part holds 5 * 3 = 15 vectors of a space of q^n = 256
     code = spread_components(ctx_2122, 1, 3)[2]
-    reference = min_distance_bruteforce(code)
+    reference = pairwise_min_distance(code)
     monkeypatch.setattr(verify, "COVERAGE_GUARD", 100)
-    calls = count_calls(monkeypatch, verify, "min_distance_bruteforce")
+    calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
     assert min_distance(code) == reference == 4
     assert not calls
     assert classify(code).coverage_count == 15
@@ -178,18 +179,18 @@ def _images(generator, elements):
 def test_orbit_formula_matches_bruteforce_small(ctx_2112):
     gen = ctx_2112.unit_line(1)
     via_formula = orbit_min_distance(gen, _images(gen, (g for _, g in full_group(ctx_2112))))
-    via_brute = min_distance_bruteforce(orbit_code(ctx_2112, 1))
+    via_brute = pairwise_min_distance(orbit_code(ctx_2112, 1))
     assert via_formula == via_brute == 2
 
 
 def test_orbit_formula_on_reduced_side(ctx_2122):
     # act on the reduced generator with the embedded transversal subgroup
     red = ReductionContext(ctx_2122.tower)
-    base = red.reduce_line(ctx_2122.unit_line(1))
+    (base,) = red.reduce_code(SubspaceCode.of([ctx_2122.unit_line(1)]))
     embedded = [red.embed_matrix(g) for g in transversal_subgroup(ctx_2122)]
     reduced_orbit, _, _ = spread_components(ctx_2122, 1, 3)
     assert orbit_min_distance(base, _images(base, embedded)) == \
-        min_distance_bruteforce(reduced_orbit) == 4
+        pairwise_min_distance(reduced_orbit) == 4
 
 
 def test_trivial_orbit_raises(ctx_2122):
@@ -239,8 +240,8 @@ def test_classify_singleton(ctx_2122):
 
 def test_classify_mixed_dimensions(ctx_2122):
     red = ReductionContext(ctx_2122.tower)
-    plane = red.reduce_line(ctx_2122.unit_line(1))
-    line = canonical_subspace(Matrix(plane.tower, plane.level, [plane.matrix.rows[0]]))
+    (plane,) = red.reduce_code(SubspaceCode.of([ctx_2122.unit_line(1)]))
+    line = canonical_subspace(Matrix(plane.pack.tower, plane.pack.level, [plane.matrix.rows[0]]))
     report = classify(SubspaceCode.of([plane, line]))
     assert report.verdict is Verdict.NOT_CONSTANT_DIMENSION
     assert not report.constant_dimension and report.dimension is None
@@ -310,9 +311,10 @@ def test_components_satisfy_partial_spread_bound(contexts, pekt):
 def _reference_report(code):
     """(verdict, min distance, pairwise trivial, coverage) from every pairwise rank."""
     subs = list(code)
-    q, n = subs[0].tower.cardinality(subs[0].level), subs[0].ambient
+    pack = subs[0].pack
+    q, n = pack.tower.cardinality(pack.level), pack.ncols
     dists = [subspace_distance(a, b) for a, b in itertools.combinations(subs, 2)]
-    coverage = len({v for s in subs for v in s.nonzero_vectors()})
+    coverage = len({v for s in subs for v in s.pack.span(s.rows)[1:]})
     dims = {s.dim for s in subs}
     if len(dims) > 1:
         return Verdict.NOT_CONSTANT_DIMENSION, min(dists), False, coverage
@@ -338,9 +340,9 @@ def certified_codes(contexts):
     for pekt in ((3, 1, 1, 3), (3, 1, 2, 1)):
         ctxs[pekt] = build_group(validate_params(*pekt))
     return {
-        pekt: [assemble_spread(ctx, 1, ctx.params.t + 1),
-               *spread_components(ctx, 1, ctx.params.t + 1)]
+        pekt: [spread_union(ctx.params, parts), *parts]
         for pekt, ctx in ctxs.items()
+        for parts in [spread_components(ctx, 1, ctx.params.t + 1)]
     }
 
 
@@ -355,7 +357,7 @@ def test_classify_matches_reference_and_ranks_no_pair(certified_codes, monkeypat
 
 def _field_lines(tower, s, size, seed):
     """A seeded sample of the reduced lines of F_{q^2}^s: members the certificate accepts."""
-    lines = sorted(enumerate_lines(tower, 2, s), key=lambda line: line.key())
+    lines = sorted(enumerate_lines(tower, 2, s), key=lambda line: line.rows)
     sample = SubspaceCode.of(random.Random(seed).sample(lines, size))
     return ReductionContext(tower).reduce_code(sample)
 
@@ -371,7 +373,7 @@ def _collision_free_code(tower, n, k, size, seed):
         m = Matrix(tower, 1, [[rng.randrange(card) for _ in range(n)] for _ in range(k)])
         if rank(m) == k:
             sub = canonical_subspace(m)
-            vectors = set(sub.nonzero_vectors())
+            vectors = set(sub.pack.span(sub.rows)[1:])
             if not vectors & seen:
                 code.append(sub)
                 seen |= vectors
@@ -389,7 +391,7 @@ def test_classify_matches_reference_on_random_codes(monkeypatch, pekt, n, size, 
     colliding = _random_code(tower, 1, n, 2, size, seed)
     disjoint = _collision_free_code(tower, n, 2, size // 2, seed)
     certified = _field_lines(tower, n // 2, size // 2, seed)
-    mixed = SubspaceCode.of(sorted(certified, key=lambda s: s.key())[1:] + [next(iter(colliding))])
+    mixed = SubspaceCode.of(sorted(certified, key=lambda s: s.rows)[1:] + [next(iter(colliding))])
     for code in (colliding, disjoint, certified, mixed):
         assert _report_tuple(classify(code)) == _reference_report(code)
     assert _reference_report(colliding)[1] < 4  # some pair shares a vector
@@ -401,7 +403,7 @@ def test_classify_matches_reference_on_random_codes(monkeypatch, pekt, n, size, 
 
 def test_classify_list_with_a_repeated_member(spreads):
     # a code is a set of member keys: the repeat is held once
-    members = sorted(spreads[(2, 1, 2, 2)], key=lambda s: s.key())
+    members = sorted(spreads[(2, 1, 2, 2)], key=lambda s: s.rows)
     code = SubspaceCode.of(members + members[:1])
     assert codes_equal(code, spreads[(2, 1, 2, 2)])
     report = classify(code)
@@ -411,9 +413,9 @@ def test_classify_list_with_a_repeated_member(spreads):
 
 def test_classify_spread_with_one_member_swapped(spreads):
     spread = spreads[(2, 1, 2, 2)]
-    tower = next(iter(spread)).tower
+    tower = spread.pack.tower
     outsider = next(s for s in _random_code(tower, 1, 8, 2, 20, 7) if s not in spread)
-    code = SubspaceCode.of(sorted(spread, key=lambda s: s.key())[1:] + [outsider])
+    code = SubspaceCode.of(sorted(spread, key=lambda s: s.rows)[1:] + [outsider])
     report = classify(code)
     assert _report_tuple(report) == _reference_report(code)
     assert report.verdict is Verdict.CONSTANT_DIMENSION and report.min_distance < 4
@@ -492,10 +494,9 @@ def test_codes_equal_ambient_mismatch(ctx_2112, ctx_2113):
 
 
 def test_pipeline_invariance_across_independent_builds():
-    from spreadforge.construction import assemble_spread, build_group
-
-    first = assemble_spread(build_group(validate_params(2, 1, 2, 2)), 1, 3)
-    second = assemble_spread(build_group(validate_params(2, 1, 2, 2)), 1, 3)
+    params = validate_params(2, 1, 2, 2)
+    first = spread_union(params, spread_components(build_group(params), 1, 3))
+    second = spread_union(params, spread_components(build_group(params), 1, 3))
     assert codes_equal(first, second)
 
 
@@ -503,12 +504,10 @@ def test_spread_invariant_under_aux_modulus():
     # any primitive degree-t modulus yields the same spread set: the final
     # spread equals the reduction of the full line Grassmannian, which only
     # depends on the middle step
-    from spreadforge.construction import assemble_spread, build_group
-
     params = validate_params(2, 1, 2, 2)
-    default = assemble_spread(build_group(params), 1, 3)
+    default = spread_union(params, spread_components(build_group(params), 1, 3))
     alt_tower = FieldTower(2, (1, 2, 2), moduli=[None, None, (2, 2)])
-    alt = assemble_spread(build_group(params, alt_tower), 1, 3)
+    alt = spread_union(params, spread_components(build_group(params, alt_tower), 1, 3))
     assert codes_equal(default, alt)
 
 
@@ -531,7 +530,7 @@ def test_full_group_orbit_distance_equals_reduced(ctx_2112):
     gen = ctx_2112.unit_line(1)
     line_d = orbit_min_distance(gen, _images(gen, (g for _, g in full_group(ctx_2112))))
     reduced_orbit, _, _ = spread_components(ctx_2112, 1, params.t + 1)
-    assert params.k * line_d == min_distance_bruteforce(reduced_orbit)
+    assert params.k * line_d == pairwise_min_distance(reduced_orbit)
 
 
 @pytest.mark.parametrize("pekt", PARAM_SETS)
@@ -542,11 +541,11 @@ def test_orbit_formula_agrees_on_every_orbit_code(contexts, pekt):
     for i in range(1, params.t + 1):
         whole_group = (g for _, g in full_group(ctx))
         assert orbit_min_distance(ctx.unit_line(i), _images(ctx.unit_line(i), whole_group)) == \
-            min_distance_bruteforce(orbit_code(ctx, i))
+            pairwise_min_distance(orbit_code(ctx, i))
     if params.r >= 2:
         from spreadforge.construction import h2_subgroup, tail_orbit
 
         for j in range(params.t + 1, params.s + 1):
             gen = ctx.unit_line(j)
             via_formula = orbit_min_distance(gen, _images(gen, h2_subgroup(ctx)))
-            assert via_formula == min_distance_bruteforce(tail_orbit(ctx, j))
+            assert via_formula == pairwise_min_distance(tail_orbit(ctx, j))
