@@ -181,7 +181,7 @@ def cmd_construct(args) -> int:
         spread_union,
         validate_params,
     )
-    from .verify import min_distance
+    from .verify import COVERAGE_GUARD, min_distance
 
     params = validate_params(args.p, args.e, args.k, args.t)
     i = 1 if args.i is None else args.i
@@ -191,6 +191,11 @@ def cmd_construct(args) -> int:
         return EXIT_USAGE
     if not params.t + 1 <= j <= params.s:
         print(f"error: --j must be in {params.t + 1}..{params.s}", file=sys.stderr)
+        return EXIT_USAGE
+    vectors = params.q**params.n - 1  # the distance step's vector pass holds them all
+    if vectors > COVERAGE_GUARD:
+        print(f"error: construct refused: the spread holds {vectors} nonzero vectors, "
+              f"COVERAGE_GUARD is {COVERAGE_GUARD}", file=sys.stderr)
         return EXIT_USAGE
     ctx = build_group(params)
     bm = codecs.completion_fingerprint(default_completion(ctx))
@@ -315,30 +320,31 @@ def cmd_distance(args) -> int:
     if len(code) < 2:
         print("d_S = 0: singleton (or empty) code")
         return EXIT_USAGE
+    if args.orbit:  # refused, if at all, before the distance is computed
+        if header.component not in ("Ci", "Bj"):
+            print("error: --orbit needs an orbit component (Ci or Bj), "
+                  f"file is {header.component!r}", file=sys.stderr)
+            return EXIT_USAGE
+        from .construction import (
+            GROUP_ENUM_GUARD,
+            build_group,
+            orbit_code,
+            tail_orbit,
+            validate_params,
+        )
+
+        params = validate_params(header.p, header.e, header.k, header.t)
+        # Ci walks <h2^{q^k-1}> x <h1>, Bj walks <h2^{q^k-1}>: the scalar subgroup that
+        # completes them to the group fixes every line, so the minimum is the group's
+        walked = params.r * (params.max_exponent if header.component == "Ci" else 1)
+        if walked > GROUP_ENUM_GUARD:
+            print(f"error: --orbit refused: the walk has {walked} group elements, "
+                  f"GROUP_ENUM_GUARD is {GROUP_ENUM_GUARD}", file=sys.stderr)
+            return EXIT_USAGE
     distance = min_distance(code)
     print(f"min distance: {distance}")
     if not args.orbit:
         return EXIT_OK
-    if header.component not in ("Ci", "Bj"):
-        print(f"error: --orbit needs an orbit component (Ci or Bj), file is {header.component!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    from .construction import (
-        GROUP_ENUM_GUARD,
-        build_group,
-        orbit_code,
-        tail_orbit,
-        validate_params,
-    )
-
-    params = validate_params(header.p, header.e, header.k, header.t)
-    # Ci walks <h2^{q^k-1}> x <h1>, Bj walks <h2^{q^k-1}>: the scalar subgroup that
-    # completes them to the group fixes every line, so the minimum is the group's
-    walked = params.r * (params.max_exponent if header.component == "Ci" else 1)
-    if walked > GROUP_ENUM_GUARD:
-        print(f"error: --orbit refused: the walk has {walked} group elements, "
-              f"GROUP_ENUM_GUARD is {GROUP_ENUM_GUARD}", file=sys.stderr)
-        return EXIT_USAGE
     ctx = build_group(params)
     index, orbit = (header.i, orbit_code) if header.component == "Ci" else (header.j, tail_orbit)
     line_distance = orbit_min_distance(ctx.unit_line(index), orbit(ctx, index))

@@ -159,8 +159,7 @@ def write_code(code: SubspaceCode, header: CodeHeader, records: list[str] | None
     """
     level, nrows, width = _member_shape(header)
     pack = code.pack
-    if (pack.level, pack.ncols) != (level, width) or (
-            code.keys and pack.dim(next(iter(code.keys))) != nrows):
+    if (pack.level, pack.ncols) != (level, width) or (code.keys and code.dim != nrows):
         raise ValueError(f"member kind does not match header kind {header.kind!r}")
     if records is None:
         records = code_records(code)

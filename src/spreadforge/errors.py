@@ -50,6 +50,10 @@ class AmbientMismatch(SpreadforgeError, ValueError):
     """Subspaces from different ambient spaces were combined."""
 
 
+class DimensionMismatch(SpreadforgeError, ValueError):
+    """Subspaces of two dimensions were put in one code."""
+
+
 class ZeroVector(SpreadforgeError, ValueError):
     pass
 

@@ -58,7 +58,7 @@ class ReductionContext:
         lines = code.pack
         if lines.level != 2 or not lines.tower.compatible_at(self.tower, 2):
             raise LevelMismatch("reduce_code expects lines over the middle field")
-        if code.keys and code.dimension() != 1:
+        if code.keys and code.dim != 1:
             raise ValueError("reduce_code expects a code of lines")
         reduced = row_packing(self.tower, 1, self.k * lines.ncols)
         times_alpha, b = lines.times_alpha, reduced.row_bits

@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     AmbientMismatch,
+    DimensionMismatch,
     KindMismatch,
     LevelMismatch,
     NonMonicModulus,
@@ -557,26 +558,28 @@ class SubspaceCode:
 
     The library computes on the keys, a frozenset of ints; iterating a code
     yields its members as `Subspace` views.  `of` builds a code from
-    `Subspace` members and is the one place that checks they share a space:
-    the other producers make every key in their one packing.
+    `Subspace` members and is the one place that checks they share a space
+    and a dimension: the other producers make every key in their one packing.
     """
 
     __slots__ = ("pack", "keys")
 
     def __init__(self, pack: RowPacking, keys: Iterable[int]):
-        # trusted constructor: each key must join a canonical full-rank RREF packed by `pack`
+        # trusted constructor: each key joins a canonical full-rank RREF of `pack`, all of one dim
         self.pack = pack
         self.keys = frozenset(keys)
 
     @classmethod
     def of(cls, members: Iterable[Subspace]) -> "SubspaceCode":
-        """The code of these members, refused unless they all live in the first one's space."""
+        """The code of these members; all must share the first one's space and dimension."""
         members = list(members)
         if not members:
             raise ValueError("an empty code needs its packing: use SubspaceCode(pack, ())")
-        pack = members[0].pack
+        pack, dim = members[0].pack, members[0].dim
         if not all(_same_space(m.pack, pack) for m in members):
             raise AmbientMismatch("code members live in different spaces")
+        if any(m.dim != dim for m in members):
+            raise DimensionMismatch("code members differ in dimension")
         return cls(pack, [pack.join(m.rows) for m in members])
 
     def __len__(self) -> int:
@@ -586,14 +589,10 @@ class SubspaceCode:
         pack, split = self.pack, self.pack.split
         return (Subspace(pack, split(key)) for key in self.keys)
 
-    def dimension(self) -> int | None:
-        """The members' common dimension, or None; a non-empty code's.
-
-        A key of more rows is larger, so the least and the greatest key have
-        the least and the greatest dimension.
-        """
-        low, high = self.pack.dim(min(self.keys)), self.pack.dim(max(self.keys))
-        return low if low == high else None
+    @property
+    def dim(self) -> int:
+        """The members' one dimension; a non-empty code's."""
+        return self.pack.dim(next(iter(self.keys)))
 
     def check_comparable(self, other: "SubspaceCode") -> None:
         """Refuse a code whose members live in another space; a code with none fits any."""

@@ -39,15 +39,14 @@ class Verdict(enum.Enum):
     SPREAD = "Spread"
     PARTIAL_SPREAD = "PartialSpread"
     CONSTANT_DIMENSION = "ConstantDimension"
-    NOT_CONSTANT_DIMENSION = "NotConstantDimension"
 
 
 class VerificationReport(NamedTuple):
     """Everything classify() measured about one code."""
 
     cardinality: int
-    constant_dimension: bool
-    dimension: int | None       # common dimension k, when constant
+    constant_dimension: bool    # always True: a code's members share one dimension
+    dimension: int              # that dimension, k
     ambient: int
     field_order: int
     min_distance: int           # 0 for singletons
@@ -84,7 +83,7 @@ def _shared_vectors(code: SubspaceCode) -> tuple[int, set] | None:
     """
     pack = code.pack
     q = pack.tower.cardinality(pack.level)
-    if sum(map(q.__pow__, map(pack.dim, code.keys))) - len(code) > COVERAGE_GUARD:
+    if len(code) * (q**code.dim - 1) > COVERAGE_GUARD:
         return None
     span, split = pack.span, pack.split
     first: dict[int, int] = {}   # vector -> first member holding it
@@ -100,29 +99,26 @@ def _shared_vectors(code: SubspaceCode) -> tuple[int, set] | None:
     return len(first), pairs
 
 
-def _ranked_min(code: SubspaceCode, pairs: Iterable, k: int) -> int:
+def _ranked_min(code: SubspaceCode, pairs: Iterable) -> int:
     """Minimum distance of k-spaces, given every pair of keys that shares a nonzero vector.
 
     Any other pair meets in 0, at distance 2k, and a sharing pair is closer.
     """
     pack, split = code.pack, code.pack.split
     return min((subspace_distance(Subspace(pack, split(a)), Subspace(pack, split(b)))
-                for a, b in pairs), default=2 * k)
+                for a, b in pairs), default=2 * code.dim)
 
 
 def min_distance(code: SubspaceCode) -> int:
     """Exact minimum subspace distance, ranking only pairs that share a vector.
 
-    Mixed dimensions, or more vectors than COVERAGE_GUARD, fall back to
-    every pairwise rank.  0 for a singleton.
+    More vectors than COVERAGE_GUARD fall back to every pairwise rank.
+    0 for a singleton.
     """
     if len(code) < 2:
         return 0
-    k = code.dimension()
-    shared = k is not None and _shared_vectors(code)
-    if not shared:
-        return pairwise_min_distance(code)
-    return _ranked_min(code, shared[1], k)
+    shared = _shared_vectors(code)
+    return pairwise_min_distance(code) if shared is None else _ranked_min(code, shared[1])
 
 
 def _lines_over_next_level(code: SubspaceCode) -> bool:
@@ -141,7 +137,7 @@ def _lines_over_next_level(code: SubspaceCode) -> bool:
     if level + 1 >= tower.nlevels:
         return False
     d = tower.steps[level].degree
-    if n % d or code.dimension() != d:
+    if n % d or code.dim != d:
         return False
     m = companion_matrix(tower, level, tower.step_modulus(level + 1))
     zero, blocks = Matrix.zeros(tower, level, d, d), range(n // d)
@@ -177,9 +173,9 @@ def classify(code: SubspaceCode) -> VerificationReport:
     The minimum distance is 2 for distinct lines, comes from the line
     certificate for k-spaces or, where that does not hold, from every
     pairwise rank; within COVERAGE_GUARD vectors one pass counts coverage
-    and, for constant dimension, must give the same distance.  The spread
-    decision is checked against cardinality and coverage too.  Any
-    disagreement raises InternalError.
+    and must give the same distance.  The spread decision is checked
+    against cardinality and coverage too.  Any disagreement raises
+    InternalError.
     """
     if not code.keys:
         raise CodeTooSmall("cannot classify an empty code")
@@ -187,9 +183,7 @@ def classify(code: SubspaceCode) -> VerificationReport:
     ambient = pack.ncols
     q = pack.tower.cardinality(pack.level)
     cardinality = len(code)
-
-    k = code.dimension()
-    constant = k is not None
+    k = code.dim
 
     coverage, pairs = _shared_vectors(code) or (None, None)
 
@@ -197,34 +191,29 @@ def classify(code: SubspaceCode) -> VerificationReport:
     if cardinality >= 2:
         certified = k == 1 or _lines_over_next_level(code)
         min_distance = 2 * k if certified else pairwise_min_distance(code)
-        if constant and pairs is not None and _ranked_min(code, pairs, k) != min_distance:
+        if pairs is not None and _ranked_min(code, pairs) != min_distance:
             raise InternalError("vector pass and independent distance path disagree")
-    pairwise_trivial = constant and (cardinality < 2 or min_distance == 2 * k)
+    pairwise_trivial = cardinality < 2 or min_distance == 2 * k
 
-    partial_bound, spread_bound = _spread_bounds(q, ambient, k) if constant else (None, None)
-    if constant and coverage is not None:
+    partial_bound, spread_bound = _spread_bounds(q, ambient, k)
+    is_spread = pairwise_trivial and cardinality == spread_bound
+    if coverage is not None:
         collision_free = coverage == cardinality * (q**k - 1)
         if collision_free != pairwise_trivial:
             raise InternalError("coverage count and pairwise ranks disagree")
+        if (collision_free and coverage == q**ambient - 1) != is_spread:
+            raise InternalError("coverage-based and rank-based spread tests disagree")
 
-    if not constant:
-        verdict = Verdict.NOT_CONSTANT_DIMENSION
+    if is_spread:
+        verdict = Verdict.SPREAD
+    elif cardinality >= 2 and pairwise_trivial and cardinality <= partial_bound:
+        verdict = Verdict.PARTIAL_SPREAD
     else:
-        is_spread = pairwise_trivial and cardinality == spread_bound
-        if coverage is not None:
-            by_coverage = coverage == q**ambient - 1 and coverage == cardinality * (q**k - 1)
-            if by_coverage != is_spread:
-                raise InternalError("coverage-based and rank-based spread tests disagree")
-        if is_spread:
-            verdict = Verdict.SPREAD
-        elif cardinality >= 2 and pairwise_trivial and cardinality <= partial_bound:
-            verdict = Verdict.PARTIAL_SPREAD
-        else:
-            verdict = Verdict.CONSTANT_DIMENSION
+        verdict = Verdict.CONSTANT_DIMENSION
 
     return VerificationReport(
         cardinality=cardinality,
-        constant_dimension=constant,
+        constant_dimension=True,
         dimension=k,
         ambient=ambient,
         field_order=q,

@@ -172,6 +172,27 @@ def test_trivial_group_exits_2_before_any_work(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("pekt, vectors", [((2, 1, 1, 20), 2**40 - 1),
+                                           ((2, 1, 14, 1), 2**28 - 1)])
+def test_construct_refuses_a_spread_past_the_coverage_guard(tmp_path, capsys, monkeypatch,
+                                                            pekt, vectors):
+    # the distance step's vector pass would hold all q^n - 1 nonzero vectors; past
+    # COVERAGE_GUARD = 2^26 only the all-pairs loop is left, which never finishes
+    def no_group(*args):
+        raise AssertionError("build_group called")
+
+    monkeypatch.setattr(construction, "build_group", no_group)
+    flags = [str(x) for flag in zip(("--p", "--e", "--k", "--t"), pekt) for x in flag]
+    start = time.perf_counter()
+    assert main(["construct", *flags, "--out", str(tmp_path / "run")]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: construct refused: the spread holds {vectors} nonzero "
+                            f"vectors, COVERAGE_GUARD is {verify.COVERAGE_GUARD}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_internal_self_check_failure_exits_5(tmp_path, capsys, monkeypatch):
     def failing_build(params):
         raise InternalOrderCheckFailed("h1 does not have order q^kt - 1")
@@ -675,9 +696,14 @@ def test_distance_orbit_on_a_lines_file_takes_the_line_distance(tmp_path, capsys
                                 "agreement: yes"]
 
 
-def test_distance_orbit_rejected_for_non_orbit_component(tmp_path):
+def test_distance_orbit_rejected_for_non_orbit_component(tmp_path, capsys):
     out = _construct(tmp_path, "run")
+    capsys.readouterr()
     assert main(["distance", "--in", str(out / "ai.code"), "--orbit"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before the distance is computed
+    assert captured.err == ("error: --orbit needs an orbit component (Ci or Bj), "
+                            "file is 'Ai'\n")
 
 
 def test_distance_singleton_exits_2(tmp_path, capsys, ctx_2112):
@@ -710,7 +736,7 @@ def test_distance_orbit_refused_past_the_group_guard(tmp_path, capsys, monkeypat
     path.write_text(codecs.write_code(members, header), encoding="ascii")
     assert main(["distance", "--in", str(path), "--orbit"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "min distance: 2\n"
+    assert captured.out == ""  # refused before the distance is computed
     assert captured.err == ("error: --orbit refused: the walk has 4190209 group elements, "
                             "GROUP_ENUM_GUARD is 1048576\n")
     assert max(searched) <= 1

@@ -173,8 +173,10 @@ def _random_subspaces(tower, n, dims, size, rng, pool=None):
 
 @pytest.fixture(scope="module")
 def codes(contexts):
-    """pekt -> (context, named codes): the spread, its parts, the line parts,
-    a seeded code whose members collide and a seeded code of mixed dimensions."""
+    """pekt -> (context, named codes): the spread, its parts, the line parts, and
+    seeded codes of dimensions k, k + 1 ("colliding-d") and 1, 2, 3 ("mixed-d")
+    whose first basis vectors come from a pool of four, so those of dimension
+    d > 1 collide.  A code has one dimension, so each seeded draw is split by it."""
     out = {}
     for pekt in POINTS:
         ctx = contexts.get(pekt) or build_group(validate_params(*pekt))
@@ -185,12 +187,17 @@ def codes(contexts):
             "spread": spread_union(params, parts),
             "Ci": parts[0], "Ai": parts[1], "Bj": parts[2],
             "Ci-lines": line_partition(ctx, 1, params.t + 1)[0],
-            "colliding": _random_subspaces(ctx.tower, params.n, [params.k, params.k + 1], 40, rng,
-                                           pool),
-            "mixed": _random_subspaces(ctx.tower, params.n, [1, 2, 3], 40, rng, pool),
         }
+        for label, dims in (("colliding", [params.k, params.k + 1]), ("mixed", [1, 2, 3])):
+            for sub in _random_subspaces(ctx.tower, params.n, dims, 40, rng, pool):
+                named.setdefault(f"{label}-{sub.dim}", []).append(sub)
         out[pekt] = ctx, {name: sorted(code, key=lambda s: s.rows) for name, code in named.items()}
     return out
+
+
+def _collides(name, members):
+    """Whether a code of the fixture shares a vector: distinct lines never do."""
+    return name.startswith(("colliding-", "mixed-")) and members[0].dim > 1
 
 
 def _sample(members, seed):
@@ -298,7 +305,7 @@ def test_shared_vectors_match_reference(codes, pekt):
         ref_coverage, ref_pairs = ref_shared_vectors(subs)
         keys = [code.pack.join(s.rows) for s in subs]
         assert (coverage, pairs) == (ref_coverage, {(keys[i], keys[j]) for i, j in ref_pairs})
-        assert bool(pairs) == (name in ("colliding", "mixed"))
+        assert bool(pairs) == _collides(name, members)
 
 
 @pytest.mark.parametrize("pekt", POINTS)

@@ -10,6 +10,7 @@ import pytest
 
 from spreadforge.errors import (
     AmbientMismatch,
+    DimensionMismatch,
     KindMismatch,
     LevelMismatch,
     NonMonicModulus,
@@ -406,10 +407,11 @@ def test_member_keys_round_trip_and_grow_with_dimension(gf4tower):
         assert pack.split(key) == sub.rows and pack.dim(key) == sub.dim
     dims = [pack.dim(key) for key in sorted(pack.join(s.rows) for s in subs)]
     assert dims == sorted(dims) and set(dims) == {1, 2, 3, 4}
-    code = SubspaceCode.of(subs)
-    assert set(code) == set(subs) and len(code) == len(set(subs))
-    assert code.dimension() is None
-    assert SubspaceCode.of(s for s in subs if s.dim == 3).dimension() == 3
+    for dim in (1, 2, 3, 4):
+        members = [s for s in subs if s.dim == dim]
+        code = SubspaceCode.of(members)
+        assert set(code) == set(members) and len(code) == len(set(members))
+        assert code.dim == dim
 
 
 def test_code_of_checks_that_members_share_one_space(gf2, gf4tower):
@@ -425,6 +427,15 @@ def test_code_of_checks_that_members_share_one_space(gf2, gf4tower):
         SubspaceCode.of([])
     empty = SubspaceCode(row_packing(gf4tower, 1, 4), ())
     assert len(empty) == 0 and list(empty) == []
+
+
+def test_code_of_refuses_members_of_two_dimensions(gf2):
+    # a code's members share one dimension, as an orbit code's do
+    line = canonical_line(gf2, 1, (1, 0, 1, 1))
+    plane = canonical_subspace(Matrix(gf2, 1, [[1, 0, 1, 1], [0, 1, 0, 0]]))
+    for members in ([line, plane], [plane, line], [plane, plane, line]):
+        with pytest.raises(DimensionMismatch):
+            SubspaceCode.of(members)
 
 
 def test_codes_compare_only_within_one_space(gf2, gf4tower):

@@ -132,18 +132,6 @@ def test_bucketed_distance_ranks_pairs_whose_shared_vectors_are_held_earlier():
     assert min_distance(code) == pairwise_min_distance(code) == 2
 
 
-def test_bucketed_distance_falls_back_on_mixed_dimensions(ctx_2122, monkeypatch):
-    red = ReductionContext(ctx_2122.tower)
-    (plane,) = red.reduce_code(SubspaceCode.of([ctx_2122.unit_line(1)]))
-    line = _subspace(plane.pack.tower, plane.pack.level, [plane.matrix.rows[0]])
-    (other,) = red.reduce_code(SubspaceCode.of([ctx_2122.unit_line(2)]))
-    code = SubspaceCode.of([plane, line, other])
-    reference = pairwise_min_distance(code)
-    calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
-    assert min_distance(code) == reference == 1
-    assert len(calls) == 1
-
-
 def test_bucketed_distance_falls_back_past_the_coverage_guard(spreads, monkeypatch):
     code = spreads[(2, 1, 1, 2)]  # the 15 points of F_2^4
     reference = pairwise_min_distance(code)
@@ -238,15 +226,6 @@ def test_classify_singleton(ctx_2122):
     assert report.min_distance == 0 and report.cardinality == 1
 
 
-def test_classify_mixed_dimensions(ctx_2122):
-    red = ReductionContext(ctx_2122.tower)
-    (plane,) = red.reduce_code(SubspaceCode.of([ctx_2122.unit_line(1)]))
-    line = canonical_subspace(Matrix(plane.pack.tower, plane.pack.level, [plane.matrix.rows[0]]))
-    report = classify(SubspaceCode.of([plane, line]))
-    assert report.verdict is Verdict.NOT_CONSTANT_DIMENSION
-    assert not report.constant_dimension and report.dimension is None
-
-
 def test_classify_rejects_empty(spreads):
     with pytest.raises(CodeTooSmall):
         classify(SubspaceCode(spreads[(2, 1, 1, 2)].pack, ()))
@@ -315,10 +294,7 @@ def _reference_report(code):
     q, n = pack.tower.cardinality(pack.level), pack.ncols
     dists = [subspace_distance(a, b) for a, b in itertools.combinations(subs, 2)]
     coverage = len({v for s in subs for v in s.pack.span(s.rows)[1:]})
-    dims = {s.dim for s in subs}
-    if len(dims) > 1:
-        return Verdict.NOT_CONSTANT_DIMENSION, min(dists), False, coverage
-    k = dims.pop()
+    k = subs[0].dim
     trivial = all(d == 2 * k for d in dists)
     if trivial and n % k == 0 and len(subs) == (q**n - 1) // (q**k - 1):
         verdict = Verdict.SPREAD
