@@ -1,8 +1,10 @@
 """Command-line driver for the full construct / verify / compare pipeline.
 
-Exit codes: 0 success, 1 compared codes differ, 2 invalid flags or out of
-memory, 3 gcd condition violated, 4 I/O or parse failure, 5 verification
-failure or a failed internal self-check (an ``InternalError``).
+Exit codes: 0 success, 1 compared codes differ, 2 invalid flags, refused
+input or out of memory, 3 gcd condition violated, 4 I/O or parse failure
+(a ``FileFailure``), 5 verification failure or a failed internal self-check
+(an ``InternalError``).  A command refuses input by raising; ``main`` alone
+prints the one ``error:`` line and picks the exit code from the error's type.
 
 Each command imports the library modules it runs when it runs, so a
 command's start-up pays only for its own: ``verify`` and ``compare`` never
@@ -20,11 +22,16 @@ from pathlib import Path
 
 from .errors import (
     CodecError,
+    CommandRefused,
+    FileFailure,
     GcdConditionViolated,
+    GroupTooLarge,
+    IndexOutOfRange,
     InternalError,
     NonPrimeCharacteristic,
     SpreadforgeError,
     TrivialGroup,
+    TrivialOrbit,
 )
 
 EXIT_OK = 0
@@ -36,14 +43,13 @@ EXIT_VERIFY = 5
 
 
 def _read_code_file(path: str):
-    """Parse a code file; on failure print one ``error:`` line and return None (exit 4)."""
+    """Parse a code file into (header, code); a failure raises FileFailure (exit 4)."""
     from . import codecs
 
     try:
         return codecs.read_code(Path(path).read_text(encoding="ascii"))
     except (OSError, UnicodeDecodeError, CodecError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None
+        raise FileFailure(f"{path}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,16 +193,13 @@ def cmd_construct(args) -> int:
     i = 1 if args.i is None else args.i
     j = params.t + 1 if args.j is None else args.j
     if not 1 <= i <= params.t:
-        print(f"error: --i must be in 1..{params.t}", file=sys.stderr)
-        return EXIT_USAGE
+        raise IndexOutOfRange(f"--i must be in 1..{params.t}")
     if not params.t + 1 <= j <= params.s:
-        print(f"error: --j must be in {params.t + 1}..{params.s}", file=sys.stderr)
-        return EXIT_USAGE
-    vectors = params.q**params.n - 1  # the distance step's vector pass holds them all
+        raise IndexOutOfRange(f"--j must be in {params.t + 1}..{params.s}")
+    vectors = params.q**params.n - 1  # a stand-in for an estimate of the run's memory
     if vectors > COVERAGE_GUARD:
-        print(f"error: construct refused: the spread holds {vectors} nonzero vectors, "
-              f"COVERAGE_GUARD is {COVERAGE_GUARD}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandRefused(f"construct refused: the spread holds {vectors} nonzero vectors, "
+                             f"COVERAGE_GUARD is {COVERAGE_GUARD}")
     ctx = build_group(params)
     bm = codecs.completion_fingerprint(default_completion(ctx))
     parts = spread_components(ctx, i, j)
@@ -218,8 +221,7 @@ def cmd_construct(args) -> int:
         for name, code, header, body in outputs:
             (out_dir / name).write_text(codecs.write_code(code, header, body), encoding="ascii")
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise FileFailure(exc) from exc
     distance = min_distance(spread)
     print(f"params {params} i={i} j={j}")
     print(f"orbit part: {len(orbit_part)}  completion part: {len(completion_part)}  "
@@ -233,10 +235,7 @@ def cmd_verify(args) -> int:
     from . import codecs
     from .verify import Verdict, classify
 
-    loaded = _read_code_file(args.infile)
-    if loaded is None:
-        return EXIT_IO
-    header, code = loaded
+    header, code = _read_code_file(args.infile)
     report = classify(code)
     sys.stdout.write(codecs.report_json(report) if args.json else codecs.report_text(report))
     expected = {
@@ -246,16 +245,10 @@ def cmd_verify(args) -> int:
         "Ai": Verdict.PARTIAL_SPREAD,
         "Bj": Verdict.PARTIAL_SPREAD,
     }.get(header.component)
-    if expected is None:
-        return EXIT_OK
-    if report.verdict is expected:
-        return EXIT_OK
-    if (
-        expected is Verdict.PARTIAL_SPREAD
-        and report.cardinality == 1
-        and report.verdict is Verdict.CONSTANT_DIMENSION
-    ):
-        # r = 1 parameter sets produce singleton completion parts
+    # r = 1 parameter sets produce one-member parts, which classify calls ConstantDimension
+    one_member_part = (expected is Verdict.PARTIAL_SPREAD and report.cardinality == 1
+                       and report.verdict is Verdict.CONSTANT_DIMENSION)
+    if expected in (None, report.verdict) or one_member_part:
         return EXIT_OK
     print(f"verification failed: expected {expected.value}, got {report.verdict.value}",
           file=sys.stderr)
@@ -275,8 +268,7 @@ def cmd_oracle(args) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(codecs.write_code(code, header), encoding="ascii")
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise FileFailure(exc) from exc
     print(f"oracle spread: {len(code)} members -> {args.out}")
     return EXIT_OK
 
@@ -285,21 +277,15 @@ def cmd_compare(args) -> int:
     from . import codecs
     from .verify import codes_equal
 
-    codes = []
-    for name in (args.file_a, args.file_b):
-        loaded = _read_code_file(name)
-        if loaded is None:
-            return EXIT_IO
-        codes.append(loaded[1])
+    a, b = (_read_code_file(name)[1] for name in (args.file_a, args.file_b))
     try:
-        equal = codes_equal(codes[0], codes[1])
+        equal = codes_equal(a, b)
     except SpreadforgeError as exc:
         print(f"not comparable: {exc}")
         return EXIT_DIFFER
     if equal:
         print("codes are equal")
         return EXIT_OK
-    a, b = codes
     diff = a.keys ^ b.keys
     pack = (a if a.keys else b).pack  # comparable, so either formats both
     sample = sorted(codecs.member_record(pack, key) for key in diff)[:10]
@@ -313,18 +299,14 @@ def cmd_distance(args) -> int:
     from . import codecs
     from .verify import min_distance, orbit_min_distance
 
-    loaded = _read_code_file(args.infile)
-    if loaded is None:
-        return EXIT_IO
-    header, code = loaded
-    if len(code) < 2:
-        print("d_S = 0: singleton (or empty) code")
-        return EXIT_USAGE
+    header, code = _read_code_file(args.infile)
     if args.orbit:  # refused, if at all, before the distance is computed
         if header.component not in ("Ci", "Bj"):
-            print("error: --orbit needs an orbit component (Ci or Bj), "
-                  f"file is {header.component!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise CommandRefused("--orbit needs an orbit component (Ci or Bj), "
+                                 f"file is {header.component!r}")
+        if len(code) == 1:
+            raise TrivialOrbit(f"--orbit refused: the {header.component} file holds one "
+                               "member, a trivial orbit")
         from .construction import (
             GROUP_ENUM_GUARD,
             build_group,
@@ -338,9 +320,8 @@ def cmd_distance(args) -> int:
         # completes them to the group fixes every line, so the minimum is the group's
         walked = params.r * (params.max_exponent if header.component == "Ci" else 1)
         if walked > GROUP_ENUM_GUARD:
-            print(f"error: --orbit refused: the walk has {walked} group elements, "
-                  f"GROUP_ENUM_GUARD is {GROUP_ENUM_GUARD}", file=sys.stderr)
-            return EXIT_USAGE
+            raise GroupTooLarge(f"--orbit refused: the walk has {walked} group elements, "
+                                f"GROUP_ENUM_GUARD is {GROUP_ENUM_GUARD}")
     distance = min_distance(code)
     print(f"min distance: {distance}")
     if not args.orbit:
@@ -366,15 +347,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.run(args)
-    except GcdConditionViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GCD
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except SpreadforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_GCD if isinstance(exc, GcdConditionViolated)
+                else EXIT_IO if isinstance(exc, FileFailure) else EXIT_USAGE)
     except MemoryError:
         pass  # leaving the handler drops the traceback, and the frames holding the memory
     print(f"error: {args.command}: out of memory", file=sys.stderr)

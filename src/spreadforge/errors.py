@@ -92,6 +92,10 @@ class IndexOutOfRange(SpreadforgeError, ValueError):
     pass
 
 
+class CommandRefused(SpreadforgeError, ValueError):
+    """A command declines a file or flags it has no answer for within its guards."""
+
+
 # --- verification ------------------------------------------------------------
 
 class CodeTooSmall(SpreadforgeError, ValueError):
@@ -126,3 +130,7 @@ class NonCanonicalMember(CodecError):
 
 class DuplicateMember(CodecError):
     pass
+
+
+class FileFailure(SpreadforgeError):
+    """A file could not be read, parsed or written; the message names its path."""

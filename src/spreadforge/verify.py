@@ -9,7 +9,8 @@ meaningful evidence.
 vectors, then ranks of only the pairs that share one.  `classify` checks
 that pass against the fact that distinct lines meet only in 0, a
 certificate that the members are lines over the next field of the tower
-or, where neither holds, every pair's rank.  All of them take a
+or, where neither holds, every pair's rank; past COVERAGE_GUARD,
+`min_distance` takes the same certificate.  All of them take a
 `SubspaceCode` and split its member keys into packed rows.
 """
 
@@ -112,13 +113,23 @@ def _ranked_min(code: SubspaceCode, pairs: Iterable) -> int:
 def min_distance(code: SubspaceCode) -> int:
     """Exact minimum subspace distance, ranking only pairs that share a vector.
 
-    More vectors than COVERAGE_GUARD fall back to every pairwise rank.
-    0 for a singleton.
+    Past COVERAGE_GUARD vectors, 2k for a certified code (`_meet_in_zero`)
+    and every pairwise rank for any other.  0 for a singleton; an empty
+    code raises CodeTooSmall, as in classify.
     """
     if len(code) < 2:
+        if not code.keys:
+            raise CodeTooSmall("an empty code has no minimum distance")
         return 0
     shared = _shared_vectors(code)
-    return pairwise_min_distance(code) if shared is None else _ranked_min(code, shared[1])
+    if shared is not None:
+        return _ranked_min(code, shared[1])
+    return 2 * code.dim if _meet_in_zero(code) else pairwise_min_distance(code)
+
+
+def _meet_in_zero(code: SubspaceCode) -> bool:
+    """True when distinct members are certified to meet only in 0: points, or next-field lines."""
+    return code.dim == 1 or _lines_over_next_level(code)
 
 
 def _lines_over_next_level(code: SubspaceCode) -> bool:
@@ -189,8 +200,7 @@ def classify(code: SubspaceCode) -> VerificationReport:
 
     min_distance = 0
     if cardinality >= 2:
-        certified = k == 1 or _lines_over_next_level(code)
-        min_distance = 2 * k if certified else pairwise_min_distance(code)
+        min_distance = 2 * k if _meet_in_zero(code) else pairwise_min_distance(code)
         if pairs is not None and _ranked_min(code, pairs) != min_distance:
             raise InternalError("vector pass and independent distance path disagree")
     pairwise_trivial = cardinality < 2 or min_distance == 2 * k

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import hashlib
 import json
@@ -135,10 +136,12 @@ def test_construct_2142_spread(tmp_path, capsys, monkeypatch):
 
 
 def test_construct_rejects_bad_index(tmp_path, capsys):
-    rc = main(["construct", "--p", "2", "--e", "1", "--k", "2", "--t", "2",
-               "--i", "3", "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert "1..2" in capsys.readouterr().err
+    flags = ["--p", "2", "--e", "1", "--k", "2", "--t", "2"]
+    for index, err in ((["--i", "3"], "error: --i must be in 1..2\n"),
+                       (["--j", "2"], "error: --j must be in 3..4\n")):
+        assert main(["construct", *flags, *index, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr() == ("", err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_construct_gcd_violation_exits_3(tmp_path):
@@ -176,8 +179,8 @@ def test_trivial_group_exits_2_before_any_work(tmp_path, capsys):
                                            ((2, 1, 14, 1), 2**28 - 1)])
 def test_construct_refuses_a_spread_past_the_coverage_guard(tmp_path, capsys, monkeypatch,
                                                             pekt, vectors):
-    # the distance step's vector pass would hold all q^n - 1 nonzero vectors; past
-    # COVERAGE_GUARD = 2^26 only the all-pairs loop is left, which never finishes
+    # q^n - 1 past COVERAGE_GUARD = 2^26 stands in for an estimate of the run's memory:
+    # it refuses (2,1,1,20), whose run would not finish, and (2,1,14,1), whose would
     def no_group(*args):
         raise AssertionError("build_group called")
 
@@ -254,12 +257,22 @@ def test_construct_refuses_overlapping_parts_whose_union_has_the_spread_size(
     assert not out.exists()
 
 
-def test_construct_io_failure_exits_4(tmp_path):
+def test_construct_io_failure_exits_4(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
-    rc = main(["construct", "--p", "2", "--e", "1", "--k", "1", "--t", "2",
-               "--out", str(blocker)])
-    assert rc == 4
+    flags = ["--p", "2", "--e", "1", "--k", "1", "--t", "2"]
+    for out, err in ((blocker, f"[Errno 17] File exists: '{blocker}'"),
+                     (blocker / "run", f"[Errno 20] Not a directory: '{blocker / 'run'}'")):
+        assert main(["construct", *flags, "--out", str(out)]) == 4
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_oracle_io_failure_exits_4(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    assert main(["oracle", "--p", "2", "--e", "1", "--k", "1", "--t", "2",
+                 "--out", str(blocker / "oracle.code")]) == 4
+    assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{blocker}'\n")
 
 
 def test_construct_is_deterministic(tmp_path):
@@ -343,8 +356,11 @@ def test_verify_duplicate_member_is_io_error(tmp_path, capsys):
     assert main(["verify", "--in", str(path)]) == 4
 
 
-def test_verify_missing_file_exits_4(tmp_path):
-    assert main(["verify", "--in", str(tmp_path / "nope.code")]) == 4
+def test_verify_missing_file_exits_4(tmp_path, capsys):
+    path = tmp_path / "nope.code"
+    assert main(["verify", "--in", str(path)]) == 4
+    assert capsys.readouterr() == (
+        "", f"error: {path}: [Errno 2] No such file or directory: '{path}'\n")
 
 
 @pytest.mark.parametrize("patch", [
@@ -418,7 +434,7 @@ def test_header_t_starts_no_modulus_search_of_degree_t(tmp_path, capsys, monkeyp
     path = _empty_code_file(tmp_path, 3, 40)
     assert main(["verify", "--in", path]) == 2    # an empty code cannot be classified
     assert main(["compare", path, path]) == 0
-    assert main(["distance", "--in", path]) == 2  # singleton (or empty) code
+    assert main(["distance", "--in", path]) == 2  # an empty code has no distance
     assert sorted(set(degrees)) == [1, 3]
     assert "Traceback" not in capsys.readouterr().err
 
@@ -654,9 +670,14 @@ def test_compare_same_file(tmp_path):
     assert main(["compare", spread, spread]) == 0
 
 
-def test_compare_missing_file_exits_4(tmp_path):
+def test_compare_missing_file_exits_4(tmp_path, capsys):
     out = _construct(tmp_path, "run")
-    assert main(["compare", str(out / "spread.code"), str(tmp_path / "gone.code")]) == 4
+    capsys.readouterr()
+    gone = tmp_path / "gone.code"
+    for pair in ((out / "spread.code", gone), (gone, out / "spread.code")):
+        assert main(["compare", *map(str, pair)]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: {gone}: [Errno 2] No such file or directory: '{gone}'\n")
 
 
 # --- distance -------------------------------------------------------------------------
@@ -706,14 +727,41 @@ def test_distance_orbit_rejected_for_non_orbit_component(tmp_path, capsys):
                             "file is 'Ai'\n")
 
 
-def test_distance_singleton_exits_2(tmp_path, capsys, ctx_2112):
+def _construct_t1(tmp_path: Path, capsys) -> Path:
+    # t = 1: the completion part Ai and the tail orbit Bj each hold r = 1 member
+    out = tmp_path / "run"
+    assert main(["construct", "--p", "3", "--e", "1", "--k", "1", "--t", "1",
+                 "--out", str(out)]) == 0
+    assert "completion part: 1  tail part: 1\n" in capsys.readouterr().out
+    return out
+
+
+def test_distance_of_a_one_member_code_is_0(tmp_path, capsys, ctx_2112):
+    out = _construct_t1(tmp_path, capsys)
     header = codecs.CodeHeader(p=2, e=1, k=1, t=2, kind=codecs.KIND_LINES,
                                component="external")
-    single = SubspaceCode.of([ctx_2112.unit_line(1)])
-    path = tmp_path / "single.code"
-    path.write_text(codecs.write_code(single, header))
-    assert main(["distance", "--in", str(path)]) == 2
-    assert "d_S = 0" in capsys.readouterr().out
+    single = tmp_path / "single.code"
+    single.write_text(codecs.write_code(SubspaceCode.of([ctx_2112.unit_line(1)]), header))
+    for path in (out / "ai.code", out / "bj.code", single):
+        assert main(["distance", "--in", str(path)]) == 0
+        assert capsys.readouterr() == ("min distance: 0\n", "")
+        assert main(["verify", "--in", str(path)]) == 0  # which reports the same distance
+        assert "min_distance=0\n" in capsys.readouterr().out
+
+
+def test_distance_orbit_on_a_one_member_file_is_refused(tmp_path, capsys):
+    out = _construct_t1(tmp_path, capsys)
+    assert main(["distance", "--in", str(out / "bj.code"), "--orbit"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --orbit refused: the Bj file holds one member, a trivial orbit\n")
+
+
+def test_distance_of_an_empty_code_is_refused_as_verify_refuses_it(tmp_path, capsys):
+    path = _empty_code_file(tmp_path, 1, 2)
+    assert main(["verify", "--in", path]) == 2
+    assert capsys.readouterr() == ("", "error: cannot classify an empty code\n")
+    assert main(["distance", "--in", path]) == 2
+    assert capsys.readouterr() == ("", "error: an empty code has no minimum distance\n")
 
 
 def test_distance_orbit_refused_past_the_group_guard(tmp_path, capsys, monkeypatch):
@@ -813,6 +861,25 @@ def test_every_public_name_is_its_home_module_attribute():
 def test_usage_error_exit_code():
     assert main(["construct", "--p", "2"]) == 2
     assert main([]) == 2
+
+
+def test_only_main_and_run_print_error_lines():
+    # a command raises a SpreadforgeError; main alone words the line and picks the exit code
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or func.name in ("main", "run"):
+            continue
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "print"
+                    and call.args):
+                continue
+            text = call.args[0]
+            if isinstance(text, ast.JoinedStr):
+                text = text.values[0]
+            if isinstance(text, ast.Constant) and str(text.value).startswith("error:"):
+                found.append(f"{func.name}:{call.lineno}")
+    assert found == []
 
 
 COMMANDS = ("params", "construct", "verify", "oracle", "compare", "distance")

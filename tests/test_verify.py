@@ -132,13 +132,27 @@ def test_bucketed_distance_ranks_pairs_whose_shared_vectors_are_held_earlier():
     assert min_distance(code) == pairwise_min_distance(code) == 2
 
 
-def test_bucketed_distance_falls_back_past_the_coverage_guard(spreads, monkeypatch):
-    code = spreads[(2, 1, 1, 2)]  # the 15 points of F_2^4
+def test_bucketed_distance_falls_back_past_the_coverage_guard(monkeypatch):
+    # the seven planes of F_2^4 through e1: no certificate holds, so every pair is ranked
+    tower = field_build(2, 1, 1, 2)
+    code = SubspaceCode.of(_subspace(tower, 0, [[1, 0, 0, 0], [0, *u]])
+                           for u in itertools.product(range(2), repeat=3) if any(u))
     reference = pairwise_min_distance(code)
-    monkeypatch.setattr(verify, "COVERAGE_GUARD", 14)
+    monkeypatch.setattr(verify, "COVERAGE_GUARD", 20)
     calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
     assert min_distance(code) == reference == 2
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pekt", [(2, 1, 1, 2), (2, 1, 2, 2)])
+def test_certified_distance_past_the_coverage_guard_ranks_no_pair(spreads, monkeypatch, pekt):
+    # points of F_2^4, and F_4-lines reduced into F_2^8: each pair meets in 0, at 2k
+    code = spreads[pekt]
+    monkeypatch.setattr(verify, "COVERAGE_GUARD", 14)
+    calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
+    ranks = count_calls(monkeypatch, verify, "subspace_distance")
+    assert min_distance(code) == 2 * pekt[2]
+    assert calls == [] and ranks == []
 
 
 def test_vector_pass_is_gated_on_the_vectors_it_holds(ctx_2122, monkeypatch):
