@@ -5,13 +5,13 @@ coverage counts, full orbit enumeration) rather than through the formulas
 the construction itself uses, so agreement between the two paths is
 meaningful evidence.
 
-`min_distance` is the fast exact path: one pass over the members' nonzero
-vectors, then ranks of only the pairs that share one.  `classify` checks
-that pass against the fact that distinct lines meet only in 0, a
-certificate that the members are lines over the next field of the tower
-or, where neither holds, every pair's rank; past COVERAGE_GUARD,
-`min_distance` takes the same certificate.  All of them take a
-`SubspaceCode` and split its member keys into packed rows.
+`min_distance` is the fast exact path: 2k for a code the certificate
+`_meet_in_zero` accepts (points, or lines over the next field of the
+tower: distinct lines meet only in 0); for any other, one pass over the
+members' nonzero vectors ranks only the pairs that share one, and past
+COVERAGE_GUARD every pair is ranked.  `classify` checks that pass against
+the certificate or every pair's rank.  All of them take a `SubspaceCode`
+and split its member keys into packed rows.
 """
 
 from __future__ import annotations
@@ -111,20 +111,20 @@ def _ranked_min(code: SubspaceCode, pairs: Iterable) -> int:
 
 
 def min_distance(code: SubspaceCode) -> int:
-    """Exact minimum subspace distance, ranking only pairs that share a vector.
+    """Exact minimum subspace distance: 2k for a certified code (`_meet_in_zero`).
 
-    Past COVERAGE_GUARD vectors, 2k for a certified code (`_meet_in_zero`)
-    and every pairwise rank for any other.  0 for a singleton; an empty
-    code raises CodeTooSmall, as in classify.
+    A code the certificate rejects ranks only the pairs that share a vector
+    within COVERAGE_GUARD vectors, and every pair past it.  0 for a
+    singleton; an empty code raises CodeTooSmall, as in classify.
     """
     if len(code) < 2:
         if not code.keys:
             raise CodeTooSmall("an empty code has no minimum distance")
         return 0
+    if _meet_in_zero(code):
+        return 2 * code.dim
     shared = _shared_vectors(code)
-    if shared is not None:
-        return _ranked_min(code, shared[1])
-    return 2 * code.dim if _meet_in_zero(code) else pairwise_min_distance(code)
+    return pairwise_min_distance(code) if shared is None else _ranked_min(code, shared[1])
 
 
 def _meet_in_zero(code: SubspaceCode) -> bool:

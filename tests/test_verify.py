@@ -144,26 +144,32 @@ def test_bucketed_distance_falls_back_past_the_coverage_guard(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("guard", [14, verify.COVERAGE_GUARD])
 @pytest.mark.parametrize("pekt", [(2, 1, 1, 2), (2, 1, 2, 2)])
-def test_certified_distance_past_the_coverage_guard_ranks_no_pair(spreads, monkeypatch, pekt):
+def test_certified_distance_ranks_no_pair_and_skips_the_vector_pass(spreads, monkeypatch,
+                                                                     pekt, guard):
     # points of F_2^4, and F_4-lines reduced into F_2^8: each pair meets in 0, at 2k
     code = spreads[pekt]
-    monkeypatch.setattr(verify, "COVERAGE_GUARD", 14)
+    monkeypatch.setattr(verify, "COVERAGE_GUARD", guard)
     calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
     ranks = count_calls(monkeypatch, verify, "subspace_distance")
+    passes = count_calls(monkeypatch, verify, "_shared_vectors")
     assert min_distance(code) == 2 * pekt[2]
-    assert calls == [] and ranks == []
+    assert calls == [] and ranks == [] and passes == []
 
 
 def test_vector_pass_is_gated_on_the_vectors_it_holds(ctx_2122, monkeypatch):
-    # the reduced Bj part holds 5 * 3 = 15 vectors of a space of q^n = 256
-    code = spread_components(ctx_2122, 1, 3)[2]
+    # the seven planes of F_2^4 through e1 hold 7 * 3 = 21 vectors; no certificate holds
+    tower = field_build(2, 1, 1, 2)
+    code = SubspaceCode.of(_subspace(tower, 0, [[1, 0, 0, 0], [0, *u]])
+                           for u in itertools.product(range(2), repeat=3) if any(u))
     reference = pairwise_min_distance(code)
     monkeypatch.setattr(verify, "COVERAGE_GUARD", 100)
     calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
-    assert min_distance(code) == reference == 4
+    assert min_distance(code) == reference == 2
     assert not calls
-    assert classify(code).coverage_count == 15
+    # the reduced Bj part of (2,1,2,2) holds 5 * 3 = 15 vectors of a space of q^n = 256
+    assert classify(spread_components(ctx_2122, 1, 3)[2]).coverage_count == 15
 
 
 def test_bucketed_distance_of_a_singleton_is_zero(ctx_2112):
@@ -409,6 +415,7 @@ def test_classify_spread_with_one_member_swapped(spreads):
     report = classify(code)
     assert _report_tuple(report) == _reference_report(code)
     assert report.verdict is Verdict.CONSTANT_DIMENSION and report.min_distance < 4
+    assert min_distance(code) == pairwise_min_distance(code) == report.min_distance
 
 
 # --- classification: every InternalError branch, by fault injection ---------------------
