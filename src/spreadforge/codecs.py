@@ -65,6 +65,10 @@ class CodeHeader(_HeaderFields):
             raise ValueError(f"tag i={self.i} not in 1..{self.t}")
         if self.j is not None and not self.t + 1 <= self.j <= self.s:
             raise ValueError(f"tag j={self.j} not in {self.t + 1}..{self.s}")
+        if self.component in ("Ci", "Ai", "spread") and self.i is None:
+            raise ValueError(f"component {self.component!r} requires an 'i' tag")
+        if self.component in ("Bj", "spread") and self.j is None:
+            raise ValueError(f"component {self.component!r} requires a 'j' tag")
         return self
 
     @property
@@ -223,10 +227,6 @@ def read_code(text: str) -> tuple[CodeHeader, SubspaceCode]:
         )
     except ValueError as exc:
         raise MalformedHeader(str(exc)) from None
-    if header.component in ("Ci", "Ai", "spread") and header.i is None:
-        raise MalformedHeader(f"component {header.component!r} requires an 'i' tag")
-    if header.component in ("Bj", "spread") and header.j is None:
-        raise MalformedHeader(f"component {header.component!r} requires a 'j' tag")
     tower = header.tower()  # bounds e and k before any derived key is computed
     # r = 1 + q^k + ... + q^(k(t-1)) has more than (t-1)(bitlen(q^k)-1) bits, so a
     # shorter declared r is refused before r, whose cost grows with t, is computed

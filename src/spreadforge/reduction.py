@@ -4,16 +4,9 @@ Three maps share one context.  `matrix_rep` realizes F_{q^k} as k x k
 matrices over F_q: row l of the matrix of u is the base-q digits of
 alpha^l * u, the coordinates of alpha^l * u over the basis 1, alpha, ...,
 alpha^{k-1}.  `reduce_code` turns each line <g> of F_{q^k}^s, a member
-whose one row is g, into the k-dimensional subspace of F_q^n
-(n = ks) spanned by alpha^l g for l < k (Lavrauw and Van de Voorde,
-"Field reduction and linear sets in finite geometry", Contemp. Math. 632,
-2015): row l is the base-q digits of alpha^l u, concatenated over the
-entries u of g.  Those are the base-p digits of alpha^l g, so the packed
-rows of the reduced space are the packed rows alpha^l g at the middle
-level, row 0 being g's own.  The first nonzero entry of g is 1, whose
-block is I_k with zero blocks to its left, so the reduced matrix is
-already in reduced row echelon form and needs no elimination: its rows
-join straight into the member's key.
+whose one row is g, into the k-dimensional subspace of F_q^n (n = ks)
+spanned by alpha^l g for l < k: its key is `RowPacking.line_key` of g,
+which states the rule and why those rows are already the RREF.
 `embed_matrix` blows an invertible s x s matrix over F_{q^k} up to an
 invertible n x n matrix over F_q, block by block.  The two group actions
 commute with these maps, which is what lets orbit codes be computed on
@@ -61,17 +54,7 @@ class ReductionContext:
         if code.keys and code.dim != 1:
             raise ValueError("reduce_code expects a code of lines")
         reduced = row_packing(self.tower, 1, self.k * lines.ncols)
-        times_alpha, b = lines.times_alpha, reduced.row_bits
-        shifts = range(b, b * self.k, b)  # row l of the key is alpha^l times the line's row
-
-        def reduce(row: int) -> int:
-            key = row
-            for shift in shifts:
-                row = times_alpha(row)
-                key |= row << shift
-            return key
-
-        out = SubspaceCode(reduced, map(reduce, code.keys))
+        out = SubspaceCode(reduced, map(lines.line_key, code.keys))
         if len(out) != len(code):
             raise InternalError("field reduction collapsed distinct lines")
         return out

@@ -349,6 +349,27 @@ class RowPacking:
         """Every entry times alpha, the generator of the level, on packed rows."""
         return self.scaling(self.tower.alpha(self.level))
 
+    def line_key(self, row: int) -> int:
+        """The key, in the packing one level down, of the line through `row`, field-reduced.
+
+        With k the degree of this level over the one below, a line <g> of
+        F_{Q^k}^s reduces to the k-space of F_Q^{ks} spanned by alpha^l g,
+        l < k (Lavrauw and Van de Voorde, "Field reduction and linear sets in
+        finite geometry", Contemp. Math. 632, 2015).  An entry's base-p digits
+        are the digits of its k coordinates over 1, alpha, ..., alpha^{k-1},
+        so the two packings share their bits and `row_bits`: row l of the key
+        is alpha^l g as packed here.  When g's first nonzero entry is 1, its
+        block of the reduced basis is I_k with zero blocks to its left, so the
+        rows are already the RREF and this is the member's key; a k-space
+        whose key this returns for its own row 0 is that line's reduction.
+        """
+        times_alpha, b = self.times_alpha, self.row_bits
+        key = row
+        for shift in range(b, b * self.tower.steps[self.level - 1].degree, b):
+            row = times_alpha(row)
+            key |= row << shift
+        return key
+
     # -- spans and ranks -------------------------------------------------------------
 
     def expand(self, rows: Sequence[int]) -> list[int]:

@@ -7,11 +7,14 @@ meaningful evidence.
 
 `min_distance` is the fast exact path: 2k for a code the certificate
 `_meet_in_zero` accepts (points, or lines over the next field of the
-tower: distinct lines meet only in 0); for any other, one pass over the
+tower, each member's key being `RowPacking.line_key` of its row 0:
+distinct lines meet only in 0); for any other, one pass over the
 members' nonzero vectors ranks only the pairs that share one, and past
 COVERAGE_GUARD every pair is ranked.  `classify` checks that pass against
-the certificate or every pair's rank.  All of them take a `SubspaceCode`
-and split its member keys into packed rows.
+the certificate or every pair's rank.  Ranking every pair of a code the
+certificate rejects is refused past PAIR_GUARD pairs, before any of it is
+done.  All of them take a `SubspaceCode` and split its member keys into
+packed rows.
 """
 
 from __future__ import annotations
@@ -20,20 +23,22 @@ import enum
 import itertools
 from typing import Iterable, NamedTuple
 
-from .errors import CodeTooSmall, InternalError, TrivialOrbit
+from .errors import CodeTooSmall, CommandRefused, InternalError, TrivialOrbit
 from .gftower import FieldTower, field_build
 from .reduction import ReductionContext
 from .subspaces import (
-    Matrix,
     Subspace,
     SubspaceCode,
-    companion_matrix,
     enumerate_lines,
+    row_packing,
     subspace_distance,
 )
 
 # The vector pass holds every member's nonzero vectors at once; skip it past this many.
 COVERAGE_GUARD = 1 << 26
+# Ranking every pair of an uncertified code is refused past this many pairs: about
+# 1,449 members, and seconds of ranks (1-7 us a pair on a 2-core host, Python 3.11).
+PAIR_GUARD = 1 << 20
 
 
 class Verdict(enum.Enum):
@@ -75,6 +80,15 @@ def pairwise_min_distance(subs: Iterable[Subspace], _workers: int = 1) -> int | 
     return min((subspace_distance(a, b) for a, b in pairs), default=None)
 
 
+def _every_pair_min(code: SubspaceCode) -> int:
+    """`pairwise_min_distance`, refused by CommandRefused before any rank past PAIR_GUARD pairs."""
+    pairs = len(code) * (len(code) - 1) // 2
+    if pairs > PAIR_GUARD:
+        raise CommandRefused(f"refused: {pairs} member pairs to rank, PAIR_GUARD is {PAIR_GUARD} "
+                             "(the members are not certified to meet only in 0)")
+    return pairwise_min_distance(code)
+
+
 def _shared_vectors(code: SubspaceCode) -> tuple[int, set] | None:
     """One pass over every member's nonzero vectors, as packed rows.
 
@@ -114,8 +128,9 @@ def min_distance(code: SubspaceCode) -> int:
     """Exact minimum subspace distance: 2k for a certified code (`_meet_in_zero`).
 
     A code the certificate rejects ranks only the pairs that share a vector
-    within COVERAGE_GUARD vectors, and every pair past it.  0 for a
-    singleton; an empty code raises CodeTooSmall, as in classify.
+    within COVERAGE_GUARD vectors, and every pair past it, up to PAIR_GUARD
+    pairs.  0 for a singleton; an empty code raises CodeTooSmall, as in
+    classify.
     """
     if len(code) < 2:
         if not code.keys:
@@ -124,7 +139,7 @@ def min_distance(code: SubspaceCode) -> int:
     if _meet_in_zero(code):
         return 2 * code.dim
     shared = _shared_vectors(code)
-    return pairwise_min_distance(code) if shared is None else _ranked_min(code, shared[1])
+    return _every_pair_min(code) if shared is None else _ranked_min(code, shared[1])
 
 
 def _meet_in_zero(code: SubspaceCode) -> bool:
@@ -135,13 +150,10 @@ def _meet_in_zero(code: SubspaceCode) -> bool:
 def _lines_over_next_level(code: SubspaceCode) -> bool:
     """True when the members are lines over the next field of the tower.
 
-    D, block-diagonal in the companion matrix of the degree-d step above the
-    members' level, spans a copy of F_{Q^d} acting on F_Q^n.  A d-space U
-    with rank [U; U D] = d is a line of F_{Q^d}^{n/d}, and distinct lines
-    meet only in 0 (Lavrauw and Van de Voorde, "Field reduction and linear
-    sets in finite geometry", Contemp. Math. 632, 2015); a code's members
-    are distinct keys.  The rank is an F_p rank over the packed rows of
-    [U; U D] and their expansion.
+    A member is the field reduction of a line of F_{Q^d}^{n/d}, for the
+    degree-d step above the members' level, exactly when its key is
+    `RowPacking.line_key` of its own row 0, read as a row one level up.
+    Distinct lines meet only in 0, and a code's members are distinct keys.
     """
     pack = code.pack
     tower, level, n = pack.tower, pack.level, pack.ncols
@@ -150,11 +162,8 @@ def _lines_over_next_level(code: SubspaceCode) -> bool:
     d = tower.steps[level].degree
     if n % d or code.dim != d:
         return False
-    m = companion_matrix(tower, level, tower.step_modulus(level + 1))
-    zero, blocks = Matrix.zeros(tower, level, d, d), range(n // d)
-    diag = Matrix.block([[m if a == b else zero for b in blocks] for a in blocks])
-    times_d, rank = pack.matrix_map(diag), pack.rank
-    return all(rank(rows + tuple(map(times_d, rows))) == d for rows in map(pack.split, code.keys))
+    line_key, mask = row_packing(tower, level + 1, n // d).line_key, pack.row_mask
+    return all(line_key(key & mask) == key for key in code.keys)
 
 
 # -- orbit-formula distance ------------------------------------------------------
@@ -183,10 +192,10 @@ def classify(code: SubspaceCode) -> VerificationReport:
 
     The minimum distance is 2 for distinct lines, comes from the line
     certificate for k-spaces or, where that does not hold, from every
-    pairwise rank; within COVERAGE_GUARD vectors one pass counts coverage
-    and must give the same distance.  The spread decision is checked
-    against cardinality and coverage too.  Any disagreement raises
-    InternalError.
+    pairwise rank, which is refused past PAIR_GUARD pairs before the pass:
+    within COVERAGE_GUARD vectors one pass counts coverage and must give
+    the same distance.  The spread decision is checked against
+    cardinality and coverage too.  Any disagreement raises InternalError.
     """
     if not code.keys:
         raise CodeTooSmall("cannot classify an empty code")
@@ -196,13 +205,12 @@ def classify(code: SubspaceCode) -> VerificationReport:
     cardinality = len(code)
     k = code.dim
 
-    coverage, pairs = _shared_vectors(code) or (None, None)
-
     min_distance = 0
     if cardinality >= 2:
-        min_distance = 2 * k if _meet_in_zero(code) else pairwise_min_distance(code)
-        if pairs is not None and _ranked_min(code, pairs) != min_distance:
-            raise InternalError("vector pass and independent distance path disagree")
+        min_distance = 2 * k if _meet_in_zero(code) else _every_pair_min(code)
+    coverage, pairs = _shared_vectors(code) or (None, None)
+    if cardinality >= 2 and pairs is not None and _ranked_min(code, pairs) != min_distance:
+        raise InternalError("vector pass and independent distance path disagree")
     pairwise_trivial = cardinality < 2 or min_distance == 2 * k
 
     partial_bound, spread_bound = _spread_bounds(q, ambient, k)

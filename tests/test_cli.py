@@ -764,6 +764,34 @@ def test_distance_of_an_empty_code_is_refused_as_verify_refuses_it(tmp_path, cap
     assert capsys.readouterr() == ("", "error: an empty code has no minimum distance\n")
 
 
+def test_verify_refuses_every_pair_past_the_pair_guard(tmp_path, capsys, monkeypatch):
+    # the (2,1,2,4) spread, 21,845 members, with one record swapped for the plane {e1, e3},
+    # which is no F_4-line: distance ranks only the pairs that share a vector, and verify
+    # refuses its every-pair path, 238,591,090 pairs, before the vector pass
+    assert main(["construct", "--p", "2", "--e", "1", "--k", "2", "--t", "4",
+                 "--out", str(tmp_path / "run")]) == 0
+    lines = (tmp_path / "run" / "spread.code").read_text(encoding="ascii").splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    body = sorted([line for line in lines if not line.startswith("#")][1:]
+                  + ["1000000000000000;0010000000000000"])
+    swapped = tmp_path / "swapped.code"
+    swapped.write_text("\n".join(header + body) + "\n", encoding="ascii")
+    capsys.readouterr()
+
+    def every_pair(*args):
+        raise AssertionError("every pair ranked")
+
+    monkeypatch.setattr(verify, "pairwise_min_distance", every_pair)
+    assert main(["distance", "--in", str(swapped)]) == 0
+    assert capsys.readouterr() == ("min distance: 2\n", "")
+    passes = count_calls(monkeypatch, verify, "_shared_vectors")
+    assert main(["verify", "--in", str(swapped)]) == 2
+    assert capsys.readouterr() == ("", "error: refused: 238591090 member pairs to rank, "
+                                   "PAIR_GUARD is 1048576 (the members are not certified "
+                                   "to meet only in 0)\n")
+    assert passes == []
+
+
 def test_distance_orbit_refused_past_the_group_guard(tmp_path, capsys, monkeypatch):
     # (2,1,1,11): Ci's walk over <h2^{q^k-1}> x <h1> has r (q^kt - 1) = 2047^2 elements,
     # past GROUP_ENUM_GUARD = 2^20, and building the group would start a degree-11

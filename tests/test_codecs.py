@@ -191,10 +191,23 @@ def test_header_validates_kind_and_component():
         CodeHeader(p=2, e=1, k=1, t=2, kind="lines", component="mystery")
 
 
+@pytest.mark.parametrize("component, tags, message", [
+    ("Ci", {}, "component 'Ci' requires an 'i' tag"),
+    ("Ai", {"j": 2}, "component 'Ai' requires an 'i' tag"),
+    ("spread", {"j": 2}, "component 'spread' requires an 'i' tag"),
+    ("spread", {"i": 1}, "component 'spread' requires a 'j' tag"),
+    ("Bj", {"i": 1}, "component 'Bj' requires a 'j' tag"),
+])
+def test_component_tags_are_required_by_the_header(component, tags, message):
+    # so write_code cannot write a header that read_code refuses
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CodeHeader(p=2, e=1, k=1, t=1, kind="subspaces", component=component, **tags)
+
+
 def test_component_tags_are_required_on_read(spreads):
     text = _valid_text(spreads)
     without_i = "\n".join(l for l in text.splitlines() if l != "# i=1") + "\n"
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(MalformedHeader, match="^component 'spread' requires an 'i' tag$"):
         read_code(without_i)
 
 

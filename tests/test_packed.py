@@ -40,7 +40,8 @@ from spreadforge.subspaces import (
 
 from conftest import PARAM_SETS
 
-POINTS = [*PARAM_SETS, (3, 1, 1, 3), (2, 2, 2, 2)]
+# (3,1,2,1) and (3,2,2,1) put the line certificate at odd p with k = 2
+POINTS = [*PARAM_SETS, (3, 1, 1, 3), (2, 2, 2, 2), (3, 1, 2, 1), (3, 2, 2, 1)]
 SAMPLE = 150  # members per code that the slower references visit
 
 
@@ -308,15 +309,27 @@ def test_shared_vectors_match_reference(codes, pekt):
         assert bool(pairs) == _collides(name, members)
 
 
+# Planes of F_2^8 at (2,1,2,2) that are no F_4-line: {e1, e3}, whose first row is a
+# normalized F_4 row, and {e2, e3}, whose F_4 lead entry is alpha.
+NON_LINES = {(2, 1, 2, 2): {"e1-e3": [[1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0]],
+                            "e2-e3": [[0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0]]}}
+
+
 @pytest.mark.parametrize("pekt", POINTS)
 def test_certificate_matches_reference(codes, pekt):
-    _, named = codes[pekt]
-    for name, members in named.items():
-        subs = _sample(members, name)
+    ctx, named = codes[pekt]
+    inputs = {name: _sample(members, name) for name, members in named.items()}
+    for label, rows in NON_LINES.get(pekt, {}).items():
+        plane = canonical_subspace(Matrix(ctx.tower, 1, rows))
+        inputs[label] = [plane]
+        inputs[f"spread+{label}"] = inputs["spread"][:20] + [plane]
+    for name, subs in inputs.items():
         expected = ref_lines_over_next_level(subs)
         assert verify._lines_over_next_level(SubspaceCode.of(subs)) == expected
         if name in ("spread", "Ci", "Ai", "Bj"):
             assert expected
+        elif name.removeprefix("spread+") in NON_LINES.get(pekt, {}):
+            assert not expected
 
 
 @pytest.mark.parametrize("pekt", POINTS)

@@ -18,7 +18,13 @@ from spreadforge.construction import (
     transversal_subgroup,
     validate_params,
 )
-from spreadforge.errors import CodeTooSmall, InternalError, KindMismatch, TrivialOrbit
+from spreadforge.errors import (
+    CodeTooSmall,
+    CommandRefused,
+    InternalError,
+    KindMismatch,
+    TrivialOrbit,
+)
 from spreadforge.gftower import FieldTower, field_build
 from spreadforge.reduction import ReductionContext
 from spreadforge.subspaces import (
@@ -133,7 +139,8 @@ def test_bucketed_distance_ranks_pairs_whose_shared_vectors_are_held_earlier():
 
 
 def test_bucketed_distance_falls_back_past_the_coverage_guard(monkeypatch):
-    # the seven planes of F_2^4 through e1: no certificate holds, so every pair is ranked
+    # the seven planes of F_2^4 through e1: no certificate holds, so every pair is ranked,
+    # and past PAIR_GUARD pairs that is refused before any pair is ranked
     tower = field_build(2, 1, 1, 2)
     code = SubspaceCode.of(_subspace(tower, 0, [[1, 0, 0, 0], [0, *u]])
                            for u in itertools.product(range(2), repeat=3) if any(u))
@@ -141,6 +148,10 @@ def test_bucketed_distance_falls_back_past_the_coverage_guard(monkeypatch):
     monkeypatch.setattr(verify, "COVERAGE_GUARD", 20)
     calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
     assert min_distance(code) == reference == 2
+    assert len(calls) == 1
+    monkeypatch.setattr(verify, "PAIR_GUARD", 20)
+    with pytest.raises(CommandRefused, match="21 member pairs to rank, PAIR_GUARD is 20"):
+        min_distance(code)
     assert len(calls) == 1
 
 
@@ -423,6 +434,21 @@ def test_classify_spread_with_one_member_swapped(spreads):
 
 def _colliding_code():
     return _random_code(field_build(2, 1, 2, 2), 1, 8, 2, 20, 1)
+
+
+def test_classify_refuses_every_pair_past_the_pair_guard(spreads, monkeypatch):
+    # 20 uncertified 2-spaces of F_2^8 have 190 pairs, refused before the vector pass;
+    # the certified spread has 3,570
+    code = _colliding_code()
+    monkeypatch.setattr(verify, "PAIR_GUARD", 189)
+    passes = count_calls(monkeypatch, verify, "_shared_vectors")
+    calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
+    with pytest.raises(CommandRefused, match="190 member pairs to rank, PAIR_GUARD is 189"):
+        classify(code)
+    assert passes == [] and calls == []
+    monkeypatch.setattr(verify, "PAIR_GUARD", 190)
+    assert _report_tuple(classify(code)) == _reference_report(code)
+    assert classify(spreads[(2, 1, 2, 2)]).verdict is Verdict.SPREAD
 
 
 def test_classify_raises_when_the_certificate_is_wrong(monkeypatch):
