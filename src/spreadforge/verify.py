@@ -5,16 +5,21 @@ coverage counts, full orbit enumeration) rather than through the formulas
 the construction itself uses, so agreement between the two paths is
 meaningful evidence.
 
-`min_distance` is the fast exact path: 2k for a code the certificate
-`_meet_in_zero` accepts (points, or lines over the next field of the
-tower, each member's key being `RowPacking.line_key` of its row 0:
-distinct lines meet only in 0); for any other, one pass over the
-members' nonzero vectors ranks only the pairs that share one, and past
-COVERAGE_GUARD every pair is ranked.  `classify` checks that pass against
-the certificate or every pair's rank.  Ranking every pair of a code the
-certificate rejects is refused past PAIR_GUARD pairs, before any of it is
-done.  All of them take a `SubspaceCode` and split its member keys into
-packed rows.
+A code's minimum distance is decided in one order, by `_decided_distance`,
+for both `min_distance` and `classify`:
+1. 2k when the certificate `_meet_in_zero` accepts the code (points, or
+   lines over the next field of the tower, each member's key being
+   `RowPacking.line_key` of its row 0: distinct lines meet only in 0);
+2. otherwise, within COVERAGE_GUARD vectors, from one pass over the
+   members' nonzero vectors that counts what each pair shares: two
+   members sharing q^m - 1 of them meet in an m-space, at distance
+   2k - 2m (Koetter and Kschischang, IEEE Trans. Inf. Theory 54(8), 2008),
+   and the pass is refused once more than PAIR_GUARD pairs share one;
+3. otherwise, from every pair's rank, refused past PAIR_GUARD pairs
+   before any rank.
+`classify` checks a certified code's distance against the pass, and each
+sharing pair's count against that pair's rank.  All of them take a
+`SubspaceCode` and split its member keys into packed rows.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from .subspaces import (
 
 # The vector pass holds every member's nonzero vectors at once; skip it past this many.
 COVERAGE_GUARD = 1 << 26
-# Ranking every pair of an uncertified code is refused past this many pairs: about
-# 1,449 members, and seconds of ranks (1-7 us a pair on a 2-core host, Python 3.11).
+# Ranking past this many pairs (1,449 members; 1-7 us a pair on a 2-core host, Python
+# 3.11) is refused, and so is a vector pass that finds more pairs sharing a vector.
 PAIR_GUARD = 1 << 20
 
 
@@ -89,12 +94,12 @@ def _every_pair_min(code: SubspaceCode) -> int:
     return pairwise_min_distance(code)
 
 
-def _shared_vectors(code: SubspaceCode) -> tuple[int, set] | None:
+def _shared_vectors(code: SubspaceCode) -> tuple[int, dict] | None:
     """One pass over every member's nonzero vectors, as packed rows.
 
-    Returns the number of distinct nonzero vectors covered and the key
-    pairs (a, b), a met first, of members that share at least one of them;
-    None, with no pass, when the members hold more than COVERAGE_GUARD vectors.
+    Returns the number of distinct nonzero vectors covered and, for each key pair (a, b),
+    a met first, of members that share some, how many they share; None, with no pass,
+    past COVERAGE_GUARD vectors; CommandRefused once more than PAIR_GUARD pairs share one.
     """
     pack = code.pack
     q = pack.tower.cardinality(pack.level)
@@ -103,43 +108,45 @@ def _shared_vectors(code: SubspaceCode) -> tuple[int, set] | None:
     span, split = pack.span, pack.split
     first: dict[int, int] = {}   # vector -> first member holding it
     later: dict[int, list] = {}  # vector -> the other members holding it
-    pairs: set = set()
+    shared: dict = {}            # (a, b) -> the nonzero vectors a and b share
     for key in code.keys:
         for v in span(split(key))[1:]:
             holder = first.setdefault(v, key)
             if holder != key:
                 others = later.setdefault(v, [])
-                pairs.update((h, key) for h in (holder, *others))
+                for h in (holder, *others):
+                    shared[h, key] = shared.get((h, key), 0) + 1
                 others.append(key)
-    return len(first), pairs
+                if len(shared) > PAIR_GUARD:
+                    raise CommandRefused("refused: more member pairs share a nonzero vector "
+                                         f"than PAIR_GUARD, {PAIR_GUARD}")
+    return len(first), shared
 
 
-def _ranked_min(code: SubspaceCode, pairs: Iterable) -> int:
-    """Minimum distance of k-spaces, given every pair of keys that shares a nonzero vector.
+def _counted_distance(code: SubspaceCode, shared: dict) -> int:
+    """2k - 2m, where q^m - 1 is the most nonzero vectors two members share (m = 0 for none)."""
+    q = code.pack.tower.cardinality(code.pack.level)
+    most = max(shared.values(), default=0)
+    return 2 * (code.dim - next(m for m in itertools.count() if q**m > most))
 
-    Any other pair meets in 0, at distance 2k, and a sharing pair is closer.
-    """
-    pack, split = code.pack, code.pack.split
-    return min((subspace_distance(Subspace(pack, split(a)), Subspace(pack, split(b)))
-                for a, b in pairs), default=2 * code.dim)
+
+def _decided_distance(code: SubspaceCode) -> tuple[int, tuple[int, dict] | None]:
+    """Two or more members' minimum distance, in the module's order, and the pass if it decided."""
+    if _meet_in_zero(code):
+        return 2 * code.dim, None
+    shared = _shared_vectors(code)
+    if shared is None:
+        return _every_pair_min(code), None
+    return _counted_distance(code, shared[1]), shared
 
 
 def min_distance(code: SubspaceCode) -> int:
-    """Exact minimum subspace distance: 2k for a certified code (`_meet_in_zero`).
-
-    A code the certificate rejects ranks only the pairs that share a vector
-    within COVERAGE_GUARD vectors, and every pair past it, up to PAIR_GUARD
-    pairs.  0 for a singleton; an empty code raises CodeTooSmall, as in
-    classify.
-    """
+    """Exact minimum distance, decided as the module docstring states; 0 for a singleton."""
     if len(code) < 2:
         if not code.keys:
             raise CodeTooSmall("an empty code has no minimum distance")
         return 0
-    if _meet_in_zero(code):
-        return 2 * code.dim
-    shared = _shared_vectors(code)
-    return _every_pair_min(code) if shared is None else _ranked_min(code, shared[1])
+    return _decided_distance(code)[0]
 
 
 def _meet_in_zero(code: SubspaceCode) -> bool:
@@ -190,11 +197,11 @@ def _spread_bounds(q: int, ambient: int, k: int) -> tuple[int, int | None]:
 def classify(code: SubspaceCode) -> VerificationReport:
     """Measure a code and decide Spread / PartialSpread / weaker verdicts.
 
-    The minimum distance is 2 for distinct lines, comes from the line
-    certificate for k-spaces or, where that does not hold, from every
-    pairwise rank, which is refused past PAIR_GUARD pairs before the pass:
-    within COVERAGE_GUARD vectors one pass counts coverage and must give
-    the same distance.  The spread decision is checked against
+    The minimum distance is decided as the module docstring states.
+    Within COVERAGE_GUARD vectors the pass also counts coverage; a
+    certified code's distance must be the one the pass's counts give, and
+    each pair the pass names must share q^m - 1 vectors, where 2k - 2m is
+    that pair's rank distance.  The spread decision is checked against
     cardinality and coverage too.  Any disagreement raises InternalError.
     """
     if not code.keys:
@@ -205,12 +212,15 @@ def classify(code: SubspaceCode) -> VerificationReport:
     cardinality = len(code)
     k = code.dim
 
-    min_distance = 0
-    if cardinality >= 2:
-        min_distance = 2 * k if _meet_in_zero(code) else _every_pair_min(code)
-    coverage, pairs = _shared_vectors(code) or (None, None)
-    if cardinality >= 2 and pairs is not None and _ranked_min(code, pairs) != min_distance:
-        raise InternalError("vector pass and independent distance path disagree")
+    min_distance, shared = _decided_distance(code) if cardinality >= 2 else (0, None)
+    coverage, counts = shared or _shared_vectors(code) or (None, None)
+    if cardinality >= 2 and counts is not None:
+        split = pack.split
+        ranks = (subspace_distance(Subspace(pack, split(a)), Subspace(pack, split(b)))
+                 for a, b in counts)
+        if _counted_distance(code, counts) != min_distance or any(
+                c != q ** (k - d // 2) - 1 for c, d in zip(counts.values(), ranks)):
+            raise InternalError("vector pass and independent distance path disagree")
     pairwise_trivial = cardinality < 2 or min_distance == 2 * k
 
     partial_bound, spread_bound = _spread_bounds(q, ambient, k)

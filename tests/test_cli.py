@@ -766,8 +766,8 @@ def test_distance_of_an_empty_code_is_refused_as_verify_refuses_it(tmp_path, cap
 
 def test_verify_refuses_every_pair_past_the_pair_guard(tmp_path, capsys, monkeypatch):
     # the (2,1,2,4) spread, 21,845 members, with one record swapped for the plane {e1, e3},
-    # which is no F_4-line: distance ranks only the pairs that share a vector, and verify
-    # refuses its every-pair path, 238,591,090 pairs, before the vector pass
+    # which is no F_4-line: distance and verify both take the distance from the vector
+    # pass's counts and rank none of its 238,591,090 pairs, past PAIR_GUARD
     assert main(["construct", "--p", "2", "--e", "1", "--k", "2", "--t", "4",
                  "--out", str(tmp_path / "run")]) == 0
     lines = (tmp_path / "run" / "spread.code").read_text(encoding="ascii").splitlines()
@@ -784,12 +784,39 @@ def test_verify_refuses_every_pair_past_the_pair_guard(tmp_path, capsys, monkeyp
     monkeypatch.setattr(verify, "pairwise_min_distance", every_pair)
     assert main(["distance", "--in", str(swapped)]) == 0
     assert capsys.readouterr() == ("min distance: 2\n", "")
-    passes = count_calls(monkeypatch, verify, "_shared_vectors")
-    assert main(["verify", "--in", str(swapped)]) == 2
-    assert capsys.readouterr() == ("", "error: refused: 238591090 member pairs to rank, "
-                                   "PAIR_GUARD is 1048576 (the members are not certified "
-                                   "to meet only in 0)\n")
-    assert passes == []
+    assert main(["verify", "--in", str(swapped)]) == 5
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "cardinality=21845", "constant_dimension=True", "dimension=2", "ambient=16",
+        "field_order=2", "min_distance=2", "pairwise_trivial=False", "coverage_count=65532",
+        "spread_bound=21845", "partial_spread_bound=21845", "verdict=ConstantDimension"]
+    assert err == "verification failed: expected Spread, got ConstantDimension\n"
+
+
+def _planes_through_e1_file(tmp_path: Path) -> str:
+    """The 2,047 planes of F_2^12 through e1, as an external file under a (2,1,2,3) header."""
+    tower = FieldTower(2, (1, 1))
+    e1 = [1] + [0] * 11
+    planes = SubspaceCode.of(
+        canonical_subspace(Matrix(tower, 1, [e1, [0] + [(u >> b) & 1 for b in range(11)]]))
+        for u in range(1, 2048))
+    header = codecs.CodeHeader(p=2, e=1, k=2, t=3, kind=codecs.KIND_SUBSPACES,
+                               component="external")
+    path = tmp_path / "planes.code"
+    path.write_text(codecs.write_code(planes, header), encoding="ascii")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["distance", "verify"])
+def test_vector_pass_refused_past_the_pair_guard(tmp_path, capsys, monkeypatch, command):
+    # every two of the planes share e1: 2,094,081 pairs, and the pass is refused once it
+    # holds more than PAIR_GUARD of them, before any pair is ranked
+    path = _planes_through_e1_file(tmp_path)
+    ranks = count_calls(monkeypatch, verify, "subspace_distance")
+    assert main([command, "--in", path]) == 2
+    assert capsys.readouterr() == ("", "error: refused: more member pairs share a nonzero "
+                                   "vector than PAIR_GUARD, 1048576\n")
+    assert ranks == []
 
 
 def test_distance_orbit_refused_past_the_group_guard(tmp_path, capsys, monkeypatch):

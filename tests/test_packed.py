@@ -95,15 +95,17 @@ def ref_distance(u, v) -> int:
     return 2 * ref_rank(stacked) - u.dim - v.dim
 
 
-def ref_shared_vectors(subs) -> tuple[int, set]:
+def ref_shared_vectors(subs) -> tuple[int, dict]:
+    """Coverage, and (i, j) -> how many nonzero vectors members i < j share, for sharing pairs."""
     holders: dict = {}
-    pairs: set = set()
+    counts: dict = {}
     for idx, s in enumerate(subs):
         for v in ref_vectors(s):
             earlier = holders.setdefault(v, [])
-            pairs.update((h, idx) for h in earlier)
+            for h in earlier:
+                counts[h, idx] = counts.get((h, idx), 0) + 1
             earlier.append(idx)
-    return len(holders), pairs
+    return len(holders), counts
 
 
 def ref_lines_over_next_level(subs) -> bool:
@@ -302,11 +304,12 @@ def test_shared_vectors_match_reference(codes, pekt):
     for name, members in named.items():
         code = SubspaceCode.of(_sample(members, name))
         subs = list(code)  # the pass's order, so the reference's index pairs name its key pairs
-        coverage, pairs = verify._shared_vectors(code)
-        ref_coverage, ref_pairs = ref_shared_vectors(subs)
+        coverage, counts = verify._shared_vectors(code)
+        ref_coverage, ref_counts = ref_shared_vectors(subs)
         keys = [code.pack.join(s.rows) for s in subs]
-        assert (coverage, pairs) == (ref_coverage, {(keys[i], keys[j]) for i, j in ref_pairs})
-        assert bool(pairs) == _collides(name, members)
+        assert (coverage, counts) == (
+            ref_coverage, {(keys[i], keys[j]): c for (i, j), c in ref_counts.items()})
+        assert bool(counts) == _collides(name, members)
 
 
 # Planes of F_2^8 at (2,1,2,2) that are no F_4-line: {e1, e3}, whose first row is a

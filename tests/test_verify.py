@@ -120,7 +120,7 @@ def test_bucketed_distance_when_every_pair_collides(monkeypatch):
                            for u in itertools.product(range(2), repeat=3) if any(u))
     calls = count_calls(monkeypatch, verify, "subspace_distance")
     assert min_distance(code) == pairwise_min_distance(code) == 2
-    assert len(calls) == 2 * 21  # 21 pairs, ranked once by each path
+    assert len(calls) == 21  # the 21 pairs, ranked by pairwise_min_distance alone
 
 
 def test_bucketed_distance_ranks_pairs_whose_shared_vectors_are_held_earlier():
@@ -153,6 +153,19 @@ def test_bucketed_distance_falls_back_past_the_coverage_guard(monkeypatch):
     with pytest.raises(CommandRefused, match="21 member pairs to rank, PAIR_GUARD is 20"):
         min_distance(code)
     assert len(calls) == 1
+
+
+def test_vector_pass_is_refused_past_the_pair_guard(monkeypatch):
+    # the seven planes of F_2^4 through e1: all 21 pairs share e1, one more than PAIR_GUARD
+    tower = field_build(2, 1, 1, 2)
+    code = SubspaceCode.of(_subspace(tower, 0, [[1, 0, 0, 0], [0, *u]])
+                           for u in itertools.product(range(2), repeat=3) if any(u))
+    monkeypatch.setattr(verify, "PAIR_GUARD", 20)
+    ranks = count_calls(monkeypatch, verify, "subspace_distance")
+    for decide in (min_distance, classify):
+        with pytest.raises(CommandRefused, match="share a nonzero vector than PAIR_GUARD, 20$"):
+            decide(code)
+    assert ranks == []
 
 
 @pytest.mark.parametrize("guard", [14, verify.COVERAGE_GUARD])
@@ -399,13 +412,12 @@ def test_classify_matches_reference_on_random_codes(monkeypatch, pekt, n, size, 
     disjoint = _collision_free_code(tower, n, 2, size // 2, seed)
     certified = _field_lines(tower, n // 2, size // 2, seed)
     mixed = SubspaceCode.of(sorted(certified, key=lambda s: s.rows)[1:] + [next(iter(colliding))])
+    calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
     for code in (colliding, disjoint, certified, mixed):
         assert _report_tuple(classify(code)) == _reference_report(code)
+    assert calls == []  # within COVERAGE_GUARD the pass decides what the certificate does not
     assert _reference_report(colliding)[1] < 4  # some pair shares a vector
     assert _reference_report(disjoint)[2]
-    calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
-    classify(certified)
-    assert calls == []
 
 
 def test_classify_list_with_a_repeated_member(spreads):
@@ -437,17 +449,19 @@ def _colliding_code():
 
 
 def test_classify_refuses_every_pair_past_the_pair_guard(spreads, monkeypatch):
-    # 20 uncertified 2-spaces of F_2^8 have 190 pairs, refused before the vector pass;
-    # the certified spread has 3,570
+    # 20 uncertified 2-spaces of F_2^8 hold 60 vectors, past a COVERAGE_GUARD of 59, so
+    # every pair is ranked: 190 pairs, refused before any rank; the certified spread has 3,570
     code = _colliding_code()
+    monkeypatch.setattr(verify, "COVERAGE_GUARD", 59)
     monkeypatch.setattr(verify, "PAIR_GUARD", 189)
-    passes = count_calls(monkeypatch, verify, "_shared_vectors")
-    calls = count_calls(monkeypatch, verify, "pairwise_min_distance")
+    ranks = count_calls(monkeypatch, verify, "subspace_distance")
     with pytest.raises(CommandRefused, match="190 member pairs to rank, PAIR_GUARD is 189"):
         classify(code)
-    assert passes == [] and calls == []
+    assert ranks == []
     monkeypatch.setattr(verify, "PAIR_GUARD", 190)
-    assert _report_tuple(classify(code)) == _reference_report(code)
+    report = classify(code)
+    assert report.coverage_count is None and len(ranks) == 190
+    assert _report_tuple(report)[:3] == _reference_report(code)[:3]
     assert classify(spreads[(2, 1, 2, 2)]).verdict is Verdict.SPREAD
 
 
@@ -457,15 +471,26 @@ def test_classify_raises_when_the_certificate_is_wrong(monkeypatch):
         classify(_colliding_code())
 
 
+def _faulty_pass(monkeypatch, fault):
+    """Patch the vector pass to hand its (coverage, counts) through `fault` first."""
+    shared_vectors = verify._shared_vectors
+    monkeypatch.setattr(verify, "_shared_vectors", lambda code: fault(*shared_vectors(code)))
+
+
 def test_classify_raises_when_the_brute_force_path_is_wrong(monkeypatch):
-    monkeypatch.setattr(verify, "pairwise_min_distance", lambda subs: 4)
+    # one pair's count off by one: it is no q^m - 1 whose 2k - 2m is that pair's rank distance
+    def miscount(coverage, counts):
+        pair = next(iter(counts))
+        return coverage, {**counts, pair: counts[pair] + 1}
+
+    _faulty_pass(monkeypatch, miscount)
     with pytest.raises(InternalError, match="vector pass and independent distance path"):
         classify(_colliding_code())
 
 
 def test_classify_raises_when_ranks_contradict_the_coverage_count(monkeypatch):
-    # both distance paths rank through subspace_distance, so they agree on the lie
-    monkeypatch.setattr(verify, "subspace_distance", lambda u, v: u.dim + v.dim)
+    # a pass that names no sharing pair decides distance 2k, which its own coverage refutes
+    _faulty_pass(monkeypatch, lambda coverage, counts: (coverage, {}))
     with pytest.raises(InternalError, match="coverage count and pairwise ranks"):
         classify(_colliding_code())
 
