@@ -270,22 +270,8 @@ def full_group(ctx: GroupContext) -> Iterator[tuple[GroupExponents, Matrix]]:
 
 
 def stabilizer_bruteforce(ctx: GroupContext, line: Subspace) -> frozenset[GroupExponents]:
-    """All (a, b) whose group element fixes the line, by full enumeration."""
-    n = ctx.params.max_exponent
-    if n * n > GROUP_ENUM_GUARD:
-        raise GroupTooLarge(f"group has {n * n} elements, guard is {GROUP_ENUM_GUARD}")
-    lines = ctx.lines
-    h1, h2 = lines.matrix_map(ctx.h1), lines.matrix_map(ctx.h2)
-    hits = []
-    va = start = line.rows[0]
-    for a in range(1, n + 1):
-        va = h1(va)
-        vab = va
-        for b in range(1, n + 1):
-            vab = h2(vab)
-            if lines.normalize(vab) == start:
-                hits.append(GroupExponents(a, b))
-    return frozenset(hits)
+    """All (a, b) whose group element fixes the line, by full_group's enumeration."""
+    return frozenset(ab for ab, g in full_group(ctx) if line.apply(g) == line)
 
 
 def orbit_lines(ctx: GroupContext, start: Subspace,

@@ -22,6 +22,7 @@ benchmark harness's multiply and inverse timings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Sequence
 
@@ -41,32 +42,17 @@ DIGIT_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 TABLE_GUARD = 1 << 20
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def check_tower_params(p: int, e: int, k: int, t: int) -> None:
     """Refuse a characteristic past the digit alphabet, then a composite one, then a degree below 1.
 
     The alphabet bound comes first: it caps p at 36, so the trial division
-    in is_prime never runs on a huge p.
+    in distinct_prime_factors never runs on a huge p.
     """
     if p > len(DIGIT_ALPHABET):
         raise CharacteristicTooLarge(
             f"characteristic {p} exceeds the {len(DIGIT_ALPHABET)}-symbol digit alphabet"
         )
-    if not is_prime(p):
+    if distinct_prime_factors(p) != [p]:
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
     if min(e, k, t) < 1:
         raise DegreeOutOfRange(f"degrees must be >= 1, got e={e}, k={k}, t={t}")
@@ -80,6 +66,17 @@ def has_order(power: Callable[[int], object], one: object, n: int,
     powers `power` computes has order exactly n".
     """
     return power(n) == one and all(power(n // ell) != one for ell in primes)
+
+
+def power(mul: Callable[[object, object], object], one: object, x: object, n: int) -> object:
+    """x^n for n >= 0 by square-and-multiply, with `mul` the product and `one` its identity."""
+    result = one
+    while n > 0:
+        if n & 1:
+            result = mul(result, x)
+        x = mul(x, x)
+        n >>= 1
+    return result
 
 
 def distinct_prime_factors(n: int) -> list[int]:
@@ -180,10 +177,11 @@ class FieldTower:
         the modulus choice; normal builds search for the smallest one.
         """
         # every level above F_p has at least p elements, so past TABLE_GUARD none has
-        # tables; the bound comes before is_prime, whose trial division a huge p would stall
+        # tables; the bound comes before distinct_prime_factors, whose trial division a
+        # huge p would stall
         if p > TABLE_GUARD:
             raise CharacteristicTooLarge(f"characteristic {p} exceeds TABLE_GUARD {TABLE_GUARD}")
-        if not is_prime(p):
+        if distinct_prime_factors(p) != [p]:
             raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if any(d < 1 for d in degrees):
             raise DegreeOutOfRange(f"extension degrees must be >= 1, got {tuple(degrees)}")
@@ -191,7 +189,6 @@ class FieldTower:
             moduli = [None] * len(degrees)
         self.p = p
         self.steps: list[FieldStep] = []
-        self._cards = [p]
         self._spans = [1]  # base-p digits per element, by level
         for d, override in zip(degrees, moduli):
             self._extend(d, override)
@@ -210,7 +207,7 @@ class FieldTower:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        return f"FieldTower(p={self.p}, cards={self._cards})"
+        return f"FieldTower(p={self.p}, cards={[self.p] + [s.cardinality for s in self.steps]})"
 
     # -- structure ------------------------------------------------------------
 
@@ -219,7 +216,7 @@ class FieldTower:
         return len(self.steps) + 1
 
     def cardinality(self, level: int) -> int:
-        return self._cards[level]
+        return self.steps[level - 1].cardinality if level else self.p
 
     def step_modulus(self, level: int) -> tuple[int, ...]:
         """Modulus of the step creating `level`, as indexes at level-1, constant term first."""
@@ -312,7 +309,7 @@ class FieldTower:
 
     def _extend(self, degree: int, override: Sequence[int] | None = None) -> None:
         level = len(self.steps)  # level being extended *from*
-        card_below = self._cards[-1]
+        card_below = self.cardinality(level)
         card = card_below**degree
         if override is not None:
             if len(override) != degree or any(not 0 <= c < card_below for c in override):
@@ -324,13 +321,12 @@ class FieldTower:
         else:
             modulus = self._search_primitive_modulus(level, degree, card - 1)
         self.steps.append(FieldStep(degree, modulus, card))
-        self._cards.append(card)
         self._spans.append(self._spans[-1] * degree)
 
     def _tabulate(self, level: int) -> tuple:
         """Fill the tables of `level` by walking the powers of x, which is primitive."""
         step, below = self.steps[level - 1], level - 1
-        card, card_below = step.cardinality, self._cards[below]
+        card, card_below = step.cardinality, self.cardinality(below)
         if card > TABLE_GUARD:
             raise FieldTooLarge(f"level {level} has {card} elements, guard is {TABLE_GUARD}")
         n = card - 1
@@ -361,7 +357,7 @@ class FieldTower:
         term failing that is skipped before x is powered: the first hit is
         the same.
         """
-        card = self._cards[level]
+        card = self.cardinality(level)
         primes = distinct_prime_factors(group_order)
         below_primes = distinct_prime_factors(card - 1)
         for c in range(1, card):
@@ -389,17 +385,8 @@ class FieldTower:
             return False  # x divides the candidate
         one = [1] + [0] * (len(modulus) - 2)
         x = self._x_residue(level, modulus)
-
-        def x_power(n: int) -> list[int]:
-            result, base = one, x
-            while n > 0:
-                if n & 1:
-                    result = self._polymod_mul(level, modulus, result, base)
-                base = self._polymod_mul(level, modulus, base, base)
-                n >>= 1
-            return result
-
-        return has_order(x_power, one, group_order, primes)
+        mul = functools.partial(self._polymod_mul, level, modulus)
+        return has_order(lambda n: power(mul, one, x, n), one, group_order, primes)
 
     def _polymod_mul(self, level: int, modulus: tuple, a: list[int], b: list[int]) -> list[int]:
         """Product of two residues mod a monic modulus, coefficients over `level`."""

@@ -21,19 +21,18 @@ from .subspaces import Matrix, SubspaceCode, rank, row_packing
 
 
 class ReductionContext:
-    """Holds k, q and the indexes of alpha^0 .. alpha^{k-1} in F_{q^k}."""
+    """Holds the tower and k, the degree of F_{q^k} over F_q."""
 
     def __init__(self, tower: FieldTower):
         self.tower = tower
         self.k = tower.steps[1].degree
-        self.q = tower.cardinality(1)
-        self.alpha = tower.alpha(2)
-        self.alpha_powers = tuple(tower.pow(2, self.alpha, ell) for ell in range(self.k))
 
     def matrix_rep(self, u: int) -> Matrix:
         """k x k matrix over F_q acting as multiplication by the F_{q^k} element of index u."""
-        mul, q, k = self.tower.mul, self.q, self.k
-        return Matrix(self.tower, 1, [to_digits(mul(2, a, u), q, k) for a in self.alpha_powers])
+        tower, k = self.tower, self.k
+        alpha, q = tower.alpha(2), tower.cardinality(1)
+        return Matrix(tower, 1, [to_digits(tower.mul(2, tower.pow(2, alpha, ell), u), q, k)
+                                 for ell in range(k)])
 
     def embed_matrix(self, a: Matrix) -> Matrix:
         """Blockwise image of an invertible matrix over F_{q^k} in GL(n, F_q)."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import xor
+import operator
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -43,7 +43,7 @@ from .errors import (
     SingularInput,
     ZeroVector,
 )
-from .gftower import DIGIT_ALPHABET, FieldTower
+from .gftower import DIGIT_ALPHABET, FieldTower, power
 
 Vector = tuple[int, ...]
 
@@ -139,14 +139,7 @@ class Matrix:
             raise ValueError("only square matrices can be powered")
         if n < 0:
             return self.inverse() ** (-n)
-        result = Matrix.identity(self.tower, self.level, self.nrows)
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(operator.mul, Matrix.identity(self.tower, self.level, self.nrows), self, n)
 
     def inverse(self) -> "Matrix":
         """Inverse read off the RREF of (self | I); SingularInput if not square/regular."""
@@ -239,7 +232,7 @@ class RowPacking:
         self.chunk = chunk
         self._scalings: dict = {}  # a lead entry's lanes -> scaling(its inverse), for normalize
         if p == 2:
-            self.add = xor
+            self.add = operator.xor
             return
         ones = ((1 << w * self.lanes) - 1) // ((1 << w) - 1)
         self._bias = ((1 << w - 1) - p) * ones

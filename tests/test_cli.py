@@ -514,9 +514,9 @@ def test_characteristic_past_the_alphabet_is_refused_before_any_primality_test(
     p = 2**61 - 1
 
     def no_primality_test(n):
-        raise AssertionError(f"is_prime({n}) called")
+        raise AssertionError(f"distinct_prime_factors({n}) called")
 
-    monkeypatch.setattr(gftower, "is_prime", no_primality_test)
+    monkeypatch.setattr(gftower, "distinct_prime_factors", no_primality_test)
     flags = ["--p", str(p), "--e", "1", "--k", "1", "--t", "1"]
     path = _huge_header_file(tmp_path, p, 1, 1, 1, p, 1)
     for argv, code in (

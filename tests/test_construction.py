@@ -263,6 +263,18 @@ def test_stabilizer_of_tail_line_contains_h1(ctx_2122):
     assert h1_exponents <= set(stab)
 
 
+@pytest.mark.parametrize("pekt, x", [
+    pytest.param(pekt, x, id=f"{''.join(map(str, pekt))}-e{x}")
+    for pekt in PARAM_SETS for x in range(1, 2 * pekt[3] + 1)
+])
+def test_orbit_stabilizer(contexts, pekt, x):
+    # |Stab(line)| * |orbit| = |group|: the orbit walks' sizes against the whole-group enumeration
+    ctx = contexts[pekt]
+    orbit = orbit_code(ctx, x) if x <= ctx.params.t else tail_orbit(ctx, x)
+    stab = stabilizer_bruteforce(ctx, ctx.unit_line(x))
+    assert len(stab) * len(orbit) == ctx.params.group_order
+
+
 def test_group_guard(ctx_2122, monkeypatch):
     monkeypatch.setattr(construction, "GROUP_ENUM_GUARD", 10)
     with pytest.raises(GroupTooLarge):

@@ -18,11 +18,12 @@ from spreadforge.errors import (
     NonPrimeCharacteristic,
 )
 from spreadforge.gftower import (
+    DIGIT_ALPHABET,
     FieldTower,
+    check_tower_params,
     distinct_prime_factors,
     field_build,
     has_order,
-    is_prime,
     to_digits,
 )
 
@@ -252,6 +253,32 @@ def test_build_rejects_bad_arguments():
         field_build(2, 0, 1, 1)
 
 
+def _sieve(limit: int) -> set[int]:
+    """The primes below `limit`, by the sieve of Eratosthenes."""
+    composite = set()
+    for f in range(2, limit):
+        composite.update(range(f * f, limit, f))
+    return set(range(2, limit)) - composite
+
+
+def test_exactly_the_non_primes_are_refused():
+    primes = _sieve(65)
+    for p in range(65):
+        if p in primes:
+            assert FieldTower(p, (1,)).cardinality(1) == p
+        else:
+            with pytest.raises(NonPrimeCharacteristic):
+                FieldTower(p, (1,))
+        if p > len(DIGIT_ALPHABET):
+            with pytest.raises(CharacteristicTooLarge):
+                check_tower_params(p, 1, 1, 1)
+        elif p in primes:
+            check_tower_params(p, 1, 1, 1)
+        else:
+            with pytest.raises(NonPrimeCharacteristic):
+                check_tower_params(p, 1, 1, 1)
+
+
 def test_descriptor_text_is_reproducible():
     a = field_build(2, 1, 2, 2)
     b = field_build(2, 1, 2, 2)
@@ -361,7 +388,7 @@ def test_arithmetic_matches_coefficient_reference(pekt):
 def _gcd_valid_rows(max_order: int) -> list[tuple[int, int, int, int]]:
     """Every (p, e, k, t) with p prime, q^kt <= max_order and gcd(t, q^k - 1) = 1."""
     rows = []
-    for p in filter(is_prime, range(2, max_order + 1)):
+    for p in filter(lambda n: distinct_prime_factors(n) == [n], range(2, max_order + 1)):
         for e, k, t in itertools.product(range(1, max_order.bit_length()), repeat=3):
             qk = p ** (e * k)
             if qk**t <= max_order and math.gcd(t, qk - 1) == 1:

@@ -125,11 +125,13 @@ def ref_lines_over_next_level(subs) -> bool:
 
 def ref_reduced_rows(red: ReductionContext, line) -> tuple[tuple[int, ...], ...]:
     """Row l: the base-q digits of alpha^l u, over the entries u of the line's row."""
-    g = line.matrix.rows[0]
-    return tuple(
-        tuple(d for u in g for d in to_digits(red.tower.mul(2, a, u), red.q, red.k))
-        for a in red.alpha_powers
-    )
+    tower, g = red.tower, line.matrix.rows[0]
+    powers = [1]  # alpha^0 .. alpha^{k-1}, by repeated products
+    for _ in range(red.k - 1):
+        powers.append(tower.mul(2, powers[-1], tower.alpha(2)))
+    q = tower.cardinality(1)
+    return tuple(tuple(d for u in g for d in to_digits(tower.mul(2, a, u), q, red.k))
+                 for a in powers)
 
 
 def ref_parse_member(tower, level, nrows, width, record):
