@@ -15,7 +15,7 @@ row echelon test.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
     DuplicateMember,
@@ -25,7 +25,9 @@ from .errors import (
 )
 from .gftower import DIGIT_ALPHABET, FieldTower, check_field_size, check_tower_params
 from .subspaces import Matrix, RowPacking, SubspaceCode, row_packing
-from .verify import VerificationReport
+
+if TYPE_CHECKING:  # annotations only: codecs loads no verify or reduction at run time
+    from .verify import VerificationReport
 
 FORMAT_NAME = "spreadforge-code"
 FORMAT_VERSION = 1
@@ -53,6 +55,10 @@ class CodeHeader(_HeaderFields):
     """Identity of a code file: parameters, kind, and provenance tags."""
 
     __slots__ = ()  # no instance __dict__: like the fields, nothing can be assigned
+
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so that `_replace` runs its checks too
+        return cls(*iterable)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -102,16 +108,13 @@ def completion_fingerprint(blocks: Sequence[Matrix]) -> str:
     """Short stable digest of the completion blocks B_1..B_r."""
     import hashlib  # here, not at the top: only construct pays for loading it
 
-    text = "|".join(_matrix_record(block) for block in blocks)
+    packs = [row_packing(m.tower, m.level, m.ncols) for m in blocks]
+    text = "|".join(";".join(pack.text(pack.pack(row)) for row in m.rows)
+                    for pack, m in zip(packs, blocks))
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
 # -- member records --------------------------------------------------------------
-
-
-def _matrix_record(m: Matrix) -> str:
-    pack = row_packing(m.tower, m.level, m.ncols)
-    return ";".join(pack.text(pack.pack(row)) for row in m.rows)
 
 
 def member_record(pack: RowPacking, key: int) -> str:

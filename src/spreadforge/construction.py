@@ -199,9 +199,9 @@ def upper_right_block(ctx: GroupContext, a: int, b: int) -> Matrix:
     r = ctx.params.r
     acc = ctx._zero_block
     for j in range(1, a + 1):
-        acc = acc + ctx.c_powers[(a + b - j) % r].scale(ctx.alpha_power(j - 1))
+        acc = acc + (ctx.c ** ((a + b - j) % r)).scale(ctx.alpha_power(j - 1))
     for j in range(1, b + 1):
-        acc = acc - ctx.c_powers[(a + b - j) % r].scale(ctx.alpha_power(j - 1))
+        acc = acc - (ctx.c ** ((a + b - j) % r)).scale(ctx.alpha_power(j - 1))
     return acc
 
 
@@ -231,25 +231,14 @@ def scalar_subgroup(ctx: GroupContext) -> tuple[Matrix, ...]:
 
 
 def h2_subgroup(ctx: GroupContext) -> tuple[Matrix, ...]:
-    """The order-r subgroup generated by h2^{q^k-1}: its powers 1..r, the last the identity."""
-    pows = [ctx.h2_step]
-    for _ in range(ctx.params.r - 1):
-        pows.append(pows[-1] * ctx.h2_step)
-    return tuple(pows)
+    """The order-r subgroup h2^{(q^k-1) l}, l = 1..r, filtered from full_group; the last is I."""
+    return tuple(g for (a, b), g in full_group(ctx)
+                 if a == ctx.params.max_exponent and b % (ctx.params.qk - 1) == 0)
 
 
 def transversal_subgroup(ctx: GroupContext) -> tuple[Matrix, ...]:
-    """All h1^a h2^{(q^k-1) l}; a direct complement of the scalar subgroup."""
-    size = ctx.params.max_exponent * ctx.params.r
-    if size > GROUP_ENUM_GUARD:
-        raise GroupTooLarge(f"transversal has {size} elements, guard is {GROUP_ENUM_GUARD}")
-    out = []
-    for slow in h2_subgroup(ctx):
-        cur = slow
-        for _ in range(ctx.params.max_exponent):
-            cur = cur * ctx.h1
-            out.append(cur)
-    return tuple(out)
+    """All h1^a h2^{(q^k-1) l}, filtered from full_group; a direct complement of the scalars."""
+    return tuple(g for (_, b), g in full_group(ctx) if b % (ctx.params.qk - 1) == 0)
 
 
 def full_group(ctx: GroupContext) -> Iterator[tuple[GroupExponents, Matrix]]:

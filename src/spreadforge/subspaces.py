@@ -297,13 +297,17 @@ class RowPacking:
 
     # -- linear maps ---------------------------------------------------------------
 
-    def linear_map(self, images: Sequence[int]) -> Callable[[int], int]:
-        """The F_p-linear map sending lane i's unit digit to the packed row images[i].
+    def matrix_map(self, a: Matrix) -> Callable[[int], int]:
+        """Row vector times the square matrix `a` (ncols x ncols, same level), on packed rows.
 
-        One table per chunk of lanes holds the image of every digit
-        combination in that chunk, and a row's image sums one entry per chunk.
+        The map is F_p-linear, so one table per chunk of lanes holds the image of every
+        digit combination in that chunk, and a row's image sums one entry per chunk.
         """
-        w, p, add = self.width, self.p, self.add
+        if (a.nrows, a.ncols) != (self.ncols, self.ncols):
+            raise ValueError(f"matrix_map needs a {self.ncols}x{self.ncols} matrix")
+        mul, level, w, p, add = self.tower.mul, self.level, self.width, self.p, self.add
+        units = [p**j for j in range(self.digits)]  # the elements with one unit digit
+        images = [self.pack([mul(level, u, x) for x in row]) for row in a.rows for u in units]
         tables = []
         for start in range(0, len(images), self.chunk):
             table = {0: 0}
@@ -323,15 +327,6 @@ class RowPacking:
             return acc
 
         return apply
-
-    def matrix_map(self, a: Matrix) -> Callable[[int], int]:
-        """Row vector times the square matrix `a` (ncols x ncols, same level), on packed rows."""
-        if (a.nrows, a.ncols) != (self.ncols, self.ncols):
-            raise ValueError(f"matrix_map needs a {self.ncols}x{self.ncols} matrix")
-        mul, level = self.tower.mul, self.level
-        units = [self.p**j for j in range(self.digits)]  # the elements with one unit digit
-        images = [self.pack([mul(level, u, x) for x in row]) for row in a.rows for u in units]
-        return self.linear_map(images)
 
     def scaling(self, c: int) -> Callable[[int], int]:
         """Every entry times the element of index c, on packed rows."""

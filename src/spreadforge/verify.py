@@ -1,14 +1,15 @@
-"""Independent checks for every claim the construction makes.
+"""Checks for the claims the construction makes.
 
-Each predicate here is computed from first principles (ranks, vector
-coverage counts, full orbit enumeration) rather than through the formulas
-the construction itself uses, so agreement between the two paths is
-meaningful evidence.
+The vector pass (coverage, and the vectors each pair of members shares)
+and each pair's rank share nothing with the construction.  The line
+certificate checks each member against `RowPacking.line_key`, the rule
+`reduce_code` builds by, and `distance --orbit` gives `orbit_min_distance`
+the lines of the orbit walk itself (`orbit_code`, `tail_orbit`).
 
 A code's minimum distance is decided in one order, by `_decided_distance`,
 for both `min_distance` and `classify`:
-1. 2k when the certificate `_meet_in_zero` accepts the code (points, or
-   lines over the next field of the tower, each member's key being
+1. 2k when the members are certified to meet only in 0 (points, or lines
+   over the next field of the tower, each member's key being
    `RowPacking.line_key` of its row 0: distinct lines meet only in 0);
 2. otherwise, within COVERAGE_GUARD vectors, from one pass over the
    members' nonzero vectors that counts what each pair shares: two
@@ -85,15 +86,6 @@ def pairwise_min_distance(subs: Iterable[Subspace], _workers: int = 1) -> int | 
     return min((subspace_distance(a, b) for a, b in pairs), default=None)
 
 
-def _every_pair_min(code: SubspaceCode) -> int:
-    """`pairwise_min_distance`, refused by CommandRefused before any rank past PAIR_GUARD pairs."""
-    pairs = len(code) * (len(code) - 1) // 2
-    if pairs > PAIR_GUARD:
-        raise CommandRefused(f"refused: {pairs} member pairs to rank, PAIR_GUARD is {PAIR_GUARD} "
-                             "(the members are not certified to meet only in 0)")
-    return pairwise_min_distance(code)
-
-
 def _shared_vectors(code: SubspaceCode) -> tuple[int, dict] | None:
     """One pass over every member's nonzero vectors, as packed rows.
 
@@ -132,12 +124,16 @@ def _counted_distance(code: SubspaceCode, shared: dict) -> int:
 
 def _decided_distance(code: SubspaceCode) -> tuple[int, tuple[int, dict] | None]:
     """Two or more members' minimum distance, in the module's order, and the pass if it decided."""
-    if _meet_in_zero(code):
+    if code.dim == 1 or _lines_over_next_level(code):  # distinct members meet only in 0
         return 2 * code.dim, None
     shared = _shared_vectors(code)
-    if shared is None:
-        return _every_pair_min(code), None
-    return _counted_distance(code, shared[1]), shared
+    if shared is not None:
+        return _counted_distance(code, shared[1]), shared
+    pairs = len(code) * (len(code) - 1) // 2
+    if pairs > PAIR_GUARD:
+        raise CommandRefused(f"refused: {pairs} member pairs to rank, PAIR_GUARD is {PAIR_GUARD} "
+                             "(the members are not certified to meet only in 0)")
+    return pairwise_min_distance(code), None
 
 
 def min_distance(code: SubspaceCode) -> int:
@@ -147,11 +143,6 @@ def min_distance(code: SubspaceCode) -> int:
             raise CodeTooSmall("an empty code has no minimum distance")
         return 0
     return _decided_distance(code)[0]
-
-
-def _meet_in_zero(code: SubspaceCode) -> bool:
-    """True when distinct members are certified to meet only in 0: points, or next-field lines."""
-    return code.dim == 1 or _lines_over_next_level(code)
 
 
 def _lines_over_next_level(code: SubspaceCode) -> bool:

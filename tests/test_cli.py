@@ -896,6 +896,13 @@ def test_compare_leaves_construction_unloaded(tmp_path):
     assert "spreadforge.construction" not in loaded
 
 
+def test_codecs_import_loads_no_verify_or_reduction():
+    # codecs names VerificationReport in annotations only, so verify may import codecs
+    assert _spreadforge_imports("-c", "import spreadforge.codecs") == {
+        "spreadforge", "spreadforge.codecs", "spreadforge.errors", "spreadforge.gftower",
+        "spreadforge.subspaces"}
+
+
 def test_package_import_loads_no_submodule():
     assert _spreadforge_imports("-c", "import spreadforge") == {"spreadforge"}
 

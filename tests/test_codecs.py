@@ -204,6 +204,26 @@ def test_component_tags_are_required_by_the_header(component, tags, message):
         CodeHeader(p=2, e=1, k=1, t=1, kind="subspaces", component=component, **tags)
 
 
+@pytest.mark.parametrize("changes", [
+    {"i": 99, "kind": "mystery"}, {"i": 99}, {"kind": "planes"}, {"component": "mystery"},
+    {"component": "Bj"}, {"i": None}, {"j": 5}, {"p": 4}, {"e": 0},
+])
+def test_replace_runs_the_header_checks(changes):
+    header = CodeHeader(p=2, e=1, k=2, t=2, kind="subspaces", component="Ci", i=1)
+    with pytest.raises(ValueError):
+        header._replace(**changes)
+
+
+def test_replace_keeps_a_valid_header():
+    header = CodeHeader(p=2, e=1, k=2, t=2, kind="subspaces", component="Ci", i=1)
+    tagged = header._replace(bm="0123456789abcdef")
+    assert type(tagged) is CodeHeader
+    assert tagged == CodeHeader(p=2, e=1, k=2, t=2, kind="subspaces", component="Ci", i=1,
+                                bm="0123456789abcdef")
+    with pytest.raises(ValueError):
+        header._replace(nonsense=1)
+
+
 def test_component_tags_are_required_on_read(spreads):
     text = _valid_text(spreads)
     without_i = "\n".join(l for l in text.splitlines() if l != "# i=1") + "\n"

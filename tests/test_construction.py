@@ -344,6 +344,17 @@ def test_subgroup_factorization(contexts, pekt):
     assert len(scalars) * len(transversal) == params.group_order
 
 
+@pytest.mark.parametrize("pekt", PARAM_SETS)
+def test_h2_step_generates_the_enumerated_h2_subgroup(contexts, pekt):
+    # the orbit walks step by h2_step; h2_subgroup is filtered from full_group's products
+    ctx = contexts[pekt]
+    subgroup = h2_subgroup(ctx)
+    assert set(subgroup) == {ctx.h2_step ** l for l in range(1, ctx.params.r + 1)}
+    # the same r elements in the same order as the walk's powers; the last, h2^(q^kt-1), is I
+    assert list(subgroup) == [ctx.h2 ** ((ctx.params.qk - 1) * l)
+                              for l in range(1, ctx.params.r + 1)]
+
+
 # --- exponent classes and completion blocks ----------------------------------------------
 
 
