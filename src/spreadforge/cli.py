@@ -201,7 +201,7 @@ def cmd_construct(args) -> int:
         raise CommandRefused(f"construct refused: the spread holds {vectors} nonzero vectors, "
                              f"COVERAGE_GUARD is {COVERAGE_GUARD}")
     ctx = build_group(params)
-    bm = codecs.completion_fingerprint(default_completion(ctx))
+    bm = codecs.completion_fingerprint(ctx.block_rows, default_completion(ctx))
     parts = spread_components(ctx, i, j)
     spread = spread_union(params, parts)
     orbit_part, completion_part, tail_part = parts

@@ -24,7 +24,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .gftower import DIGIT_ALPHABET, FieldTower, check_field_size, check_tower_params
-from .subspaces import Matrix, RowPacking, SubspaceCode, row_packing
+from .subspaces import RowPacking, SubspaceCode, row_packing
 
 if TYPE_CHECKING:  # annotations only: codecs loads no verify or reduction at run time
     from .verify import VerificationReport
@@ -104,13 +104,11 @@ class CodeHeader(_HeaderFields):
         return FieldTower(self.p, (self.e, self.k))
 
 
-def completion_fingerprint(blocks: Sequence[Matrix]) -> str:
-    """Short stable digest of the completion blocks B_1..B_r."""
+def completion_fingerprint(pack: RowPacking, blocks: Sequence[Sequence[int]]) -> str:
+    """Short stable digest of the completion blocks B_1..B_r, each as its rows packed by `pack`."""
     import hashlib  # here, not at the top: only construct pays for loading it
 
-    packs = [row_packing(m.tower, m.level, m.ncols) for m in blocks]
-    text = "|".join(";".join(pack.text(pack.pack(row)) for row in m.rows)
-                    for pack, m in zip(packs, blocks))
+    text = "|".join(";".join(map(pack.text, rows)) for rows in blocks)
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
@@ -224,8 +222,8 @@ def read_code(text: str) -> tuple[CodeHeader, SubspaceCode]:
     try:
         header = CodeHeader(
             p=p, e=e, k=k, t=t, kind=kind, component=component,
-            i=int(fields["i"]) if "i" in fields else None,
-            j=int(fields["j"]) if "j" in fields else None,
+            i=intfield("i") if "i" in fields else None,
+            j=intfield("j") if "j" in fields else None,
             bm=fields.get("bm"),
         )
     except ValueError as exc:

@@ -16,8 +16,10 @@ F_{q^kt} exactly once, so the blocks to avoid are all of that field but
 All three parts are orbits, built by one routine: Ci of e_i under
 <h2^{q^k-1}> x <h1>, Bj of e_j under <h2^{q^k-1}>, and Ai of row i of
 (I | -(alpha I - c)^{-1}) under diag(c, c) = (h1 h2)^a, where
-a = 0 mod q^k - 1 and a = 1 mod r.  The closed-form blocks and the
-forbidden-set definition under them stay as Ai's reference.
+a = 0 mod q^k - 1 and a = 1 mod r.  The completion blocks themselves,
+hashed into the code files' `bm` tag, are the rows of -(alpha I - c)^{-1}
+walked by c.  The closed-form blocks and the forbidden-set definition under
+them stay as the test reference of Ai and of `bm`.
 
 Exponents are 1-based in every public signature; internal lookups reduce
 them modulo the relevant element orders.
@@ -109,12 +111,12 @@ class GroupExponents(NamedTuple):
 
 
 class GroupContext:
-    """Generators, the powers of c, and the ambient tower for one parameter set."""
+    """Generators, (alpha I - c)^{-1}, and the ambient tower for one parameter set."""
 
     def __init__(self, params: CodeParams, tower: FieldTower):
         self.params = params
         self.tower = tower
-        t, qk, r = params.t, params.qk, params.r
+        t, qk = params.t, params.qk
 
         self.m_t = companion_matrix(tower, 2, tower.step_modulus(3))
         self.c = self.m_t ** (qk - 1)
@@ -127,18 +129,11 @@ class GroupContext:
         self.h2 = Matrix.block([[alpha_ident, -ident], [zero, self.c]])
         self.h2_step = self.h2 ** (qk - 1)  # generates the order-r subgroup
 
-        cp = [ident]
-        for _ in range(r - 1):
-            cp.append(cp[-1] * self.c)
-        self.c_powers = tuple(cp)  # c^0 .. c^{r-1}
-
         # singular only for q^kt = 2, which validate_params rejects
         self.mixing_denominator = (alpha_ident - self.c).inverse()  # (alpha I - c)^{-1}
 
-        self._zero_block = zero
-        self._identity_s = Matrix.identity(tower, 2, params.s)
-
         self.lines = row_packing(tower, 2, params.s)  # packed rows of F_{q^k}^s
+        self.block_rows = row_packing(tower, 2, t)  # packed rows of a t x t block
 
     # -- small helpers ------------------------------------------------------
 
@@ -181,7 +176,7 @@ def build_group(params: CodeParams, tower: FieldTower | None = None) -> GroupCon
     if not has_order(ctx.c.__pow__, ident_t, r, r_primes):
         raise InternalOrderCheckFailed("reduced companion power does not have order r")
     for name, gen in (("h1", ctx.h1), ("h2", ctx.h2)):
-        if not has_order(gen.__pow__, ctx._identity_s, n, n_primes):
+        if not has_order(gen.__pow__, Matrix.identity(tower, 2, params.s), n, n_primes):
             raise InternalOrderCheckFailed(f"{name} does not have order q^kt - 1")
     return ctx
 
@@ -197,7 +192,7 @@ def upper_right_block(ctx: GroupContext, a: int, b: int) -> Matrix:
     ctx._check_exponent(a, "a")
     ctx._check_exponent(b, "b")
     r = ctx.params.r
-    acc = ctx._zero_block
+    acc = Matrix.zeros(ctx.tower, 2, ctx.params.t, ctx.params.t)
     for j in range(1, a + 1):
         acc = acc + (ctx.c ** ((a + b - j) % r)).scale(ctx.alpha_power(j - 1))
     for j in range(1, b + 1):
@@ -210,8 +205,8 @@ def upper_right_block_geometric(ctx: GroupContext, a: int, b: int) -> Matrix:
     ctx._check_exponent(a, "a")
     ctx._check_exponent(b, "b")
     r = ctx.params.r
-    numerator = (ctx.c_powers[b % r].scale(ctx.alpha_power(a))
-                 - ctx.c_powers[a % r].scale(ctx.alpha_power(b)))
+    numerator = ((ctx.c ** (b % r)).scale(ctx.alpha_power(a))
+                 - (ctx.c ** (a % r)).scale(ctx.alpha_power(b)))
     return numerator * ctx.mixing_denominator
 
 
@@ -227,7 +222,8 @@ def group_element_product(ctx: GroupContext, a: int, b: int) -> Matrix:
 
 def scalar_subgroup(ctx: GroupContext) -> tuple[Matrix, ...]:
     """The scalar matrices alpha^m I_s for m = 1..q^k-1 (equals <(h1 h2)^r>)."""
-    return tuple(ctx._identity_s.scale(ctx.alpha_power(m)) for m in range(1, ctx.params.qk))
+    ident = Matrix.identity(ctx.tower, 2, ctx.params.s)
+    return tuple(ident.scale(ctx.alpha_power(m)) for m in range(1, ctx.params.qk))
 
 
 def h2_subgroup(ctx: GroupContext) -> tuple[Matrix, ...]:
@@ -246,7 +242,7 @@ def full_group(ctx: GroupContext) -> Iterator[tuple[GroupExponents, Matrix]]:
     n = ctx.params.max_exponent
     if n * n > GROUP_ENUM_GUARD:
         raise GroupTooLarge(f"group has {n * n} elements, guard is {GROUP_ENUM_GUARD}")
-    left = ctx._identity_s
+    left = Matrix.identity(ctx.tower, 2, ctx.params.s)
     for a in range(1, n + 1):
         left = left * ctx.h1
         cur = left
@@ -332,12 +328,19 @@ def completion_block(ctx: GroupContext, m: int) -> Matrix:
     """
     if not 1 <= m <= ctx.params.r:
         raise IndexOutOfRange(f"class index {m} not in 1..{ctx.params.r}")
-    return -(ctx.c_powers[m % ctx.params.r] * ctx.mixing_denominator)
+    return -(ctx.c ** (m % ctx.params.r) * ctx.mixing_denominator)
 
 
-def default_completion(ctx: GroupContext) -> tuple[Matrix, ...]:
-    """The r completion blocks B_1..B_r; their digest is the code files' `bm` tag."""
-    return tuple(completion_block(ctx, m) for m in range(1, ctx.params.r + 1))
+def default_completion(ctx: GroupContext) -> tuple[tuple[int, ...], ...]:
+    """B_1..B_r, each as its t rows packed in ctx.block_rows; the `bm` tag hashes them.
+
+    B_m = B_{m-1} c, as c commutes with (alpha I - c)^{-1}, so one map of c walks them.
+    """
+    step = ctx.block_rows.matrix_map(ctx.c)
+    blocks = [tuple(map(ctx.block_rows.pack, (-ctx.mixing_denominator).rows))]  # B_0 = B_r
+    for _ in range(ctx.params.r):
+        blocks.append(tuple(map(step, blocks[-1])))
+    return tuple(blocks[1:])
 
 
 def completion_code(ctx: GroupContext, i: int) -> SubspaceCode:
@@ -351,7 +354,8 @@ def completion_code(ctx: GroupContext, i: int) -> SubspaceCode:
     if not 1 <= i <= params.t:
         raise IndexOutOfRange(f"leading index {i} not in 1..{params.t}")
     start = tuple(int(j == i - 1) for j in range(params.t)) + (-ctx.mixing_denominator).rows[i - 1]
-    diag_c = Matrix.block([[ctx.c, ctx._zero_block], [ctx._zero_block, ctx.c]])
+    zero = Matrix.zeros(ctx.tower, 2, params.t, params.t)
+    diag_c = Matrix.block([[ctx.c, zero], [zero, ctx.c]])
     return orbit_lines(ctx, Subspace(ctx.lines, (ctx.lines.pack(start),)), ((diag_c, params.r),))
 
 

@@ -103,7 +103,8 @@ def to_digits(index: int, base: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _from_digits(digits: Sequence[int], base: int) -> int:
+def from_digits(digits: Sequence[int], base: int) -> int:
+    """The index whose little-endian base-`base` digits these are; inverse of to_digits."""
     index = 0
     for d in reversed(digits):
         index = index * base + d
@@ -334,7 +335,7 @@ class FieldTower:
         x = self._x_residue(below, step.modulus)
         power = [1] + [0] * (step.degree - 1)
         for m in range(n):
-            index = _from_digits(power, card_below)
+            index = from_digits(power, card_below)
             exp[m], log[index] = index, m
             power = self._polymod_mul(below, step.modulus, power, x)
         zech = None

@@ -43,7 +43,7 @@ from .errors import (
     SingularInput,
     ZeroVector,
 )
-from .gftower import DIGIT_ALPHABET, FieldTower, power
+from .gftower import DIGIT_ALPHABET, FieldTower, from_digits, power, to_digits
 
 Vector = tuple[int, ...]
 
@@ -258,20 +258,13 @@ class RowPacking:
         """The lanes of one entry holding the element of index u."""
         if self.p == 2:
             return u
-        out = 0
-        for i in range(self.digits):
-            u, d = divmod(u, self.p)
-            out |= d << self.width * i
-        return out
+        return from_digits(to_digits(u, self.p, self.digits), 1 << self.width)
 
     def to_index(self, x: int) -> int:
         """The element index held by the lanes of one entry."""
         if self.p == 2:
             return x
-        out, mask = 0, (1 << self.width) - 1
-        for i in reversed(range(self.digits)):
-            out = out * self.p + (x >> self.width * i & mask)
-        return out
+        return from_digits(to_digits(x, 1 << self.width, self.digits), self.p)
 
     def pack(self, entries: Sequence[int]) -> int:
         eb, to_lanes = self.entry_bits, self.to_lanes

@@ -386,6 +386,19 @@ def test_header_with_impossible_parameters_is_a_parse_failure(tmp_path, capsys, 
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, key, value, bad", [
+    ("ci.code", "i", "1", "1.5"),
+    ("bj.code", "j", "3", "x"),
+], ids=["i", "j"])
+def test_non_integer_index_tag_exits_4_naming_its_key(tmp_path, capsys, name, key, value, bad):
+    golden = Path(__file__).parent / "golden" / "p2e1k2t2" / name
+    path = tmp_path / name
+    text = golden.read_text(encoding="ascii")
+    path.write_text(text.replace(f"# {key}={value}\n", f"# {key}={bad}\n", 1), encoding="ascii")
+    assert main(["verify", "--in", str(path)]) == 4
+    assert capsys.readouterr() == ("", f"error: {path}: header key '{key}' is not an integer\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "compare", "distance"])
 def test_non_ascii_code_file_exits_4_with_one_line(tmp_path, capsys, command):
     good = _construct(tmp_path, "run") / "spread.code"

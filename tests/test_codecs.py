@@ -107,8 +107,8 @@ def test_distinct_codes_have_distinct_bytes(ctx_2122):
 
 
 def test_bm_fingerprint_is_stable(ctx_2122):
-    a = codecs.completion_fingerprint(default_completion(ctx_2122))
-    b = codecs.completion_fingerprint(default_completion(ctx_2122))
+    a = codecs.completion_fingerprint(ctx_2122.block_rows, default_completion(ctx_2122))
+    b = codecs.completion_fingerprint(ctx_2122.block_rows, default_completion(ctx_2122))
     assert a == b and len(a) == 16
 
 

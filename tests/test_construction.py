@@ -441,20 +441,25 @@ def test_completion_block_survivor_is_unique_and_code_forced(contexts, pekt):
         assert survivors == [completion_block(ctx, m)]
 
 
-def test_completion_blocks_pinned_over_the_params_listing(capsys):
-    # every row of `params --max-order 64`, odd characteristics included
-    # (where the sign of -c^m matters); the digest was computed by an
-    # exhaustive first-survivor search over the matrix field
-    assert main(["params", "--max-order", "64"]) == 0
+@pytest.mark.parametrize("max_order, count, expected", [
+    ("64", 41, "8d6caea15f442a73d7885d73795a9bb8fbdbf9f8663d87d181c2cf2048b67cb3"),
+    ("1024", 103, "80976093716f351acafd6b02cf67a4bcffbd39594a0d781e90950a9141a25978"),
+], ids=["64", "1024"])
+def test_completion_blocks_pinned_over_the_params_listing(capsys, max_order, count, expected):
+    # every row of `params --max-order N`, odd characteristics included
+    # (where the sign of -c^m matters); the 64 digest was computed by an
+    # exhaustive first-survivor search over the matrix field, the 1024 one
+    # by the closed form -c^m (alpha I - c)^{-1}
+    assert main(["params", "--max-order", max_order]) == 0
     rows = [tuple(map(int, line.split()[:4])) for line in capsys.readouterr().out.splitlines()[1:]]
-    assert len(rows) == 41 and rows == sorted(rows)
-    text = "".join(
-        f"{p},{e},{k},{t}:"
-        f"{completion_fingerprint(default_completion(build_group(validate_params(p, e, k, t))))}\n"
-        for p, e, k, t in rows
-    )
+    assert len(rows) == count and rows == sorted(rows)
+    text = ""
+    for p, e, k, t in rows:
+        ctx = build_group(validate_params(p, e, k, t))
+        bm = completion_fingerprint(ctx.block_rows, default_completion(ctx))
+        text += f"{p},{e},{k},{t}:{bm}\n"
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
-    assert digest == "8d6caea15f442a73d7885d73795a9bb8fbdbf9f8663d87d181c2cf2048b67cb3"
+    assert digest == expected
 
 
 @pytest.mark.parametrize("pekt", PARAM_SETS)
@@ -474,8 +479,9 @@ def test_completion_code_and_complement_identity(contexts, pekt):
 def test_completion_choice_validation(ctx_2112):
     blocks = default_completion(ctx_2112)
     assert len(blocks) == ctx_2112.params.r
-    for m, block in enumerate(blocks, start=1):
-        assert block == completion_block(ctx_2112, m)
+    for m, rows in enumerate(blocks, start=1):
+        block = completion_block(ctx_2112, m)
+        assert rows == tuple(map(ctx_2112.block_rows.pack, block.rows))
         assert block not in forbidden_blocks(ctx_2112, m)
     for i in (0, 3, 9):
         with pytest.raises(IndexOutOfRange):
@@ -494,12 +500,22 @@ def test_completion_code_is_the_closed_form_rows(contexts, pekt):
     params = ctx.params
     for i in range(1, params.t + 1):
         reference = SubspaceCode.of(
-            canonical_line(ctx.tower, 2, ctx.c_powers[m % params.r].rows[i - 1]
+            canonical_line(ctx.tower, 2, (ctx.c ** (m % params.r)).rows[i - 1]
                            + completion_block(ctx, m).rows[i - 1])
             for m in range(1, params.r + 1)
         )
         assert len(reference) == params.r
         assert codes_equal(completion_code(ctx, i), reference)
+
+
+@pytest.mark.parametrize("pekt", ORBIT_SETS)
+def test_walked_completion_blocks_are_the_closed_form(contexts, pekt):
+    # the walk of -(alpha I - c)^{-1} by c against -c^m (alpha I - c)^{-1}, block by block:
+    # odd p shows the sign of the start, and every m shows where the walk begins
+    ctx = _context(contexts, pekt)
+    pack = ctx.block_rows.pack
+    closed_form = (completion_block(ctx, m).rows for m in range(1, ctx.params.r + 1))
+    assert default_completion(ctx) == tuple(tuple(map(pack, rows)) for rows in closed_form)
 
 
 @pytest.mark.parametrize("pekt", ORBIT_SETS)
